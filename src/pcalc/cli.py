@@ -99,8 +99,11 @@ def _emit(args, command: str, inputs: dict, result: dict, diagnostics: dict,
         lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -8,10 +8,14 @@ overrides, and the override is recorded in the solution.
 
 Discretization: nodes are placed uniformly in the transformed time
 tau(t) = integral of 1/ph_zero, where the problem is an ordinary
-du/dtau = q - u^2.  The running integral is accumulated per panel with
-fixed Kronrod nodes whose weights fold in the 1/ph_zero factor, and the
-iterate is read at quadrature abscissae through cubic stencils in tau.
-All per-sweep work is plain numpy array arithmetic.
+du/dtau = q - u^2.  tau is one table: on each reference cell the weight
+is sampled at the 15 Kronrod nodes, and tau is the integral of the
+polynomial interpolating those samples, read by polynomial evaluation
+and inverted by safeguarded Newton steps.  The running integral is
+accumulated per panel with fixed Kronrod nodes whose weights fold in the
+1/ph_zero factor, and the iterate is read at quadrature abscissae through
+cubic stencils in tau.  All per-sweep work is plain numpy array
+arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     ParameterError,
 )
 from .families import PFunction, check_l1
-from .quadrature import _NODES, _WEIGHTS_K, endpoint_exponent, gk15
+from .quadrature import _NODES, _WEIGHTS_K, endpoint_exponent
 
 __all__ = [
     "RiccatiProblem", "ContractionCertificate", "RiccatiSolution",
@@ -38,6 +42,8 @@ __all__ = [
 
 _MAX_SWEEPS = 200
 _REF_CELLS = 512
+_NEWTON_STEPS = 64
+_VANDER = np.vander(_NODES, 15, increasing=True)
 
 
 @dataclass(frozen=True)
@@ -98,112 +104,97 @@ class RiccatiSolution:
             raise ParameterError("solution carries no mesh; cannot interpolate")
         u = np.asarray(self.u)
         dtau = self.tau[1] - self.tau[0]
-        val, _ = _cubic_read(u, dtau, len(u) - 1, machine.tau_of(t))
-        return val
+        idx, w, _ = _stencil_rows(machine.tau_of(t), dtau, len(u) - 1)
+        return float(u[idx[0]] @ w[0])
+
+
+def _weight(fam: PFunction, m: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t = y^m and the weight W(y) = (dt/dy) / ph_zero(t); W is 0 where t underflows."""
+    t = y ** m
+    ph = np.array([fam.ph_zero(float(x)) if x > 0.0 else math.inf for x in t.flat])
+    with np.errstate(divide="ignore", over="ignore"):
+        w = m * y ** (m - 1.0) / ph.reshape(t.shape)
+    if not np.all(np.isfinite(w)):
+        raise NonIntegrableError("weight 1/ph_zero is not finite on (0, T]")
+    return t, w
 
 
 class _TauMachine:
-    """Transformed-time bookkeeping: tau(t) and its inverse.
+    """Transformed time tau(t) = integral_0^t 1/ph_zero and its inverse.
 
-    Works in the substituted coordinate y = t^(1/m), m chosen from the
-    left-endpoint exponent of 1/ph_zero, so that every reference cell sees
-    a nearly linear integrand.
+    Works in y = t^(1/m), m chosen from the left-endpoint exponent of
+    1/ph_zero, so that every reference cell sees a nearly linear weight
+    W(y).  Each cell samples W at the 15 Kronrod nodes: taus accumulates
+    the GK15 cell sums, and _coef holds the power-series coefficients, in
+    the cell's reference coordinate r in [-1, 1], of the integral from
+    r = -1 of the polynomial through those samples (GK15 integrates it
+    exactly, so the table is continuous).  tau_of evaluates the table on
+    arrays; t_of_tau inverts it by Newton steps on the W interpolant
+    inside a shrinking bracket, bisecting when a step leaves it.
     """
 
-    __slots__ = ("fam", "T", "m", "ys", "taus", "tau_total")
+    __slots__ = ("fam", "T", "m", "ys", "taus", "tau_total", "_coef")
 
     def __init__(self, fam: PFunction, T: float, n_ref: int = _REF_CELLS) -> None:
         self.fam = fam
         self.T = T
-
-        def w(x: float) -> float:
-            return 1.0 / fam.ph_zero(x)
-
-        gamma = endpoint_exponent(w, 0.0, T, "left")
+        gamma = endpoint_exponent(lambda x: 1.0 / fam.ph_zero(x), 0.0, T, "left")
         self.m = 1.0 if gamma is None else min(2.0 / (1.0 - gamma), 64.0)
-        y_total = T ** (1.0 / self.m)
-        ys = y_total * np.arange(n_ref + 1) / n_ref
-        taus = np.empty(n_ref + 1)
-        taus[0] = 0.0
-        for j in range(n_ref):
-            v, _ = gk15(self._W, float(ys[j]), float(ys[j + 1]))
-            taus[j + 1] = taus[j] + v
+        ys = T ** (1.0 / self.m) * np.arange(n_ref + 1) / n_ref
+        mid, half = 0.5 * (ys[:-1] + ys[1:]), 0.5 * (ys[1:] - ys[:-1])
+        _, vals = _weight(fam, self.m, mid[:, None] + half[:, None] * _NODES)
         self.ys = ys
-        self.taus = taus
-        self.tau_total = float(taus[-1])
+        self.taus = np.concatenate([[0.0], np.cumsum(half * (vals @ _WEIGHTS_K))])
+        self.tau_total = float(self.taus[-1])
+        # an LU solve keeps the interpolant accurate between the nodes
+        coef = np.zeros((n_ref, 16))
+        coef[:, 1:] = np.linalg.solve(_VANDER, vals.T).T / np.arange(1, 16)
+        coef[:, 0] = -(coef[:, 1:] @ (-1.0) ** np.arange(1, 16))
+        self._coef = half[:, None] * coef
 
-    def _W(self, y: float) -> float:
-        if self.m == 1.0:
-            x, jac = y, 1.0
-        else:
-            x = y ** self.m
-            jac = self.m * y ** (self.m - 1.0)
-        if x <= 0.0:
-            return 0.0
-        return jac / self.fam.ph_zero(x)
+    def _horner(self, j: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # tau - taus[j] at reference coordinate r of cell j, and its r-derivative
+        p, dp = self._coef[j, 15], np.zeros_like(r)
+        for k in range(14, -1, -1):
+            dp = dp * r + p
+            p = p * r + self._coef[j, k]
+        return p, dp
 
-    def _y_of(self, x: float) -> float:
-        y = x if self.m == 1.0 else x ** (1.0 / self.m)
-        return min(y, float(self.ys[-1]))
+    def tau_of(self, t) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        y = np.minimum(np.maximum(t, 0.0) ** (1.0 / self.m), self.ys[-1])
+        j = np.clip(np.searchsorted(self.ys, y) - 1, 0, len(self.ys) - 2)
+        a, b = self.ys[j], self.ys[j + 1]
+        tau = self.taus[j] + self._horner(j, (y - 0.5 * (a + b)) / (0.5 * (b - a)))[0]
+        return np.select([t <= 0.0, t >= self.T], [0.0, self.tau_total], tau)
 
-    def tau_of(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x >= self.T:
-            return self.tau_total
-        y = self._y_of(x)
-        j = min(max(int(np.searchsorted(self.ys, y)) - 1, 0), len(self.ys) - 2)
-        base = float(self.taus[j])
-        if y > self.ys[j]:
-            base += gk15(self._W, float(self.ys[j]), y)[0]
-        return base
-
-    def t_of_tau(self, target: float) -> float:
-        if target <= 0.0:
-            return 0.0
-        if target >= self.tau_total:
-            return self.T
-        j = min(max(int(np.searchsorted(self.taus, target)) - 1, 0), len(self.taus) - 2)
-        lo, hi = float(self.ys[j]), float(self.ys[j + 1])
-        base = float(self.taus[j])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
+    def t_of_tau(self, s) -> np.ndarray:
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        j = np.clip(np.searchsorted(self.taus, s) - 1, 0, len(self.taus) - 2)
+        goal = s - self.taus[j]
+        inside = (s > 0.0) & (s < self.tau_total)  # the others are set below
+        lo, hi, r = -np.ones_like(s), np.ones_like(s), np.zeros_like(s)
+        for _ in range(_NEWTON_STEPS):
+            f, d = self._horner(j, r)
+            f = f - goal
+            lo, hi = np.where(f < 0.0, r, lo), np.where(f < 0.0, hi, r)
+            step = np.divide(f, d, out=np.zeros_like(f), where=d > 0.0)
+            prev, r = r, np.clip(r - step, -1.0, 1.0)  # a root on a cell edge
+            r = np.where((d > 0.0) & (lo <= r) & (r <= hi), r, 0.5 * (lo + hi))
+            if np.all((np.abs(r - prev) <= 1e-15) | ~inside):
                 break
-            if base + gk15(self._W, float(self.ys[j]), mid)[0] < target:
-                lo = mid
-            else:
-                hi = mid
-        y = 0.5 * (lo + hi)
-        return y if self.m == 1.0 else y ** self.m
+        a, b = self.ys[j], self.ys[j + 1]
+        t = (0.5 * (a + b) + 0.5 * (b - a) * r) ** self.m
+        return np.where(inside, t, np.where(s <= 0.0, 0.0, self.T))
 
 
-def _lagrange_cubic(xi: float) -> tuple[np.ndarray, np.ndarray]:
-    d0, d1, d2, d3 = xi, xi - 1.0, xi - 2.0, xi - 3.0
-    w = np.array([
-        d1 * d2 * d3 / -6.0,
-        d0 * d2 * d3 / 2.0,
-        d0 * d1 * d3 / -2.0,
-        d0 * d1 * d2 / 6.0,
-    ])
-    dw = np.array([
-        (d2 * d3 + d1 * d3 + d1 * d2) / -6.0,
-        (d2 * d3 + d0 * d3 + d0 * d2) / 2.0,
-        (d1 * d3 + d0 * d3 + d0 * d1) / -2.0,
-        (d1 * d2 + d0 * d2 + d0 * d1) / 6.0,
-    ])
-    return w, dw
+def _stencil_rows(s: np.ndarray, dtau: float,
+                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cubic Lagrange stencils reading a grid function uniform in tau at s.
 
-
-def _cubic_read(u: np.ndarray, dtau: float, n: int, s: float) -> tuple[float, float]:
-    pos = s / dtau
-    i0 = min(max(int(math.floor(pos)) - 1, 0), n - 3)
-    w, dw = _lagrange_cubic(pos - i0)
-    seg = u[i0:i0 + 4]
-    return float(seg @ w), float(seg @ dw) / dtau
-
-
-def _stencil_rows(s: np.ndarray, dtau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    Returns grid indices, value weights and derivative weights; the
+    derivative weights are per unit of s / dtau.
+    """
     pos = s / dtau
     i0 = np.clip(np.floor(pos).astype(int) - 1, 0, n - 3)
     xi = pos - i0
@@ -214,8 +205,14 @@ def _stencil_rows(s: np.ndarray, dtau: float, n: int) -> tuple[np.ndarray, np.nd
         d0 * d1 * d3 / -2.0,
         d0 * d1 * d2 / 6.0,
     ], axis=1)
+    dw = np.stack([
+        (d2 * d3 + d1 * d3 + d1 * d2) / -6.0,
+        (d2 * d3 + d0 * d3 + d0 * d2) / 2.0,
+        (d1 * d3 + d0 * d3 + d0 * d1) / -2.0,
+        (d1 * d2 + d0 * d2 + d0 * d1) / 6.0,
+    ], axis=1)
     idx = i0[:, None] + np.arange(4)[None, :]
-    return idx, w
+    return idx, w, dw
 
 
 @dataclass
@@ -231,50 +228,27 @@ class _Discretization:
     q_grid: np.ndarray
 
 
-def _build_discretization(fam: PFunction, qfn, machine: _TauMachine,
-                          n: int) -> _Discretization:
-    T, m = machine.T, machine.m
+def _build_discretization(qfn, machine: _TauMachine, n: int) -> _Discretization:
+    m = machine.m
     targets = machine.tau_total * np.arange(n + 1) / n
-    t_nodes = np.empty(n + 1)
-    t_nodes[0], t_nodes[n] = 0.0, T
-    for i in range(1, n):
-        t_nodes[i] = machine.t_of_tau(float(targets[i]))
+    t_nodes = machine.t_of_tau(targets)
 
-    y_nodes = t_nodes if m == 1.0 else t_nodes ** (1.0 / m)
-    nsub0 = 1 if m == 1.0 else max(1, math.ceil(m / 6.0))
+    # panels in y: the first grid interval is split to resolve the endpoint
+    y_nodes = t_nodes ** (1.0 / m)
+    nsub0 = max(1, math.ceil(m / 6.0))
+    first = y_nodes[0] + (y_nodes[1] - y_nodes[0]) * np.arange(nsub0 + 1) / nsub0
+    edges = np.concatenate([first, y_nodes[2:]])
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    X, W = _weight(machine.fam, m, mid[:, None] + half[:, None] * _NODES)
+    X = X.ravel()
+    WT = (_WEIGHTS_K * half[:, None] * W).ravel()
+    offsets = 15 * np.concatenate([[0], nsub0 + np.arange(n - 1)])
 
-    xs: list[np.ndarray] = []
-    wts: list[np.ndarray] = []
-    offsets: list[int] = []
-    pos = 0
-    for i in range(n):
-        offsets.append(pos)
-        ya, yb = float(y_nodes[i]), float(y_nodes[i + 1])
-        nsub = nsub0 if i == 0 else 1
-        for s in range(nsub):
-            c0 = ya + (yb - ya) * s / nsub
-            c1 = ya + (yb - ya) * (s + 1) / nsub
-            mid, half = 0.5 * (c0 + c1), 0.5 * (c1 - c0)
-            yg = mid + half * _NODES
-            if m == 1.0:
-                xg, jac = yg, np.ones_like(yg)
-            else:
-                xg = yg ** m
-                jac = m * yg ** (m - 1.0)
-            ph = np.array([fam.ph_zero(float(x)) for x in xg])
-            xs.append(xg)
-            wts.append(_WEIGHTS_K * half * jac / ph)
-            pos += 15
-
-    X = np.concatenate(xs)
-    WT = np.concatenate(wts)
     QV = np.array([qfn(float(x)) for x in X])
-    tau_at = np.array([machine.tau_of(float(x)) for x in X])
     dtau = float(targets[1] - targets[0])
-    Lidx, Lw = _stencil_rows(tau_at, dtau, n)
+    Lidx, Lw, _ = _stencil_rows(machine.tau_of(X), dtau, n)
     q_grid = np.array([qfn(float(t)) for t in t_nodes])
-    return _Discretization(t_nodes, targets, dtau, WT, QV,
-                           np.array(offsets), Lidx, Lw, q_grid)
+    return _Discretization(t_nodes, targets, dtau, WT, QV, offsets, Lidx, Lw, q_grid)
 
 
 def contraction_precheck(fam: PFunction, q, T: float, u0: float,
@@ -339,7 +313,7 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
             )
 
     machine = _TauMachine(fam, T)
-    disc = _build_discretization(fam, qfn, machine, n)
+    disc = _build_discretization(qfn, machine, n)
 
     U = np.full(n + 1, float(u0) if start is None else float(start))
     updates: list[float] = []
@@ -406,10 +380,9 @@ def riccati_residual(fam: PFunction, sol: RiccatiSolution, q) -> float:
     u = np.asarray(sol.u)
     n = len(u) - 1
     dtau = sol.tau[1] - sol.tau[0]
-    worst = 0.0
-    for i in range(n):
-        s = (i + 0.5) * dtau
-        val, der = _cubic_read(u, dtau, n, s)
-        t_mid = machine.t_of_tau(s)
-        worst = max(worst, abs(der + val * val - qfn(t_mid)))
-    return worst
+    s = (np.arange(n) + 0.5) * dtau
+    idx, w, dw = _stencil_rows(s, dtau, n)
+    val = np.einsum("ij,ij->i", w, u[idx])
+    der = np.einsum("ij,ij->i", dw, u[idx]) / dtau
+    q = np.array([qfn(float(t)) for t in machine.t_of_tau(s)])
+    return float(np.max(np.abs(der + val * val - q)))

@@ -144,7 +144,7 @@ def _scan_for_root(residual: Callable[[float], float], a: float, b: float,
     if abs(residual(c)) < tol:
         return c, (lo, hi), False
     raise RootSearchError(
-        f"no sign change and no residual below {tol:g} in ({a:g}, {b:g})",
+        f"no sign change and no residual below {tol:g} in ({a!r}, {b!r})",
         grid=tuple(float(x) for x in cs),
         residuals=tuple(float(r) for r in rs),
     )

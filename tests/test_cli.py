@@ -391,6 +391,15 @@ class TestOutputHandling:
         doc = json.loads(target.read_text())
         assert doc["command"] == "deriv"
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, ["deriv", *KHALIL, "--f", "t^2", "--t", "4",
+                                      "--output", str(target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["riccati", *KHALIL, "--q", "0", "--u0", "1", "--T", "0.05"]
         _, first, _ = run(capsys, argv)

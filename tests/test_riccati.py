@@ -10,9 +10,10 @@ from pcalc.errors import (
     NonIntegrableError,
     ParameterError,
 )
-from pcalc.families import make_family
+from pcalc.families import PFunction, make_family
 from pcalc.riccati import (
     RiccatiProblem,
+    _TauMachine,
     contraction_precheck,
     riccati_residual,
     solve_riccati,
@@ -142,6 +143,29 @@ class TestResidual:
         sol = solve_riccati(sqrt_decay_problem())
         assert math.isfinite(sol.residual)
         assert sol.residual < 1e-4
+
+
+class TestTauTable:
+    def test_closed_form_and_round_trip(self):
+        # khalil(0.5): tau(t) = integral of t^(-1/2) = 2 sqrt(t)
+        T = 0.05
+        machine = _TauMachine(KHALIL, T)
+        x = T * np.linspace(1e-6, 1.0 - 1e-6, 997) ** 1.3  # off the cell edges
+        assert np.max(np.abs(machine.tau_of(x) - 2.0 * np.sqrt(x))) < 1e-13
+        assert np.max(np.abs(machine.t_of_tau(machine.tau_of(x)) - x)) < 1e-13 * T
+
+    def test_ph_zero_call_budget(self, monkeypatch):
+        calls = [0]
+        ph_zero = PFunction.ph_zero
+
+        def counted(self, t):
+            calls[0] += 1
+            return ph_zero(self, t)
+
+        monkeypatch.setattr(PFunction, "ph_zero", counted)
+        sol = solve_riccati(sqrt_decay_problem(grid_n=512))
+        riccati_residual(KHALIL, sol, "0")
+        assert calls[0] < 50_000
 
 
 class TestValidation:

@@ -95,6 +95,10 @@ class TestScan:
         assert len(err.grid) == 1024
         assert len(err.residuals) == 1024
         assert "no sign change" in str(err)
+        # bounds keep every digit, so a tiny interval stays readable
+        with pytest.raises(RootSearchError) as exc:
+            _scan_for_root(lambda c: 0.5, 1.0, 1.0000000001, 1e-8)
+        assert "(1.0, 1.0000000001)" in str(exc.value)
 
     def test_sign_change_bisects(self):
         c, (lo, hi), degenerate = _scan_for_root(
