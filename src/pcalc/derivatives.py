@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DifferentiationError, EvaluationError, UsageError
-from .expr import Expr, differentiate, evaluate, parse
+from .expr import EXPR_TYPES, Expr, compile_expr, differentiate, evaluate, parse
 from .families import PFunction
 
 __all__ = [
@@ -52,30 +52,18 @@ class DerivEstimate:
 
 
 def as_scalar_fn(f: Expr | str | Callable[[float], float]) -> tuple[Callable[[float], float], Expr | None]:
-    """Coerce an expression, source text, or plain callable to t -> f(t)."""
+    """Coerce an expression, source text, or plain callable to t -> f(t).
+
+    Expressions come back compiled (compile_expr), so the result is cheap
+    to call at many points.
+    """
     if isinstance(f, str):
         f = parse(f)
-    if isinstance(f, Expr):
-        e = f
-
-        def fn(x: float, e: Expr = e) -> float:
-            return evaluate(e, {"t": x})
-
-        return fn, e
+    if isinstance(f, EXPR_TYPES):
+        return compile_expr(f), f
     if callable(f):
         return f, None
     raise UsageError(f"cannot interpret {f!r} as a function of t")
-
-
-def _neville_at_zero(xs: list[float], ys: list[float]) -> float:
-    # polynomial through (xs, ys) evaluated at 0; xs are distinct by construction
-    p = list(ys)
-    n = len(p)
-    for k in range(1, n):
-        for i in range(n - k):
-            xi, xk = xs[i], xs[i + k]
-            p[i] = (xk * p[i] - xi * p[i + 1]) / (xk - xi)
-    return p[0]
 
 
 def extrapolate_quotient(
@@ -90,9 +78,14 @@ def extrapolate_quotient(
     quotient returns None to skip a level.  Convergence: two successive
     extrapolants (with at least three support points) agree within
     tol * max(1, |value|).  Returns (value, error, converged, hs, qs).
+
+    The extrapolant is the Neville tableau at h=0.  Each accepted level
+    adds one diagonal, diag[j] being the value of the polynomial through
+    the last j+1 points, built from the previous diagonal in O(levels).
     """
     hs: list[float] = []
     qs: list[float] = []
+    diag: list[float] = []
     prev: float | None = None
     last_delta = math.inf
     for k in range(max_levels):
@@ -102,7 +95,12 @@ def extrapolate_quotient(
             continue
         hs.append(h)
         qs.append(q)
-        val = _neville_at_zero(hs, qs)
+        new = [q]
+        for j, d in enumerate(diag):
+            xi = hs[-2 - j]
+            new.append((h * d - xi * new[-1]) / (h - xi))
+        diag = new
+        val = diag[-1]
         if prev is not None:
             last_delta = abs(val - prev)
             if len(hs) >= 3 and last_delta <= tol * max(1.0, abs(val)):
@@ -192,14 +190,15 @@ def p_derivative_formula(
             "the product formula does not apply (use p_derivative_limit)"
         )
     if fprime is None:
-        _, e = as_scalar_fn(f)
-        if e is None:
+        e = parse(f) if isinstance(f, str) else f
+        if not isinstance(e, EXPR_TYPES):
             raise UsageError(
                 "formula route needs an expression for f, or an explicit fprime"
             )
         fprime = differentiate(e, "t")
-    dfn, _ = as_scalar_fn(fprime)
-    d = dfn(t)
+    fprime = parse(fprime) if isinstance(fprime, str) else fprime
+    # one point: walking the tree costs less than compiling it
+    d = evaluate(fprime, {"t": t}) if isinstance(fprime, EXPR_TYPES) else as_scalar_fn(fprime)[0](t)
     if not math.isfinite(d):
         raise EvaluationError(f"f'({t!r}) is not finite")
     return mult * d

@@ -13,6 +13,13 @@ consequence of `factor := unary ...`: in "-t^2" the unary minus captures
 "t" first, so the string parses as (-t)^2.  Write "-(t^2)" for the other
 reading.
 
+Nesting is limited to MAX_DEPTH levels.  Each pair of parentheses, each
+function call, each unary minus, each "^" and each operator of a
+"+ - * /" chain opens one level; deeper input is a ParseError at the
+offset where the limit is crossed.  The recursive walkers below
+(evaluate, compile_expr, differentiate, to_source) therefore only ever
+see trees of bounded depth.
+
 Functions are unary: sin, cos, tan, exp, ln, sqrt, abs, gamma.  The
 identifiers pi and e are predefined constants.  Any other identifier must
 be one of the allowed variable names {t, x, h, alpha, beta} or a caller
@@ -25,14 +32,15 @@ import math
 import re
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Union
 
 from .errors import DifferentiationError, EvaluationError, ParseError
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call", "Env",
-    "parse", "evaluate", "differentiate", "substitute", "to_source",
-    "variables", "DEFAULT_VARIABLES", "CONSTANTS", "FUNCTIONS",
+    "parse", "evaluate", "compile_expr", "differentiate", "substitute",
+    "to_source", "variables", "DEFAULT_VARIABLES", "CONSTANTS", "FUNCTIONS",
+    "EXPR_TYPES", "MAX_DEPTH",
 ]
 
 
@@ -65,7 +73,10 @@ class Call:
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
+# isinstance against this tuple is much cheaper than against the Union
+EXPR_TYPES = (Num, Var, Neg, BinOp, Call)
 Env = Mapping[str, float]
+MAX_DEPTH = 100
 
 DEFAULT_VARIABLES = frozenset({"t", "x", "h", "alpha", "beta"})
 CONSTANTS: dict[str, float] = {"pi": math.pi, "e": math.e}
@@ -126,11 +137,14 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent; each grammar rule returns (node, nesting levels)."""
+
     def __init__(self, source: str, allowed_vars: frozenset[str]) -> None:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.allowed = allowed_vars
+        self.open = 0  # descents in progress; bounds the parser's own recursion
 
     def _peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -151,72 +165,95 @@ class _Parser:
             raise ParseError(f"expected {op!r}, got {got}", off)
         self.pos += 1
 
-    def _at_op(self, *ops: str) -> str | None:
+    def _at_op(self, *ops: str) -> tuple[str, int] | None:
         tok = self._peek()
         if tok is not None and tok[0] == "op" and tok[1] in ops:
-            return tok[1]
+            return tok[1], tok[2]
         return None
+
+    def _level(self, depth: int, off: int) -> int:
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+        return depth + 1
+
+    def _enter(self, off: int) -> None:
+        # every descent adds a level to its result, so the limit is checked
+        # on the way down as well, which keeps the parser's own stack shallow
+        self._level(self.open, off)
+        self.open += 1
+
+    def _leave(self, depth: int, off: int) -> int:
+        self.open -= 1
+        return self._level(depth, off)
 
     def parse(self) -> Expr:
         if not self.tokens:
             raise ParseError("empty expression", 0)
-        e = self.expr()
+        e, _ = self.expr()
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while (op := self._at_op("+", "-")) is not None:
+    def expr(self) -> tuple[Expr, int]:
+        e, depth = self.term()
+        while (at := self._at_op("+", "-")) is not None:
             self.pos += 1
-            e = BinOp(op, e, self.term())
-        return e
+            right, rdepth = self.term()
+            e, depth = BinOp(at[0], e, right), self._level(max(depth, rdepth), at[1])
+        return e, depth
 
-    def term(self) -> Expr:
-        e = self.factor()
-        while (op := self._at_op("*", "/")) is not None:
+    def term(self) -> tuple[Expr, int]:
+        e, depth = self.factor()
+        while (at := self._at_op("*", "/")) is not None:
             self.pos += 1
-            e = BinOp(op, e, self.factor())
-        return e
+            right, rdepth = self.factor()
+            e, depth = BinOp(at[0], e, right), self._level(max(depth, rdepth), at[1])
+        return e, depth
 
-    def factor(self) -> Expr:
-        e = self.unary()
-        if self._at_op("^") is not None:
+    def factor(self) -> tuple[Expr, int]:
+        e, depth = self.unary()
+        if (at := self._at_op("^")) is not None:
             self.pos += 1
-            e = BinOp("^", e, self.factor())  # right associative
-        return e
+            self._enter(at[1])
+            right, rdepth = self.factor()  # right associative
+            e, depth = BinOp("^", e, right), max(self._level(depth, at[1]),
+                                                 self._leave(rdepth, at[1]))
+        return e, depth
 
-    def unary(self) -> Expr:
-        if self._at_op("-") is not None:
+    def unary(self) -> tuple[Expr, int]:
+        if (at := self._at_op("-")) is not None:
             self.pos += 1
-            return Neg(self.unary())
+            self._enter(at[1])
+            arg, depth = self.unary()
+            return Neg(arg), self._leave(depth, at[1])
         return self.atom()
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, text, off = self._next()
         if kind == "num":
-            return Num(float(text))
+            return Num(float(text)), 0
         if kind == "ident":
             if self._at_op("(") is not None:
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", off)
                 self.pos += 1
-                arg = self.expr()
-                if self._at_op(",") is not None:
-                    tok = self._peek()
+                self._enter(off)
+                arg, depth = self.expr()
+                if (at := self._at_op(",")) is not None:
                     raise ParseError(
-                        f"function {text!r} takes exactly one argument", tok[2]
+                        f"function {text!r} takes exactly one argument", at[1]
                     )
                 self._expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), self._leave(depth, off)
             if text in CONSTANTS or text in self.allowed:
-                return Var(text)
+                return Var(text), 0
             raise ParseError(f"unknown variable {text!r}", off)
         if kind == "op" and text == "(":
-            e = self.expr()
+            self._enter(off)
+            e, depth = self.expr()
             self._expect_op(")")
-            return e
+            return e, self._leave(depth, off)
         raise ParseError(f"unexpected token {text!r}", off)
 
 
@@ -233,12 +270,19 @@ def parse(source: str, params: tuple[str, ...] = ()) -> Expr:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _domain_error(exc: ArithmeticError | ValueError, what: str) -> EvaluationError:
+    kind = "domain error" if isinstance(exc, ValueError) else "overflow"
+    return EvaluationError(f"{kind} in {what}")
+
+
 def evaluate(e: Expr, env: Env) -> float:
-    """Evaluate an expression to a float.
+    """Evaluate an expression to a float by walking the tree.
 
     Unbound variables are an error, never a default.  Domain violations
     (ln of a nonpositive value, division by zero, fractional powers of
-    negatives, gamma at a pole) raise EvaluationError.
+    negatives, gamma at a pole) raise EvaluationError.  This is the
+    reference semantics; compile_expr gives the same results faster when
+    one tree is evaluated at many points.
     """
     if isinstance(e, Num):
         return e.value
@@ -267,18 +311,102 @@ def evaluate(e: Expr, env: Env) -> float:
         # power
         try:
             return math.pow(a, b)
-        except ValueError as exc:
-            raise EvaluationError(f"domain error in {a!r}^{b!r}") from exc
-        except OverflowError as exc:
-            raise EvaluationError(f"overflow in {a!r}^{b!r}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise _domain_error(exc, f"{a!r}^{b!r}") from exc
     if isinstance(e, Call):
         v = evaluate(e.arg, env)
         try:
             return FUNCTIONS[e.func](v)
-        except ValueError as exc:
-            raise EvaluationError(f"domain error in {e.func}({v!r})") from exc
-        except OverflowError as exc:
-            raise EvaluationError(f"overflow in {e.func}({v!r})") from exc
+        except (ValueError, OverflowError) as exc:
+            raise _domain_error(exc, f"{e.func}({v!r})") from exc
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def compile_expr(e: Expr, names: tuple[str, ...] = ("t",)) -> Callable[..., float]:
+    """Compile e once into a function of the variables `names`, in order.
+
+    compile_expr(e, names)(*values) returns the same float, bit for bit,
+    as evaluate(e, dict(zip(names, values))), and raises the same
+    EvaluationError at the same point of the evaluation order; only the
+    per-call dispatch on node types is gone.  Functions and constants are
+    looked up once, at compile time.
+    """
+    if len(names) == 1:
+        return _compile(e, {names[0]: None})  # nodes receive the value itself
+    run = _compile(e, {name: i for i, name in enumerate(names)})
+    return lambda *values: run(values)
+
+
+def _compile(e: Expr, slots: dict[str, int | None]) -> Callable[[Any], float]:
+    # every closure takes the tuple of values (slots give the positions),
+    # or the bare value when there is one variable (slot None), and
+    # mirrors the matching branch of evaluate
+    if isinstance(e, Num):
+        value = e.value
+        return lambda v: value
+    if isinstance(e, Var):
+        name = e.name
+        if name in slots:
+            i = slots[name]
+            if i is None:
+                return float
+            return lambda v: float(v[i])
+        if name in CONSTANTS:
+            value = CONSTANTS[name]
+            return lambda v: value
+        message = f"unbound variable {name!r}"
+
+        def unbound(v: Any) -> float:
+            raise EvaluationError(message)
+
+        return unbound
+    if isinstance(e, Neg):
+        arg = _compile(e.arg, slots)
+        return lambda v: -arg(v)
+    if isinstance(e, BinOp):
+        left = _compile(e.left, slots)
+        right = _compile(e.right, slots)
+        op = e.op
+        if op == "+":
+            return lambda v: left(v) + right(v)
+        if op == "-":
+            return lambda v: left(v) - right(v)
+        if op == "*":
+            return lambda v: left(v) * right(v)
+        if op == "/":
+            def divide(v: Any) -> float:
+                a = left(v)
+                b = right(v)
+                if b == 0.0:
+                    raise EvaluationError("division by zero")
+                return a / b
+
+            return divide
+
+        pow_ = math.pow
+
+        def power(v: Any) -> float:
+            a = left(v)
+            b = right(v)
+            try:
+                return pow_(a, b)
+            except (ValueError, OverflowError) as exc:
+                raise _domain_error(exc, f"{a!r}^{b!r}") from exc
+
+        return power
+    if isinstance(e, Call):
+        arg = _compile(e.arg, slots)
+        fn = FUNCTIONS[e.func]
+        func = e.func
+
+        def call(v: Any) -> float:
+            x = arg(v)
+            try:
+                return fn(x)
+            except (ValueError, OverflowError) as exc:
+                raise _domain_error(exc, f"{func}({x!r})") from exc
+
+        return call
     raise TypeError(f"not an Expr node: {e!r}")
 
 

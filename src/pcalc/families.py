@@ -27,7 +27,7 @@ from .errors import (
     NonIntegrableError,
     ParameterError,
 )
-from .expr import Expr, differentiate, evaluate, parse, variables
+from .expr import Expr, compile_expr, differentiate, parse, variables
 from .quadrature import gk15
 
 __all__ = [
@@ -230,9 +230,10 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
                             lambda t, a=a: _exp(_pow(t, -a)))
         else:
             fe = _coerce_expr(F, frozenset({"t", "alpha"}), "nderiv F")
+            fc = compile_expr(fe, ("t", "alpha"))
 
-            def fval(t: float, fe: Expr = fe, a: float = a) -> float:
-                return evaluate(fe, {"t": t, "alpha": a})
+            def fval(t: float, fc: Callable[..., float] = fc, a: float = a) -> float:
+                return fc(t, a)
 
             fam = PFunction(kind, a, None, fe, _POSITIVE_T,
                             f"nderiv(alpha={a:g}, F=...)",
@@ -277,21 +278,21 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
         pe = _coerce_expr(F, frozenset({"t", "h", "alpha"}), "custom p")
         if "alpha" in variables(pe) and alpha is None:
             raise ParameterError("custom p references alpha but no alpha was given")
-        base = {} if alpha is None else {"alpha": alpha}
+        pc = compile_expr(pe, ("t", "h", "alpha"))  # alpha is read only if pe uses it
 
-        def p(t: float, h: float, pe: Expr = pe, base: dict = base) -> float:
-            return evaluate(pe, {"t": t, "h": h, **base})
+        def p(t: float, h: float, pc: Callable[..., float] = pc) -> float:
+            return pc(t, h, alpha)
 
         try:
-            dpe = differentiate(pe, "h")
+            dpc = compile_expr(differentiate(pe, "h"), ("t", "h", "alpha"))
         except DifferentiationError as exc:
             msg = str(exc)
 
             def ph(t: float, h: float, msg: str = msg) -> float:
                 raise DifferentiationError(f"custom family multiplier unavailable: {msg}")
         else:
-            def ph(t: float, h: float, dpe: Expr = dpe, base: dict = base) -> float:
-                return evaluate(dpe, {"t": t, "h": h, **base})
+            def ph(t: float, h: float, dpc: Callable[..., float] = dpc) -> float:
+                return dpc(t, h, alpha)
 
         fam = PFunction(kind, alpha, None, pe, Interval(-math.inf, math.inf),
                         "custom(p=...)", p, ph, lambda t: ph(t, 0.0))

@@ -59,8 +59,13 @@ def _build_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _NODES, _WEIGHTS_K, _WEIGHTS_G = _build_rule()
 
 
-def gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15(7) panel.  Returns (integral, error_estimate)."""
+def gk15(fn: Callable[[float], float], a: float, b: float,
+         to_x: Callable[[float], float] | None = None) -> tuple[float, float]:
+    """One Gauss-Kronrod 15(7) panel.  Returns (integral, error_estimate).
+
+    to_x maps the integration variable to the caller's coordinate for the
+    panel an error reports.
+    """
     c = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     vals = np.empty(15)
@@ -71,6 +76,8 @@ def gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float
         res_k = hw * float(_WEIGHTS_K @ vals)
         res_g = hw * float(_WEIGHTS_G @ vals)
     if not math.isfinite(res_k):
+        if to_x is not None:
+            a, b = sorted((to_x(a), to_x(b)))
         raise NonIntegrableError(
             f"non-finite integrand value on [{a!r}, {b!r}]"
         )
@@ -83,16 +90,18 @@ def integrate_adaptive(
     b: float,
     tol: float,
     max_panels: int = 4096,
+    to_x: Callable[[float], float] | None = None,
 ) -> tuple[float, float, int]:
     """Globally adaptive bisection; requires a <= b.
 
     Returns (value, error_estimate, panels).  Raises QuadratureError when
     the tolerance cannot be met within max_panels, NonIntegrableError when
-    the integrand is non-finite.
+    the integrand is non-finite.  to_x maps the integration variable to
+    the caller's coordinate for the locations errors report.
     """
     if a == b:
         return 0.0, 0.0, 0
-    val, err = gk15(fn, a, b)
+    val, err = gk15(fn, a, b, to_x)
     # heap of (-err, lo, hi, val); split the worst panel first
     heap: list[tuple[float, float, float, float]] = [(-err, a, b, val)]
     total = val
@@ -104,13 +113,14 @@ def integrate_adaptive(
         if hi - lo <= min_width:
             # cannot refine further: either roundoff-limited or an
             # undetected non-integrable spike
+            near = lo if to_x is None else to_x(lo)
             raise QuadratureError(
-                f"tolerance {tol!r} unreachable near x={lo!r} "
+                f"tolerance {tol!r} unreachable near x={near!r} "
                 f"(residual error {total_err!r})"
             )
         mid = 0.5 * (lo + hi)
-        v1, e1 = gk15(fn, lo, mid)
-        v2, e2 = gk15(fn, mid, hi)
+        v1, e1 = gk15(fn, lo, mid, to_x)
+        v2, e2 = gk15(fn, mid, hi, to_x)
         total += (v1 + v2) - v
         total_err += (e1 + e2) - (-neg_err)
         panels += 1
@@ -173,39 +183,30 @@ def endpoint_exponent(
     return gamma
 
 
-def _transform_left(
-    fn: Callable[[float], float], a: float, b: float, gamma: float, d0: float
-) -> tuple[Callable[[float], float], float, float]:
-    """Change of variable x = a + u^m removing an x=a singularity.
+def _transform(
+    fn: Callable[[float], float], end: float, sign: float, span: float,
+    gamma: float, d0: float,
+) -> tuple[Callable[[float], float], float, float, Callable[[float], float]]:
+    """Change of variable x = end + sign * u^m removing a singularity at
+    the endpoint `end` (sign +1 at the left endpoint, -1 at the right).
 
     m = 3/(1-gamma) leaves the transformed integrand ~u^2 at the corner.
     Integration starts at the u-image of distance d0, below which the
     analytic tail model takes over; samples that still round onto the
-    endpoint return the corner limit 0.
+    endpoint return the corner limit 0.  Returns (g, u_lo, u_hi, u -> x).
     """
     m = 3.0 / (1.0 - gamma)
 
+    def to_x(u: float) -> float:
+        return end + sign * u ** m
+
     def g(u: float) -> float:
-        x = a + u ** m
-        if x == a:
+        x = to_x(u)
+        if x == end:
             return 0.0
         return fn(x) * m * u ** (m - 1.0)
 
-    return g, d0 ** (1.0 / m), (b - a) ** (1.0 / m)
-
-
-def _transform_right(
-    fn: Callable[[float], float], a: float, b: float, gamma: float, d0: float
-) -> tuple[Callable[[float], float], float, float]:
-    m = 3.0 / (1.0 - gamma)
-
-    def g(u: float) -> float:
-        x = b - u ** m
-        if x == b:
-            return 0.0
-        return fn(x) * m * u ** (m - 1.0)
-
-    return g, d0 ** (1.0 / m), (b - a) ** (1.0 / m)
+    return g, d0 ** (1.0 / m), span ** (1.0 / m), to_x
 
 
 def _endpoint_tail(
@@ -286,13 +287,10 @@ def _graded_side(
     tol: float,
     max_panels: int,
 ) -> tuple[float, float, int]:
-    if side == "left":
-        d0, tail, terr = _endpoint_tail(fn, a, 1.0, b - a, gamma)
-        g, lo, hi = _transform_left(fn, a, b, gamma, d0)
-    else:
-        d0, tail, terr = _endpoint_tail(fn, b, -1.0, b - a, gamma)
-        g, lo, hi = _transform_right(fn, a, b, gamma, d0)
-    v, e, n = integrate_adaptive(g, lo, hi, tol, max_panels)
+    end, sign = (a, 1.0) if side == "left" else (b, -1.0)
+    d0, tail, terr = _endpoint_tail(fn, end, sign, b - a, gamma)
+    g, lo, hi, to_x = _transform(fn, end, sign, b - a, gamma, d0)
+    v, e, n = integrate_adaptive(g, lo, hi, tol, max_panels, to_x)
     return v + tail, e + terr, n
 
 

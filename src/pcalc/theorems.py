@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     RootSearchError,
 )
-from .expr import Expr, differentiate, evaluate
+from .expr import Expr, compile_expr, differentiate
 from .families import PFunction
 
 __all__ = [
@@ -58,33 +58,33 @@ class MvtResult:
 
 
 def _dp_evaluator(
-    fam: PFunction, f: Expr | str | Callable[[float], float], tol: float
+    fam: PFunction, fn: Callable[[float], float], e: Expr | None, tol: float
 ) -> Callable[[float], float]:
-    """Pointwise deformation derivative, product formula when it applies.
+    """Pointwise deformation derivative of fn (with tree e, if any),
+    product formula when it applies.
 
     Falls back to the limit route at multiplier zeros and for functions
     with no symbolic derivative; the limit value is used even when its
     convergence flag is off, since the scan only needs a residual signal.
     """
-    fn, e = as_scalar_fn(f)
-    fprime: Expr | None = None
+    dfn: Callable[[float], float] | None = None
     if e is not None:
         try:
-            fprime = differentiate(e, "t")
+            dfn = compile_expr(differentiate(e, "t"))
         except DifferentiationError:
-            fprime = None
+            pass
 
     def dp(c: float) -> float:
-        if fprime is not None:
+        if dfn is not None:
             try:
                 m = fam.ph_zero(c)
                 if m != 0.0:
-                    v = evaluate(fprime, {"t": c})
+                    v = dfn(c)
                     if math.isfinite(v):
                         return m * v
             except EvaluationError:
                 pass
-        return p_derivative_limit(fam, f, c, side="both", tol=tol).value
+        return p_derivative_limit(fam, fn, c, side="both", tol=tol).value
 
     return dp
 
@@ -156,9 +156,9 @@ def find_mvt_point(fam: PFunction, f: Expr | str | Callable[[float], float],
     multiplier-weighted secant slope of f."""
     if not a < b:
         raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
-    fn, _ = as_scalar_fn(f)
+    fn, e = as_scalar_fn(f)
     slope = (fn(b) - fn(a)) / (b - a)
-    dp = _dp_evaluator(fam, f, tol / 10.0)
+    dp = _dp_evaluator(fam, fn, e, tol / 10.0)
 
     def residual(c: float) -> float:
         return dp(c) - slope * fam.ph_zero(c)
@@ -184,7 +184,7 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
     if fe is not None and ge is not None and fe == ge:
         # identical numerator and denominator: every interior point works
         c = 0.5 * (a + b)
-        dp_g = _dp_evaluator(fam, g, tol / 10.0)
+        dp_g = _dp_evaluator(fam, gfn, ge, tol / 10.0)
         return MvtResult(c, dp_g(c), 0.0, (a, b))
 
     df = ffn(b) - ffn(a)
@@ -192,8 +192,8 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
     if abs(dg) <= 1e-14 * max(1.0, abs(gfn(a)), abs(gfn(b))):
         raise ParameterError("g(b) = g(a): the two-function ratio is undefined")
 
-    dp_f = _dp_evaluator(fam, f, tol / 10.0)
-    dp_g = _dp_evaluator(fam, g, tol / 10.0)
+    dp_f = _dp_evaluator(fam, ffn, fe, tol / 10.0)
+    dp_g = _dp_evaluator(fam, gfn, ge, tol / 10.0)
     for j in range(1, 65):
         cj = a + (b - a) * j / 65.0
         if abs(dp_g(cj)) <= 1e-12:
@@ -219,13 +219,13 @@ def find_rolle_point(fam: PFunction, f: Expr | str | Callable[[float], float],
     """
     if not a < b:
         raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
-    fn, _ = as_scalar_fn(f)
+    fn, e = as_scalar_fn(f)
     fa, fb = fn(a), fn(b)
     if abs(fa) >= tol or abs(fb) >= tol:
         raise ParameterError(
             f"endpoint values f(a)={fa!r}, f(b)={fb!r} are not both below {tol:g}"
         )
-    dp = _dp_evaluator(fam, f, tol / 10.0)
+    dp = _dp_evaluator(fam, fn, e, tol / 10.0)
     c, bracket, degenerate = _scan_for_root(dp, a, b, tol)
     if degenerate:
         return MvtResult(c, fam.ph_zero(c), abs(dp(c)), (a, b))
@@ -307,7 +307,7 @@ def max_principle_check(fam: PFunction, f: Expr | str | Callable[[float], float]
     lo = float(cs[max(i0 - 1, 0)])
     hi = float(cs[min(i0 + 1, len(cs) - 1)])
     c, _, _ = _golden_min(lambda x: -fn(x), lo, hi, _KINK_WIDTH)
-    est = p_derivative_limit(fam, f, c, side="both", tol=tol)
+    est = p_derivative_limit(fam, fn, c, side="both", tol=tol)
     return MaxPrincipleReport(
         c=c,
         f_at_c=fn(c),

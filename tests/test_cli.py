@@ -354,6 +354,7 @@ class TestUsageFailures:
         ["deriv", *KHALIL, "--p", "t+h", "--f", "t", "--t", "1"],
         ["deriv", "--family", "khalil", "--f", "t", "--t", "1"],
         ["deriv", *KHALIL, "--f", "t"],
+        ["deriv", *KHALIL, "--f", "(" * 400 + "t" + ")" * 400, "--t", "1"],
         ["nosuchcommand"],
         [],
     )
@@ -379,6 +380,18 @@ class TestUsageFailures:
         doc = json.loads(err)
         assert doc["error"]["type"] == "EvaluationError"
         assert "domain error" in doc["error"]["message"]
+
+
+    def test_graded_quadrature_failure_names_x(self, capsys):
+        # the pole at 0.5 is reached through the graded substitution
+        # x = u^m; the reported location must be x, not u
+        code, _, err = run(capsys, ["integral", *KHALIL, "--f", "1/(t-0.5)",
+                                    "--a", "0", "--b", "1"])
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"]["type"] == "QuadratureError"
+        near = float(doc["error"]["message"].split("near x=")[1].split()[0])
+        assert near == pytest.approx(0.5, abs=1e-6)
 
 
 class TestOutputHandling:

@@ -1,11 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pcalc.corpus import corpus_entry, smooth_entries
 from pcalc.derivatives import (
     compare_definitions,
+    extrapolate_quotient,
     p_derivative_formula,
     p_derivative_limit,
 )
@@ -76,6 +80,36 @@ class TestLimitRoute:
     def test_string_argument(self):
         est = p_derivative_limit(KHALIL, "t^2", 4.0)
         assert est.value == pytest.approx(16.0, abs=1e-6)
+
+
+def _tableau_at_zero(xs, ys):
+    # the full Neville tableau, rebuilt from scratch
+    p = list(ys)
+    for k in range(1, len(p)):
+        for i in range(len(p) - k):
+            p[i] = (xs[i + k] * p[i] - xs[i] * p[i + 1]) / (xs[i + k] - xs[i])
+    return p[0]
+
+
+class TestExtrapolation:
+    @given(st.lists(st.one_of(st.none(), st.floats(-1e6, 1e6)), min_size=1, max_size=24),
+           st.floats(1e-6, 1.0), st.sampled_from([1.0, -1.0]),
+           st.sampled_from([0.0, 1e-12, 1e-8]))
+    def test_incremental_tableau_matches_full(self, levels, h0, sign, tol):
+        # None skips a level; the value at every ladder length must equal
+        # the from-scratch tableau over the levels actually kept
+        for n in range(1, len(levels) + 1):
+            def quotient(h, k=iter(levels)):
+                return next(k)
+
+            try:
+                val, _, _, hs, qs = extrapolate_quotient(quotient, sign, h0, tol, n)
+            except EvaluationError:
+                assert all(q is None for q in levels[:n])
+                continue
+            assert hs == [h0 * 2.0 ** -k * sign for k, q in enumerate(levels[:n])
+                          if q is not None][:len(hs)]
+            assert struct.pack("<d", val) == struct.pack("<d", _tableau_at_zero(hs, qs))
 
 
 class TestFormulaRoute:

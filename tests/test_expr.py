@@ -1,13 +1,22 @@
 import math
+import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pcalc.errors import DifferentiationError, EvaluationError, ParseError
 from pcalc.expr import (
+    CONSTANTS,
+    DEFAULT_VARIABLES,
+    FUNCTIONS,
+    MAX_DEPTH,
     BinOp,
     Call,
+    Neg,
     Num,
     Var,
+    compile_expr,
     differentiate,
     evaluate,
     parse,
@@ -80,6 +89,34 @@ class TestParsing:
             parse("")
 
 
+class TestNestingLimit:
+    @pytest.mark.parametrize("src,offset", [
+        ("(" * 400 + "t" + ")" * 400, MAX_DEPTH),
+        ("-" * 400 + "t", MAX_DEPTH),
+        ("^".join(["t"] * 400), 2 * MAX_DEPTH + 1),
+        ("+".join(["t"] * 400), 2 * MAX_DEPTH + 1),
+        ("(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH + "^2", 2 * MAX_DEPTH + 1),
+    ])
+    def test_too_deep_is_parse_error(self, src, offset):
+        with pytest.raises(ParseError, match="nested deeper") as exc:
+            parse(src)
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("src", [
+        "(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+        "-" * MAX_DEPTH + "t",
+        "^".join(["t"] * (MAX_DEPTH + 1)),
+        "*".join(["t"] * (MAX_DEPTH + 1)),
+        "sin(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+    ])
+    def test_at_the_limit_every_walker_works(self, src):
+        e = parse(src)
+        d = differentiate(e)
+        assert compile_expr(e)(0.5) == evaluate(e, {"t": 0.5})
+        assert compile_expr(d)(0.5) == evaluate(d, {"t": 0.5})
+        assert to_source(e) and to_source(d)
+
+
 class TestEvaluation:
     def test_missing_variable_is_evaluation_error(self):
         with pytest.raises(EvaluationError):
@@ -101,6 +138,50 @@ class TestEvaluation:
     def test_integer_powers_of_negatives_are_fine(self):
         assert ev("t^3", t=-2.0) == -8.0
         assert ev("t^2", t=-2.0) == 4.0
+
+
+def _trees(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), kids),
+    ), max_leaves=12)
+
+
+def _outcome(run):
+    try:
+        v = run()
+    except EvaluationError as exc:
+        return "raised", str(exc)
+    return "value", struct.pack("<d", v)
+
+
+class TestCompiled:
+    # "y" is never bound, so the unbound-variable path is drawn too; the
+    # small values make domain errors (negative^fractional, ln(-x)) common
+    @given(_trees(st.one_of(
+        st.one_of(st.floats(), st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0])).map(Num),
+        st.sampled_from(["t", "h", "y", "pi", "e"]).map(Var))),
+        st.floats(), st.floats(), st.booleans())
+    def test_matches_evaluate_bit_for_bit(self, e, t, h, with_h):
+        if with_h:
+            env, fn = {"t": t, "h": h}, compile_expr(e, ("t", "h"))
+            got = _outcome(lambda: fn(t, h))
+        else:
+            env, fn = {"t": t}, compile_expr(e)
+            got = _outcome(lambda: fn(t))
+        assert got == _outcome(lambda: evaluate(e, env))
+
+    def test_error_messages(self):
+        for src, env in [("1/t", {"t": 0.0}), ("ln(t)", {"t": -1.0}),
+                         ("t^0.5", {"t": -4.0}), ("exp(t)", {"t": 1e9}),
+                         ("t^t", {"t": 1e300}), ("t + y", {"t": 1.0})]:
+            e = parse(src, params=("y",))
+            with pytest.raises(EvaluationError) as ref:
+                evaluate(e, env)
+            with pytest.raises(EvaluationError) as got:
+                compile_expr(e)(env["t"])
+            assert str(got.value) == str(ref.value)
 
 
 class TestManipulation:
@@ -160,6 +241,12 @@ class TestPrinter:
     ])
     def test_round_trip(self, src):
         e = parse(src)
+        assert parse(to_source(e)) == e
+
+    @given(_trees(st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False).map(Num),
+        st.sampled_from(sorted(DEFAULT_VARIABLES | set(CONSTANTS))).map(Var))))
+    def test_round_trip_property(self, e):
         assert parse(to_source(e)) == e
 
     def test_round_trip_is_stable(self):

@@ -110,6 +110,20 @@ class TestGraded:
         with pytest.raises(NonIntegrableError):
             integrate_graded(lambda x: x ** -1.2, 0.0, 1.0, 1e-8)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_nonfinite_panel_is_reported_in_x(self, side):
+        # graded at the singular end, infinite on (1, 3): the panel named
+        # must be in x on [0, 4], not in the substituted coordinate u
+        def f(x):
+            if 1.0 < x < 3.0:
+                return math.inf
+            return (x if side == "left" else 4.0 - x) ** -0.5
+
+        with pytest.raises(NonIntegrableError) as exc:
+            integrate_graded(f, 0.0, 4.0, 1e-8)
+        lo, hi = map(float, str(exc.value).split("[")[1].rstrip("]").split(", "))
+        assert -1e-12 < lo < 1.0 and 3.0 < hi < 4.0 + 1e-12  # u^m rounds
+
     def test_error_estimate_is_honest(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

@@ -1,7 +1,9 @@
 import math
+import sys
 
 import pytest
 
+import pcalc.expr
 from pcalc.errors import ParameterError, RootSearchError
 from pcalc.expr import parse
 from pcalc.families import make_family
@@ -55,6 +57,25 @@ class TestMeanValue:
         r = find_mvt_point(classic, f, 0.1, 0.9, tol=1e-8)
         assert r.c == pytest.approx(0.5, abs=1e-6)
         assert not r.degenerate
+
+
+class TestWorkBudget:
+    def test_kinked_search_parses_once(self, monkeypatch):
+        # the limit route runs at every grid point here; it must reuse the
+        # parsed (and compiled) f instead of re-parsing the source each time
+        calls = [0]
+        original = pcalc.expr.parse
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pcalc") and getattr(module, "parse", None) is original:
+                monkeypatch.setattr(module, "parse", counted)
+        r = find_mvt_point(make_family("khalil", 0.6), "abs(t-1.3)", 1.0, 2.0)
+        assert r.c == pytest.approx(1.3, abs=1e-6)
+        assert calls[0] <= 2
 
 
 class TestCauchy:
