@@ -629,12 +629,12 @@ def _print(e: Expr, min_level: int) -> str:
         s = f"{e.func}({_print(e.arg, _LEVEL_ADD)})"
     elif isinstance(e, Neg):
         # the operand of unary minus must reparse as a unary, so anything
-        # below atom level other than another Neg gets parenthesized
+        # below unary level gets parenthesized; a nested Neg prints as --t
         inner = e.arg
         if isinstance(inner, (Num, Var, Call, Neg)) and not (
             isinstance(inner, Num) and inner.value < 0
         ):
-            s = "-" + _print(inner, _LEVEL_ATOM)
+            s = "-" + _print(inner, _LEVEL_UNARY)
         else:
             s = f"-({_print(inner, _LEVEL_ADD)})"
     else:  # BinOp

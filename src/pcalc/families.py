@@ -1,17 +1,18 @@
 """Deformation families p(t, h) and their diagnostics.
 
-A family bundles the map p(t, h), its h-derivative ph(t, h), the
-multiplier ph_zero(t) = ph(t, 0), and the valid t-interval.  Builtin
-kinds: khalil, katugampola, gfd, nderiv, cosine, power; "custom" takes a
-full p(t, h) expression and differentiates it symbolically in h.
+A family bundles the map p(t, h), the multiplier ph_zero(t) (the
+h-derivative of p at h = 0) and the valid t-interval.  Builtin kinds:
+khalil, katugampola, gfd, nderiv, cosine, power; "custom" takes a full
+p(t, h) expression and differentiates it symbolically in h.
 
 Two numerical checks live here as well:
 
 - check_offset_solvability: can p(t, h) = t +- eps be solved for h near 0,
   with the solutions shrinking as eps does?  (Solvability is reported per
   sign; some families genuinely fail one side.)
-- check_l1: is 1/|ph_zero| integrable over an interval?  Uses a geometric
-  mesh accumulating toward both endpoints with an analytic tail completion.
+- check_l1: is 1/|ph_zero| integrable over an interval?  It integrates the
+  weight with quadrature.integrate_graded, the integrator p_integral uses,
+  and reports divergence instead of raising it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .errors import (
     EvaluationError,
     NonIntegrableError,
     ParameterError,
+    QuadratureError,
 )
 from .expr import Expr, compile_expr, differentiate, parse, variables
-from .quadrature import gk15
+from .quadrature import integrate_graded
 
 __all__ = [
     "Interval", "PFunction", "make_family", "FAMILY_KINDS",
@@ -83,20 +85,18 @@ class Interval:
 
 
 class PFunction:
-    """One deformation family: p, its h-derivative, the multiplier, a domain.
+    """One deformation family: p, the multiplier ph_zero, a domain.
 
     The evaluators are plain function attributes, so ``fam.p(t, h)`` calls
     through without method binding.  Instances are immutable by convention;
     construct them with make_family.
     """
 
-    __slots__ = ("kind", "alpha", "beta", "F", "domain", "label",
-                 "_p", "_ph", "_ph0")
+    __slots__ = ("kind", "alpha", "beta", "F", "domain", "label", "_p", "_ph0")
 
     def __init__(self, kind: str, alpha: float | None, beta: float | None,
                  F: Expr | None, domain: Interval, label: str,
                  p: Callable[[float, float], float],
-                 ph: Callable[[float, float], float],
                  ph0: Callable[[float], float]) -> None:
         self.kind = kind
         self.alpha = alpha
@@ -105,14 +105,10 @@ class PFunction:
         self.domain = domain
         self.label = label
         self._p = p
-        self._ph = ph
         self._ph0 = ph0
 
     def p(self, t: float, h: float) -> float:
         return self._p(t, h)
-
-    def ph(self, t: float, h: float) -> float:
-        return self._ph(t, h)
 
     def ph_zero(self, t: float) -> float:
         self.require(t)
@@ -169,11 +165,8 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
         def p(t: float, h: float, a: float = a) -> float:
             return t + h * _pow(t, 1.0 - a)
 
-        def ph(t: float, h: float, a: float = a) -> float:
-            return _pow(t, 1.0 - a)
-
         fam = PFunction(kind, a, None, None, _POSITIVE_T,
-                        f"khalil(alpha={a:g})", p, ph,
+                        f"khalil(alpha={a:g})", p,
                         lambda t, a=a: _pow(t, 1.0 - a))
 
     elif kind == "katugampola":
@@ -183,11 +176,8 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
         def p(t: float, h: float, a: float = a) -> float:
             return t * _exp(h * _pow(t, -a))
 
-        def ph(t: float, h: float, a: float = a) -> float:
-            return _pow(t, 1.0 - a) * _exp(h * _pow(t, -a))
-
         fam = PFunction(kind, a, None, None, _POSITIVE_T,
-                        f"katugampola(alpha={a:g})", p, ph,
+                        f"katugampola(alpha={a:g})", p,
                         lambda t, a=a: _pow(t, 1.0 - a))
 
     elif kind == "gfd":
@@ -208,11 +198,8 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
         def p(t: float, h: float, a: float = a, c0: float = c0) -> float:
             return t + c0 * h * _pow(t, 1.0 - a)
 
-        def ph(t: float, h: float, a: float = a, c0: float = c0) -> float:
-            return c0 * _pow(t, 1.0 - a)
-
         fam = PFunction(kind, a, beta, None, _POSITIVE_T,
-                        f"gfd(alpha={a:g}, beta={beta:g})", p, ph,
+                        f"gfd(alpha={a:g}, beta={beta:g})", p,
                         lambda t, a=a, c0=c0: c0 * _pow(t, 1.0 - a))
 
     elif kind == "nderiv":
@@ -222,11 +209,8 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
             def p(t: float, h: float, a: float = a) -> float:
                 return t + h * _exp(_pow(t, -a))
 
-            def ph(t: float, h: float, a: float = a) -> float:
-                return _exp(_pow(t, -a))
-
             fam = PFunction(kind, a, None, None, _POSITIVE_T,
-                            f"nderiv(alpha={a:g})", p, ph,
+                            f"nderiv(alpha={a:g})", p,
                             lambda t, a=a: _exp(_pow(t, -a)))
         else:
             fe = _coerce_expr(F, frozenset({"t", "alpha"}), "nderiv F")
@@ -237,9 +221,7 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
 
             fam = PFunction(kind, a, None, fe, _POSITIVE_T,
                             f"nderiv(alpha={a:g}, F=...)",
-                            lambda t, h: t + h * fval(t),
-                            lambda t, h: fval(t),
-                            fval)
+                            lambda t, h: t + h * fval(t), fval)
 
     elif kind == "cosine":
         if alpha is None or not 0.0 < alpha <= 1.0:
@@ -250,11 +232,8 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
         def p(t: float, h: float, a: float = a) -> float:
             return t + math.sin(h) * _pow(math.cos(t), 1.0 - a)
 
-        def ph(t: float, h: float, a: float = a) -> float:
-            return math.cos(h) * _pow(math.cos(t), 1.0 - a)
-
         fam = PFunction(kind, a, None, None, dom,
-                        f"cosine(alpha={a:g})", p, ph,
+                        f"cosine(alpha={a:g})", p,
                         lambda t, a=a: _pow(math.cos(t), 1.0 - a))
 
     elif kind == "power":
@@ -265,12 +244,9 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
         def p(t: float, h: float, a: float = a) -> float:
             return t + _pow(h, a)
 
-        def ph(t: float, h: float, a: float = a) -> float:
-            # d/dh h^a vanishes at h=0 since a > 1
-            return a * _pow(h, a - 1.0) if h != 0.0 else 0.0
-
+        # d/dh h^a vanishes at h=0 since a > 1
         fam = PFunction(kind, a, None, None, Interval(-math.inf, math.inf),
-                        f"power(alpha={a:g})", p, ph, lambda t: 0.0)
+                        f"power(alpha={a:g})", p, lambda t: 0.0)
 
     else:  # custom
         if F is None:
@@ -288,14 +264,14 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
         except DifferentiationError as exc:
             msg = str(exc)
 
-            def ph(t: float, h: float, msg: str = msg) -> float:
+            def ph0(t: float, msg: str = msg) -> float:
                 raise DifferentiationError(f"custom family multiplier unavailable: {msg}")
         else:
-            def ph(t: float, h: float, dpc: Callable[..., float] = dpc) -> float:
-                return dpc(t, h, alpha)
+            def ph0(t: float, dpc: Callable[..., float] = dpc) -> float:
+                return dpc(t, 0.0, alpha)
 
         fam = PFunction(kind, alpha, None, pe, Interval(-math.inf, math.inf),
-                        "custom(p=...)", p, ph, lambda t: ph(t, 0.0))
+                        "custom(p=...)", p, ph0)
 
     if kind != "custom":
         _check_range_sampling(fam)
@@ -487,7 +463,12 @@ def _bisect_offset(
 
 @dataclass(frozen=True)
 class L1Report:
-    """Refinement estimate of the integral of 1/|ph_zero| over [a, b]."""
+    """The integral of 1/|ph_zero| over [a, b], or a divergence verdict.
+
+    estimate is inf when diverged and nan when the quadrature gave up
+    short of a verdict; levels is the number of quadrature panels used
+    (0 when no integral was formed).
+    """
 
     interval: tuple[float, float]
     estimate: float
@@ -496,94 +477,24 @@ class L1Report:
     diverged: bool
 
 
-def check_l1(fam: PFunction, a: float, b: float, tol: float = 1e-8,
-             max_levels: int = 48) -> L1Report:
-    """Estimate the integral of 1/|ph_zero| with endpoint-graded cells.
+def check_l1(fam: PFunction, a: float, b: float, tol: float = 1e-8) -> L1Report:
+    """Integrate 1/|ph_zero| over [a, b] with integrate_graded.
 
-    Convergence requires the one-panel-per-cell and two-panel-per-cell
-    sums (plus analytic geometric tails) to agree within tol.  A sustained
-    cell-contribution ratio >= 1 or a non-finite weight reports divergence
-    instead of raising.
+    converged means the error estimate is within tol.  A vanishing or
+    failing multiplier, or an endpoint exponent of 0.98 or more (the
+    resolution limit of the endpoint grading), reports divergence instead
+    of raising; any other quadrature failure reports no convergence.
     """
     if not a < b:
         raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
     if not (fam.domain.contains_closure(a) and fam.domain.contains_closure(b)):
         raise DomainError(f"[{a!r}, {b!r}] not within the closure of {fam.domain}")
 
-    def weight(x: float) -> float:
-        try:
-            d = fam._ph0(x)
-        except EvaluationError:
-            return math.inf
-        if d == 0.0 or not math.isfinite(d):
-            return math.inf
-        return 1.0 / abs(d)
-
-    mid = 0.5 * (a + b)
     try:
-        left = _graded_half(weight, a, mid, True, tol, max_levels)
-        right = _graded_half(weight, mid, b, False, tol, max_levels)
-    except NonIntegrableError:
+        value, err, panels, _ = integrate_graded(
+            lambda x: 1.0 / abs(fam._ph0(x)), a, b, tol)
+    except (NonIntegrableError, EvaluationError, ZeroDivisionError):
         return L1Report((a, b), math.inf, False, 0, True)
-
-    coarse = left.coarse + left.tail + right.coarse + right.tail
-    fine = left.fine + left.tail + right.fine + right.tail
-    diverged = left.diverged or right.diverged
-    if diverged or not math.isfinite(fine):
-        return L1Report((a, b), math.inf, False,
-                        max(left.levels, right.levels), True)
-    tails_ok = left.tail_trusted and right.tail_trusted
-    converged = tails_ok and abs(fine - coarse) <= tol
-    return L1Report((a, b), fine, converged, max(left.levels, right.levels), False)
-
-
-@dataclass
-class _HalfSum:
-    coarse: float
-    fine: float
-    tail: float
-    tail_trusted: bool
-    levels: int
-    diverged: bool
-
-
-def _graded_half(weight: Callable[[float], float], lo: float, hi: float,
-                 toward_lo: bool, tol: float, max_levels: int) -> _HalfSum:
-    width = hi - lo
-    coarse = fine = 0.0
-    cells: list[float] = []
-    for k in range(max_levels):
-        f_hi = 2.0 ** (-k)
-        f_lo = 2.0 ** (-(k + 1))
-        if toward_lo:
-            ca, cb = lo + width * f_lo, lo + width * f_hi
-        else:
-            ca, cb = hi - width * f_hi, hi - width * f_lo
-        v1, _ = gk15(weight, ca, cb)
-        cm = 0.5 * (ca + cb)
-        v2 = gk15(weight, ca, cm)[0] + gk15(weight, cm, cb)[0]
-        coarse += v1
-        fine += v2
-        cells.append(v2)
-        if 0.0 <= v2 < 1e-4 * tol:
-            break
-
-    levels = len(cells)
-    tail = 0.0
-    trusted = True
-    diverged = False
-    positive = [c for c in cells[-4:] if c > 0.0]
-    if len(positive) >= 3:
-        r1 = positive[-1] / positive[-2]
-        r2 = positive[-2] / positive[-3]
-        if r1 >= 0.999 and r2 >= 0.999:
-            diverged = True
-        elif r1 < 0.999 and abs(r1 - r2) <= 1e-2 * max(r1, 1e-30):
-            tail = cells[-1] * r1 / (1.0 - r1)
-        else:
-            # ratio unsettled: bound the tail crudely and distrust it
-            tail = cells[-1]
-            trusted = cells[-1] <= 0.1 * tol
-    elif cells and cells[-1] > 1e-4 * tol:
-        trusted = False
-    return _HalfSum(coarse, fine, tail, trusted, levels, diverged)
+    except QuadratureError:
+        return L1Report((a, b), math.nan, False, 0, False)
+    return L1Report((a, b), value, err <= tol, panels, False)

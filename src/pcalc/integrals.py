@@ -16,8 +16,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .derivatives import as_scalar_fn, extrapolate_quotient, p_derivative_formula
-from .errors import EvaluationError, NonIntegrableError, ParameterError, QuadratureError
-from .expr import Expr
+from .errors import (DifferentiationError, EvaluationError, NonIntegrableError,
+                     ParameterError, QuadratureError)
+from .expr import Expr, compile_expr, differentiate
 from .families import PFunction
 from .quadrature import integrate_graded
 
@@ -47,6 +48,15 @@ def _weighted_integrand(fam: PFunction,
         return fn(x) / d
 
     return g
+
+
+def _formula_route(fam: PFunction, e: Expr) -> Callable[[float], float]:
+    """x -> p_derivative_formula(fam, e, x), differentiating e only once."""
+    try:
+        fprime = compile_expr(differentiate(e, "t"))
+    except DifferentiationError:
+        fprime = None  # then every call raises it, after the multiplier checks
+    return lambda x: p_derivative_formula(fam, e, x, fprime)
 
 
 def p_integral(fam: PFunction, f: Expr | str | Callable[[float], float],
@@ -117,11 +127,7 @@ def ftc_backward(fam: PFunction, F: Expr | str, a: float, b: float,
     fn, e = as_scalar_fn(F)
     if e is None:
         raise ParameterError("ftc_backward needs F as an expression")
-
-    def dF(x: float) -> float:
-        return p_derivative_formula(fam, e, x)
-
-    res = p_integral(fam, dF, a, b, tol)
+    res = p_integral(fam, _formula_route(fam, e), a, b, tol)
     expected = fn(b) - fn(a)
     return abs(res.value - expected)
 
@@ -137,14 +143,8 @@ def integration_by_parts_check(fam: PFunction, f: Expr | str, g: Expr | str,
     gfn, ge = as_scalar_fn(g)
     if fe is None or ge is None:
         raise ParameterError("integration_by_parts_check needs f and g as expressions")
-
-    def f_dg(x: float) -> float:
-        return ffn(x) * p_derivative_formula(fam, ge, x)
-
-    def df_g(x: float) -> float:
-        return p_derivative_formula(fam, fe, x) * gfn(x)
-
-    lhs = p_integral(fam, f_dg, a, b, tol).value
+    df, dg = _formula_route(fam, fe), _formula_route(fam, ge)
+    lhs = p_integral(fam, lambda x: ffn(x) * dg(x), a, b, tol).value
     boundary = ffn(b) * gfn(b) - ffn(a) * gfn(a)
-    rhs = boundary - p_integral(fam, df_g, a, b, tol).value
+    rhs = boundary - p_integral(fam, lambda x: df(x) * gfn(x), a, b, tol).value
     return abs(lhs - rhs)

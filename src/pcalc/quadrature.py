@@ -185,7 +185,7 @@ def endpoint_exponent(
 
 def _transform(
     fn: Callable[[float], float], end: float, sign: float, span: float,
-    gamma: float, d0: float,
+    gamma: float, d0: float, offset: float,
 ) -> tuple[Callable[[float], float], float, float, Callable[[float], float]]:
     """Change of variable x = end + sign * u^m removing a singularity at
     the endpoint `end` (sign +1 at the left endpoint, -1 at the right).
@@ -193,7 +193,10 @@ def _transform(
     m = 3/(1-gamma) leaves the transformed integrand ~u^2 at the corner.
     Integration starts at the u-image of distance d0, below which the
     analytic tail model takes over; samples that still round onto the
-    endpoint return the corner limit 0.  Returns (g, u_lo, u_hi, u -> x).
+    endpoint return the corner limit 0.  A few ulp from the endpoint, x
+    rounded onto the float grid is up to 6% off u^m, so fn's value is
+    carried back to u^m along |dist + offset|^(-gamma), offset being the
+    pole's distance beyond `end`.  Returns (g, u_lo, u_hi, u -> x).
     """
     m = 3.0 / (1.0 - gamma)
 
@@ -201,10 +204,15 @@ def _transform(
         return end + sign * u ** m
 
     def g(u: float) -> float:
-        x = to_x(u)
+        d = u ** m
+        x = end + sign * d
         if x == end:
             return 0.0
-        return fn(x) * m * u ** (m - 1.0)
+        v = fn(x)
+        dx = sign * (x - end)
+        if dx != d:
+            v *= ((dx + offset) / (d + offset)) ** gamma
+        return v * m * u ** (m - 1.0)
 
     return g, d0 ** (1.0 / m), span ** (1.0 / m), to_x
 
@@ -223,7 +231,8 @@ def _endpoint_tail(
     ulp^(1-gamma) of mass (~1e-8 for gamma=1/2 at a unit-scale endpoint).
     Fit (A, gamma) on distances 1024 ulp and beyond, where the distances
     themselves are exact to 0.1%, and integrate the model over [0, d0],
-    d0 = 8 ulp.  Returns (d0, tail_value, tail_uncertainty); the numeric
+    d0 = 8 ulp.  Returns (d0, tail_value, tail_uncertainty, offset), offset
+    being the estimated distance of the pole beyond `end`; the numeric
     integral is expected to cover distances >= d0.
     """
     ulp = math.ulp(end) or 5.0e-324
@@ -246,13 +255,13 @@ def _endpoint_tail(
             vals.append(v)
         d *= 4.0
     if not dists:
-        return d0, 0.0, 0.0
+        return d0, 0.0, 0.0, 0.0
     if len(dists) < 4:
         # not enough points for a trustworthy fit: no correction, but
         # charge the blind-zone mass bound to the uncertainty
         amp = abs(vals[-1]) * dists[-1] ** fallback_gamma
         bound = amp * d0 ** (1.0 - fallback_gamma) / (1.0 - fallback_gamma)
-        return d0, 0.0, bound
+        return d0, 0.0, bound, 0.0
     xs = [math.log(t) for t in dists]
     ys = [math.log(abs(v)) for v in vals]
     n = len(xs)
@@ -269,13 +278,41 @@ def _endpoint_tail(
             f"local endpoint exponent {gamma:.3f} near {end!r}: "
             "integral diverges or is too singular to resolve"
         )
-    amp = math.exp(ybar - slope * xbar)
+    log_amp = ybar - slope * xbar
+    amp = math.exp(log_amp)
     sgn = 1.0 if vals[0] > 0.0 else -1.0
     if any((v > 0.0) != (vals[0] > 0.0) for v in vals):
         s += 1.0  # sign changes: the power model is unreliable
-    tail = sgn * amp * d0 ** (1.0 - gamma) / (1.0 - gamma)
+
+    def mass(offset: float) -> float:
+        # model mass over distances [0, d0] with the pole `offset` beyond end
+        return amp * ((d0 + offset) ** (1.0 - gamma)
+                      - math.copysign(abs(offset) ** (1.0 - gamma), offset)) / (1.0 - gamma)
+
+    # The pole need not be the float endpoint itself: cos(fl(pi/2)) is
+    # 6e-17, not 0.  The sample at the nearest float inside, d1 away, puts
+    # it where the model meets that sample; below what the fit and its
+    # rounding resolve (u, relative to d1) the pole stays on the endpoint,
+    # and that resolution is charged to the uncertainty.
+    offset, spread = 0.0, 0.0
+    x1 = math.nextafter(end, sign * math.inf)
+    try:
+        v1 = fn(x1)
+    except (EvaluationError, QuadratureError, ArithmeticError):
+        v1 = math.nan
+    if gamma > 0.05 and math.isfinite(v1) and v1 * sgn > 0.0:
+        d1 = abs(x1 - end)
+        ly1 = math.log(abs(v1))
+        lr = (log_amp + slope * math.log(d1) - ly1) / gamma  # log((d1 + offset)/d1)
+        u = (sigma_slope * abs(math.log(d1) - xbar) + s
+             + 1e-14 * (abs(ybar) + abs(ly1) + abs(log_amp))) / gamma
+        if abs(lr) > u:
+            offset = d1 * math.expm1(min(lr, math.log(span / d1)))
+        w = (d1 + offset) * min(u, 0.5)
+        spread = 0.5 * (mass(offset - w) - mass(offset + w))
+    tail = sgn * mass(offset)
     rel = sigma_slope * abs(math.log(d0) - xbar) + s + 0.01
-    return d0, tail, abs(tail) * rel
+    return d0, tail, abs(tail) * rel + spread, offset
 
 
 def _graded_side(
@@ -288,8 +325,8 @@ def _graded_side(
     max_panels: int,
 ) -> tuple[float, float, int]:
     end, sign = (a, 1.0) if side == "left" else (b, -1.0)
-    d0, tail, terr = _endpoint_tail(fn, end, sign, b - a, gamma)
-    g, lo, hi, to_x = _transform(fn, end, sign, b - a, gamma, d0)
+    d0, tail, terr, offset = _endpoint_tail(fn, end, sign, b - a, gamma)
+    g, lo, hi, to_x = _transform(fn, end, sign, b - a, gamma, d0, offset)
     v, e, n = integrate_adaptive(g, lo, hi, tol, max_panels, to_x)
     return v + tail, e + terr, n
 

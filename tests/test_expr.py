@@ -115,6 +115,8 @@ class TestNestingLimit:
         assert compile_expr(e)(0.5) == evaluate(e, {"t": 0.5})
         assert compile_expr(d)(0.5) == evaluate(d, {"t": 0.5})
         assert to_source(e) and to_source(d)
+        # printed output stays within the limit: --t, not -(-t)
+        assert parse(to_source(e)) == e
 
 
 class TestEvaluation:

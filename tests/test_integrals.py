@@ -1,12 +1,23 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pcalc.expr
 from pcalc.corpus import corpus_entry
-from pcalc.errors import NonIntegrableError, ParameterError
+from pcalc.derivatives import p_derivative_formula
+from pcalc.errors import (
+    DifferentiationError,
+    NonIntegrableError,
+    ParameterError,
+    QuadratureError,
+)
 from pcalc.expr import parse
-from pcalc.families import make_family
+from pcalc.families import check_l1, make_family
 from pcalc.integrals import (
     ftc_backward,
     ftc_forward,
@@ -136,3 +147,97 @@ class TestIntegrationByParts:
     def test_callable_rejected(self):
         with pytest.raises(ParameterError):
             integration_by_parts_check(KHALIL, lambda t: t, parse("t"), 0.0, 1.0)
+
+
+class TestWorkBudget:
+    @pytest.fixture
+    def differentiations(self, monkeypatch):
+        # calls from outside pcalc.expr, not differentiate's own recursion
+        calls = [0]
+        original = pcalc.expr.differentiate
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("pcalc") and name != "pcalc.expr"
+                    and getattr(module, "differentiate", None) is original):
+                monkeypatch.setattr(module, "differentiate", counted)
+        return calls
+
+    def test_derivative_taken_once(self, differentiations):
+        assert ftc_backward(KHALIL, "sin(t)", 0.0, 2.0) < 1e-6
+        assert differentiations[0] == 1
+        integration_by_parts_check(KHALIL, "t", "sin(t)", 0.5, 2.0)
+        assert differentiations[0] == 3
+
+    def test_same_residual_as_per_point_formula(self):
+        e = parse("sin(t)*exp(-(t^2))")
+        res = p_integral(KHALIL, lambda x: p_derivative_formula(KHALIL, e, x), 0.0, 2.0)
+        fn = pcalc.expr.compile_expr(e)
+        assert ftc_backward(KHALIL, e, 0.0, 2.0) == abs(res.value - (fn(2.0) - fn(0.0)))
+
+    def test_underivable_f_still_raises(self):
+        with pytest.raises(DifferentiationError):
+            ftc_backward(KHALIL, "abs(t-1)", 0.5, 2.0)
+        with pytest.raises(DifferentiationError):
+            integration_by_parts_check(KHALIL, "t", "abs(t-1)", 0.5, 2.0)
+
+
+def _power_reference(fam, a, b):
+    # 1/ph_zero = t^(alpha-1)/c0: the integral is (b^alpha - a^alpha)/(alpha c0)
+    with mpmath.workdps(30):
+        al = mpmath.mpf(fam.alpha)
+        c0 = 1 if fam.kind != "gfd" else (
+            mpmath.gamma(fam.beta) / mpmath.gamma(fam.beta - al + 1))
+        return float((mpmath.mpf(b) ** al - mpmath.mpf(a) ** al) / (al * c0))
+
+
+def _cosine_reference(alpha, a, b):
+    # cos(t)^(alpha-1) over [a, b] is sin(d)^(alpha-1) over d in
+    # [pi/2 - b, pi/2 - a]; the float b = fl(pi/2) lies 6e-17 short of the
+    # pole.  d = s^(1/alpha) leaves mpmath.quad a smooth integrand.
+    with mpmath.workdps(30):
+        al = mpmath.mpf(alpha)
+        k = 1 / al
+
+        def smooth(s):
+            return mpmath.sin(s ** k) ** (al - 1) * k * s ** (k - 1)
+
+        lo = (mpmath.pi / 2 - mpmath.mpf(b)) ** al
+        hi = (mpmath.pi / 2 - mpmath.mpf(a)) ** al
+        return float(mpmath.quad(smooth, [lo, hi]))
+
+
+def _assert_within_claims(fam, a, b, ref, tol=1e-10):
+    """Where check_l1 or p_integral report success, the value is as good
+    as claimed: |value - ref| <= max(tol, error_estimate)."""
+    rep = check_l1(fam, a, b, tol)
+    if rep.converged:
+        assert abs(rep.estimate - ref) <= tol
+    try:
+        res = p_integral(fam, "1", a, b, tol)
+    except QuadratureError:
+        return rep.converged
+    assert abs(res.value - ref) <= max(tol, res.error_estimate)
+    return rep.converged
+
+
+class TestMpmathOracle:
+    @given(st.sampled_from(("khalil", "katugampola", "gfd")),
+           st.floats(0.1, 0.95), st.floats(0.5, 3.0),
+           st.one_of(st.just(0.0), st.floats(0.0, 3.0)), st.floats(0.01, 4.0))
+    @settings(max_examples=60)
+    def test_power_families(self, kind, alpha, beta, a, width):
+        fam = make_family(kind, alpha, beta=beta if kind == "gfd" else None)
+        b = a + width
+        assert _assert_within_claims(fam, a, b, _power_reference(fam, a, b))
+
+    @given(st.floats(0.1, 0.95), st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
+    @settings(max_examples=40)
+    def test_cosine_up_to_half_pi(self, alpha, a):
+        # the pole of 1/ph_zero is pi/2, just beyond the float endpoint
+        b = math.pi / 2
+        _assert_within_claims(make_family("cosine", alpha), a, b,
+                              _cosine_reference(alpha, a, b))
