@@ -144,7 +144,7 @@ class TestDeformationValues:
             for t in interior_points(fam, rng):
                 assert fam.p(float(t), 0.0) == pytest.approx(float(t), rel=1e-14)
 
-    def test_ph_zero_matches_h_difference_quotient(self):
+    def test_ph_matches_difference_quotient(self):
         # ph_zero(t) is d/dh p(t, h) at h = 0.  cosine and the fractional
         # power kind only admit h >= 0: forward difference there, central
         # elsewhere
@@ -160,6 +160,25 @@ class TestDeformationValues:
                 else:
                     num = (fam.p(t, step) - fam.p(t, -step)) / (2 * step)
                     assert fam.ph_zero(t) == pytest.approx(num, rel=5e-7, abs=5e-7)
+
+    def test_ph_zero_agrees_with_ph(self):
+        # the closed-form multiplier of each builtin kind against the
+        # symbolic h-derivative of the same p(t, h) at h = 0
+        p_source = {
+            "khalil": "t + h*t^(1 - alpha)",
+            "katugampola": "t*exp(h*t^(-alpha))",
+            "nderiv": "t + h*exp(t^(-alpha))",
+            "cosine": "t + sin(h)*cos(t)^(1 - alpha)",
+            "power": "t + h^alpha",
+        }
+        rng = np.random.default_rng(5)
+        for fam in all_builtin_families():
+            if fam.kind not in p_source:
+                continue
+            ph = make_family("custom", fam.alpha, F=p_source[fam.kind])
+            for t in interior_points(fam, rng, n=6):
+                t = float(t)
+                assert fam.ph_zero(t) == pytest.approx(ph.ph_zero(t), rel=1e-14, abs=0.0)
 
     def test_domain_enforcement(self):
         fam = make_family("khalil", 0.5)
