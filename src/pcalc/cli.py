@@ -546,6 +546,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except SystemExit as exc:  # --help has printed the usage
+        return int(exc.code or 0)
     fmt = args.format or _DEFAULT_FORMAT.get(args.command, "json")
     try:
         return args.handler(args)

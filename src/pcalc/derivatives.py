@@ -19,8 +19,12 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import DifferentiationError, EvaluationError, UsageError
-from .expr import EXPR_TYPES, Expr, compile_expr, differentiate, evaluate, parse
+import numpy as np
+
+from .errors import DifferentiationError, EvaluationError, PcalcError, UsageError
+from .expr import (
+    EXPR_TYPES, Expr, compile_array, compile_expr, differentiate, evaluate, parse,
+)
 from .families import PFunction
 
 __all__ = [
@@ -64,6 +68,18 @@ def as_scalar_fn(f: Expr | str | Callable[[float], float]) -> tuple[Callable[[fl
     if callable(f):
         return f, None
     raise UsageError(f"cannot interpret {f!r} as a function of t")
+
+
+def as_array_fn(f: Expr | str | Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """as_scalar_fn for 1-d arrays of t: the values of f at every point.
+
+    Expressions come back as compile_array kernels; a plain callable is
+    called once per point, in index order.
+    """
+    fn, e = as_scalar_fn(f)
+    if e is not None:
+        return compile_array(e)
+    return lambda t: np.fromiter((fn(float(x)) for x in t), dtype=float, count=len(t))
 
 
 def extrapolate_quotient(
@@ -129,7 +145,8 @@ def p_derivative_limit(
     Levels where f(p(t, h)) fails to evaluate are skipped; so are levels
     whose numerator is nonzero yet below the rounding floor of f(t), since
     those quotients carry no signal.  One-sided requests use only the
-    matching sign of h.
+    matching sign of h.  The default h0 is 1e-2 max(1, |t|), shrunk where
+    |ph_zero(t)| exceeds 100.
     """
     if side not in _SIDES:
         raise UsageError(f"side must be one of {_SIDES}, got {side!r}")
@@ -140,6 +157,15 @@ def p_derivative_limit(
         raise EvaluationError(f"f({t!r}) is not finite")
     if h0 is None:
         h0 = max(1e-2, 1e-2 * abs(t))
+        # the first level moves t by about h0 |ph_zero(t)|; keep that within
+        # 100 h0 = max(1, |t|), or a fast multiplier starts the ladder far
+        # outside the local regime (nderiv near 0: ph_zero ~ 1e6)
+        try:
+            speed = abs(fam.ph_zero(t))
+        except PcalcError:
+            speed = 0.0
+        if speed > 100.0:
+            h0 *= 100.0 / speed
     noise_floor = 1e3 * _EPS * abs(f_t)
 
     def quotient(h: float) -> float | None:

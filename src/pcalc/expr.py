@@ -17,8 +17,8 @@ Nesting is limited to MAX_DEPTH levels.  Each pair of parentheses, each
 function call, each unary minus, each "^" and each operator of a
 "+ - * /" chain opens one level; deeper input is a ParseError at the
 offset where the limit is crossed.  The recursive walkers below
-(evaluate, compile_expr, differentiate, to_source) therefore only ever
-see trees of bounded depth.
+(evaluate, compile_expr, compile_array, differentiate, to_source)
+therefore only ever see trees of bounded depth.
 
 Functions are unary: sin, cos, tan, exp, ln, sqrt, abs, gamma.  The
 identifiers pi and e are predefined constants.  Any other identifier must
@@ -34,13 +34,15 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Any, Union
 
+import numpy as np
+
 from .errors import DifferentiationError, EvaluationError, ParseError
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call", "Env",
-    "parse", "evaluate", "compile_expr", "differentiate", "substitute",
-    "to_source", "variables", "DEFAULT_VARIABLES", "CONSTANTS", "FUNCTIONS",
-    "EXPR_TYPES", "MAX_DEPTH",
+    "parse", "evaluate", "compile_expr", "compile_array", "differentiate",
+    "substitute", "to_source", "variables", "DEFAULT_VARIABLES", "CONSTANTS",
+    "FUNCTIONS", "EXPR_TYPES", "MAX_DEPTH",
 ]
 
 
@@ -405,6 +407,95 @@ def _compile(e: Expr, slots: dict[str, int | None]) -> Callable[[Any], float]:
                 return fn(x)
             except (ValueError, OverflowError) as exc:
                 raise _domain_error(exc, f"{func}({x!r})") from exc
+
+        return call
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def compile_array(e: Expr, names: tuple[str, ...] = ("t",)) -> Callable[..., np.ndarray]:
+    """Compile e once into a numpy kernel over arrays of the variables `names`.
+
+    compile_array(e, names)(*arrays) returns, element by element, what
+    compile_expr(e, names) gives at each point, or raises what a loop of
+    that closure over the points in index order would raise.  Every node
+    runs as a numpy ufunc; points where the closure could raise or differ
+    (a non-finite result of any operation, which covers every zero
+    divisor, any gamma node, an unbound variable) are flagged and
+    recomputed by the closure in ascending index order, so no NaN or inf
+    stands in for an error.  + - * /, negation, abs and sqrt are bit-identical to the
+    closure; ^, exp, ln and the trig functions may differ from math's in
+    the last ulp.  Arguments whose name e does not use are never read
+    (they may be None).
+    """
+    scalar = compile_expr(e, names)
+    used = variables(e)
+    run = _compile_array(e, {name: i for i, name in enumerate(names)})
+
+    def kernel(*args: Any) -> np.ndarray:
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+        cols = [np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
+                if name in used else None for name, a in zip(names, args)]
+        bad = np.zeros(math.prod(shape), dtype=bool)
+        with np.errstate(all="ignore"):
+            out = np.array(np.broadcast_to(run(cols, bad), bad.shape))
+        for i in np.flatnonzero(bad):
+            out[i] = scalar(*(a if col is None else float(col[i])
+                              for a, col in zip(args, cols)))
+        return out.reshape(shape)
+
+    return kernel
+
+
+_UFUNCS: dict[str, Callable[..., Any]] = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "ln": np.log,
+    "sqrt": np.sqrt, "abs": np.abs,
+}
+
+
+def _flag_all(cols: list[np.ndarray | None], bad: np.ndarray) -> float:
+    bad[:] = True  # the closure decides these points
+    return 0.0
+
+
+def _compile_array(e: Expr, slots: dict[str, int]) -> Callable[..., Any]:
+    # every kernel takes the flat columns and the flag mask, returns an
+    # array (or a float for a constant) and flags the points it cannot vouch for
+    if isinstance(e, Num):
+        value = e.value
+        return (lambda cols, bad: value) if math.isfinite(value) else _flag_all
+    if isinstance(e, Var):
+        if e.name in slots:
+            i = slots[e.name]
+            return lambda cols, bad: cols[i]
+        if e.name in CONSTANTS:
+            value = CONSTANTS[e.name]
+            return lambda cols, bad: value
+        return _flag_all
+    if isinstance(e, Neg):
+        arg = _compile_array(e.arg, slots)
+        return lambda cols, bad: np.negative(arg(cols, bad))
+    if isinstance(e, BinOp):
+        left = _compile_array(e.left, slots)
+        right = _compile_array(e.right, slots)
+        ufunc = _UFUNCS[e.op]
+
+        def binop(cols: list[np.ndarray | None], bad: np.ndarray) -> Any:
+            r = ufunc(left(cols, bad), right(cols, bad))
+            bad |= ~np.isfinite(r)  # a zero divisor gives inf or nan
+            return r
+
+        return binop
+    if isinstance(e, Call):
+        if e.func not in _UFUNCS:  # gamma: numpy has none
+            return _flag_all
+        arg = _compile_array(e.arg, slots)
+        ufunc = _UFUNCS[e.func]
+
+        def call(cols: list[np.ndarray | None], bad: np.ndarray) -> Any:
+            r = ufunc(arg(cols, bad))
+            bad |= ~np.isfinite(r)
+            return r
 
         return call
     raise TypeError(f"not an Expr node: {e!r}")

@@ -21,6 +21,8 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DifferentiationError,
     DomainError,
@@ -29,7 +31,7 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .expr import Expr, compile_expr, differentiate, parse, variables
+from .expr import Expr, compile_array, compile_expr, differentiate, parse, variables
 from .quadrature import integrate_graded
 
 __all__ = [
@@ -73,6 +75,11 @@ class Interval:
             return False
         return True
 
+    def contains_array(self, t: np.ndarray) -> np.ndarray:
+        """contains, element by element."""
+        return (np.isfinite(t) & ((t > self.lo) | ((t == self.lo) & self.closed_lo))
+                & ((t < self.hi) | ((t == self.hi) & self.closed_hi)))
+
     def contains_closure(self, t: float) -> bool:
         return math.isfinite(t) and self.lo <= t <= self.hi
 
@@ -88,16 +95,19 @@ class PFunction:
     """One deformation family: p, the multiplier ph_zero, a domain.
 
     The evaluators are plain function attributes, so ``fam.p(t, h)`` calls
-    through without method binding.  Instances are immutable by convention;
+    through without method binding.  ph0a is the multiplier's numpy form,
+    the closed form over a whole array; without one, ph_zero_array falls
+    back to ph0 point by point.  Instances are immutable by convention;
     construct them with make_family.
     """
 
-    __slots__ = ("kind", "alpha", "beta", "F", "domain", "label", "_p", "_ph0")
+    __slots__ = ("kind", "alpha", "beta", "F", "domain", "label", "_p", "_ph0", "_ph0a")
 
     def __init__(self, kind: str, alpha: float | None, beta: float | None,
                  F: Expr | None, domain: Interval, label: str,
                  p: Callable[[float, float], float],
-                 ph0: Callable[[float], float]) -> None:
+                 ph0: Callable[[float], float],
+                 ph0a: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
         self.kind = kind
         self.alpha = alpha
         self.beta = beta
@@ -106,6 +116,7 @@ class PFunction:
         self.label = label
         self._p = p
         self._ph0 = ph0
+        self._ph0a = ph0a or (lambda t: np.full(t.shape, math.nan))
 
     def p(self, t: float, h: float) -> float:
         return self._p(t, h)
@@ -113,6 +124,28 @@ class PFunction:
     def ph_zero(self, t: float) -> float:
         self.require(t)
         return self._ph0(t)
+
+    def ph_zero_array(self, t: np.ndarray) -> np.ndarray:
+        """ph_zero at every point of t, as [ph_zero(x) for x in t] gives it.
+
+        The domain check and the closed form run on the whole array, up to
+        the first point outside the domain; points where the closed form
+        is not finite are redone by the scalar multiplier in index order,
+        and the first point outside the domain raises through require, so
+        the first failing point raises the scalar error.
+        """
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        outside = np.flatnonzero(~self.domain.contains_array(flat))
+        stop = int(outside[0]) if outside.size else flat.size
+        out = np.empty(flat.size)
+        with np.errstate(all="ignore"):
+            out[:stop] = self._ph0a(flat[:stop])
+        for i in np.flatnonzero(~np.isfinite(out[:stop])):
+            out[i] = self._ph0(float(flat[i]))
+        if stop < flat.size:
+            self.require(float(flat[stop]))
+        return out.reshape(t.shape)
 
     def require(self, t: float) -> None:
         if not self.domain.contains(t):
@@ -167,7 +200,8 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
 
         fam = PFunction(kind, a, None, None, _POSITIVE_T,
                         f"khalil(alpha={a:g})", p,
-                        lambda t, a=a: _pow(t, 1.0 - a))
+                        lambda t, a=a: _pow(t, 1.0 - a),
+                        lambda t, a=a: np.power(t, 1.0 - a))
 
     elif kind == "katugampola":
         _need_positive_alpha(kind, alpha)
@@ -178,7 +212,8 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
 
         fam = PFunction(kind, a, None, None, _POSITIVE_T,
                         f"katugampola(alpha={a:g})", p,
-                        lambda t, a=a: _pow(t, 1.0 - a))
+                        lambda t, a=a: _pow(t, 1.0 - a),
+                        lambda t, a=a: np.power(t, 1.0 - a))
 
     elif kind == "gfd":
         _need_positive_alpha(kind, alpha)
@@ -193,6 +228,11 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
                 f"gamma pole at beta={beta!r}, alpha={alpha!r}: "
                 "beta - alpha + 1 must avoid {0, -1, -2, ...}"
             ) from None
+        except (OverflowError, ZeroDivisionError):
+            raise ParameterError(
+                f"gfd coefficient Gamma(beta)/Gamma(beta - alpha + 1) is out of "
+                f"float range at beta={beta!r}, alpha={alpha!r}"
+            ) from None
         a, c0 = alpha, coeff
 
         def p(t: float, h: float, a: float = a, c0: float = c0) -> float:
@@ -200,7 +240,8 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
 
         fam = PFunction(kind, a, beta, None, _POSITIVE_T,
                         f"gfd(alpha={a:g}, beta={beta:g})", p,
-                        lambda t, a=a, c0=c0: c0 * _pow(t, 1.0 - a))
+                        lambda t, a=a, c0=c0: c0 * _pow(t, 1.0 - a),
+                        lambda t, a=a, c0=c0: c0 * np.power(t, 1.0 - a))
 
     elif kind == "nderiv":
         _need_positive_alpha(kind, alpha)
@@ -211,17 +252,20 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
 
             fam = PFunction(kind, a, None, None, _POSITIVE_T,
                             f"nderiv(alpha={a:g})", p,
-                            lambda t, a=a: _exp(_pow(t, -a)))
+                            lambda t, a=a: _exp(_pow(t, -a)),
+                            lambda t, a=a: np.exp(np.power(t, -a)))
         else:
             fe = _coerce_expr(F, frozenset({"t", "alpha"}), "nderiv F")
             fc = compile_expr(fe, ("t", "alpha"))
+            fa = compile_array(fe, ("t", "alpha"))
 
             def fval(t: float, fc: Callable[..., float] = fc, a: float = a) -> float:
                 return fc(t, a)
 
             fam = PFunction(kind, a, None, fe, _POSITIVE_T,
                             f"nderiv(alpha={a:g}, F=...)",
-                            lambda t, h: t + h * fval(t), fval)
+                            lambda t, h: t + h * fval(t), fval,
+                            lambda t, fa=fa, a=a: fa(t, a))
 
     elif kind == "cosine":
         if alpha is None or not 0.0 < alpha <= 1.0:
@@ -234,7 +278,8 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
 
         fam = PFunction(kind, a, None, None, dom,
                         f"cosine(alpha={a:g})", p,
-                        lambda t, a=a: _pow(math.cos(t), 1.0 - a))
+                        lambda t, a=a: _pow(math.cos(t), 1.0 - a),
+                        lambda t, a=a: np.power(np.cos(t), 1.0 - a))
 
     elif kind == "power":
         if alpha is None or not alpha > 1.0:
@@ -246,7 +291,7 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
 
         # d/dh h^a vanishes at h=0 since a > 1
         fam = PFunction(kind, a, None, None, Interval(-math.inf, math.inf),
-                        f"power(alpha={a:g})", p, lambda t: 0.0)
+                        f"power(alpha={a:g})", p, lambda t: 0.0, np.zeros_like)
 
     else:  # custom
         if F is None:
@@ -260,18 +305,26 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
             return pc(t, h, alpha)
 
         try:
-            dpc = compile_expr(differentiate(pe, "h"), ("t", "h", "alpha"))
+            dpe = differentiate(pe, "h")
         except DifferentiationError as exc:
             msg = str(exc)
 
             def ph0(t: float, msg: str = msg) -> float:
                 raise DifferentiationError(f"custom family multiplier unavailable: {msg}")
+
+            ph0a = None
         else:
+            dpc = compile_expr(dpe, ("t", "h", "alpha"))
+            dpa = compile_array(dpe, ("t", "h", "alpha"))
+
             def ph0(t: float, dpc: Callable[..., float] = dpc) -> float:
                 return dpc(t, 0.0, alpha)
 
+            def ph0a(t: np.ndarray, dpa: Callable[..., np.ndarray] = dpa) -> np.ndarray:
+                return dpa(t, 0.0, alpha)
+
         fam = PFunction(kind, alpha, None, pe, Interval(-math.inf, math.inf),
-                        "custom(p=...)", p, ph0)
+                        "custom(p=...)", p, ph0, ph0a)
 
     if kind != "custom":
         _check_range_sampling(fam)

@@ -187,34 +187,39 @@ def _transform(
     fn: Callable[[float], float], end: float, sign: float, span: float,
     gamma: float, d0: float, offset: float,
 ) -> tuple[Callable[[float], float], float, float, Callable[[float], float]]:
-    """Change of variable x = end + sign * u^m removing a singularity at
-    the endpoint `end` (sign +1 at the left endpoint, -1 at the right).
+    """Change of variable x = end + sign * (u^m - offset) removing a
+    singularity at the pole `offset` beyond the endpoint `end` (sign +1
+    at the left endpoint, -1 at the right).
 
-    m = 3/(1-gamma) leaves the transformed integrand ~u^2 at the corner.
-    Integration starts at the u-image of distance d0, below which the
-    analytic tail model takes over; samples that still round onto the
-    endpoint return the corner limit 0.  A few ulp from the endpoint, x
-    rounded onto the float grid is up to 6% off u^m, so fn's value is
-    carried back to u^m along |dist + offset|^(-gamma), offset being the
-    pole's distance beyond `end`.  Returns (g, u_lo, u_hi, u -> x).
+    u^m is the distance from the pole, so m = 3/(1-gamma) leaves the
+    transformed integrand ~u^2 right up to the start of the integration,
+    the u-image of distance d0 from `end`, below which the analytic tail
+    model takes over (measured from `end` instead, a pole a fraction of
+    an ulp beyond it bends the integrand in a thin layer there that one
+    Kronrod panel can miss by more than its error estimate); samples
+    that still round onto the endpoint return the corner limit 0.  A few
+    ulp from the endpoint, x rounded onto the float grid is up to 6% off
+    its nominal distance, so fn's value is carried back along
+    |dist + offset|^(-gamma).  Returns (g, u_lo, u_hi, u -> x).
     """
     m = 3.0 / (1.0 - gamma)
 
     def to_x(u: float) -> float:
-        return end + sign * u ** m
+        return end + sign * (u ** m - offset)
 
     def g(u: float) -> float:
-        d = u ** m
+        pole_dist = u ** m
+        d = pole_dist - offset
         x = end + sign * d
         if x == end:
             return 0.0
         v = fn(x)
         dx = sign * (x - end)
         if dx != d:
-            v *= ((dx + offset) / (d + offset)) ** gamma
+            v *= ((dx + offset) / pole_dist) ** gamma
         return v * m * u ** (m - 1.0)
 
-    return g, d0 ** (1.0 / m), span ** (1.0 / m), to_x
+    return g, (d0 + offset) ** (1.0 / m), (span + offset) ** (1.0 / m), to_x
 
 
 def _endpoint_tail(
@@ -265,10 +270,7 @@ def _endpoint_tail(
     xs = [math.log(t) for t in dists]
     ys = [math.log(abs(v)) for v in vals]
     n = len(xs)
-    xbar = sum(xs) / n
-    ybar = sum(ys) / n
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    slope, xbar, ybar, sxx = _line_fit(xs, ys)
     resid2 = sum((y - ybar - slope * (x - xbar)) ** 2 for x, y in zip(xs, ys))
     s = math.sqrt(resid2 / (n - 2))
     sigma_slope = s / math.sqrt(sxx)
@@ -284,7 +286,7 @@ def _endpoint_tail(
     if any((v > 0.0) != (vals[0] > 0.0) for v in vals):
         s += 1.0  # sign changes: the power model is unreliable
 
-    def mass(offset: float) -> float:
+    def mass(offset: float, amp: float = amp, gamma: float = gamma) -> float:
         # model mass over distances [0, d0] with the pole `offset` beyond end
         return amp * ((d0 + offset) ** (1.0 - gamma)
                       - math.copysign(abs(offset) ** (1.0 - gamma), offset)) / (1.0 - gamma)
@@ -311,8 +313,26 @@ def _endpoint_tail(
         w = (d1 + offset) * min(u, 0.5)
         spread = 0.5 * (mass(offset - w) - mass(offset + w))
     tail = sgn * mass(offset)
-    rel = sigma_slope * abs(math.log(d0) - xbar) + s + 0.01
-    return d0, tail, abs(tail) * rel + spread, offset
+    # model error: how far the tail moves when the fit window drops its
+    # farthest or its nearest sample; a window that sees a non-integrable
+    # exponent leaves the tail unbounded
+    shift = 0.0
+    for window in (slice(0, n - 1), slice(1, n)):
+        ws, wx, wy, _ = _line_fit(xs[window], ys[window])
+        shift = max(shift, abs(sgn * mass(offset, math.exp(wy - ws * wx), -ws) - tail)
+                    if -ws < 0.98 else math.inf)
+    rel = sigma_slope * abs(math.log(d0) - xbar) + s
+    return d0, tail, abs(tail) * rel + spread + shift, offset
+
+
+def _line_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float, float]:
+    """Least-squares line through (xs, ys): (slope, xbar, ybar, sxx)."""
+    n = len(xs)
+    xbar = sum(xs) / n
+    ybar = sum(ys) / n
+    sxx = sum((x - xbar) ** 2 for x in xs)
+    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    return slope, xbar, ybar, sxx
 
 
 def _graded_side(
@@ -325,7 +345,12 @@ def _graded_side(
     max_panels: int,
 ) -> tuple[float, float, int]:
     end, sign = (a, 1.0) if side == "left" else (b, -1.0)
-    d0, tail, terr, offset = _endpoint_tail(fn, end, sign, b - a, gamma)
+    try:
+        d0, tail, terr, offset = _endpoint_tail(fn, end, sign, b - a, gamma)
+    except OverflowError:
+        tail = math.inf
+    if not math.isfinite(tail):  # the fitted power law leaves float range
+        raise QuadratureError(f"endpoint model near {end!r} leaves float range")
     g, lo, hi, to_x = _transform(fn, end, sign, b - a, gamma, d0, offset)
     v, e, n = integrate_adaptive(g, lo, hi, tol, max_panels, to_x)
     return v + tail, e + terr, n

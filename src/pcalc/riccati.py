@@ -14,8 +14,10 @@ polynomial interpolating those samples, read by polynomial evaluation
 and inverted by safeguarded Newton steps.  The running integral is
 accumulated per panel with fixed Kronrod nodes whose weights fold in the
 1/ph_zero factor, and the iterate is read at quadrature abscissae through
-cubic stencils in tau.  All per-sweep work is plain numpy array
-arithmetic.
+cubic stencils in tau.  Set-up samples ph_zero and q through their array
+kernels (PFunction.ph_zero_array, expr.compile_array), which give the
+scalar values and raise the scalar errors at the same point; the sweeps
+are plain numpy array arithmetic.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .derivatives import as_scalar_fn
+from .derivatives import as_array_fn
 from .errors import (
     DivergenceError,
     InfeasibleCertificateError,
     NonIntegrableError,
     ParameterError,
+    PcalcError,
 )
 from .families import PFunction, check_l1
 from .quadrature import _NODES, _WEIGHTS_K, endpoint_exponent
@@ -99,21 +102,20 @@ class RiccatiSolution:
 
     def interpolate(self, t: float) -> float:
         """Cubic readout of u at an arbitrary time in [0, T]."""
-        machine: _TauMachine = self._machine  # type: ignore[assignment]
-        if machine is None:
+        if self._machine is None:
             raise ParameterError("solution carries no mesh; cannot interpolate")
-        u = np.asarray(self.u)
         dtau = self.tau[1] - self.tau[0]
-        idx, w, _ = _stencil_rows(machine.tau_of(t), dtau, len(u) - 1)
-        return float(u[idx[0]] @ w[0])
+        idx, w, _ = _stencil_rows(self._machine.tau_of(t), dtau, len(self.u) - 1)
+        return float(np.asarray(self.u)[idx[0]] @ w[0])
 
 
 def _weight(fam: PFunction, m: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """t = y^m and the weight W(y) = (dt/dy) / ph_zero(t); W is 0 where t underflows."""
     t = y ** m
-    ph = np.array([fam.ph_zero(float(x)) if x > 0.0 else math.inf for x in t.flat])
+    ph = np.full(t.shape, math.inf)
+    ph[t > 0.0] = fam.ph_zero_array(t[t > 0.0])
     with np.errstate(divide="ignore", over="ignore"):
-        w = m * y ** (m - 1.0) / ph.reshape(t.shape)
+        w = m * y ** (m - 1.0) / ph
     if not np.all(np.isfinite(w)):
         raise NonIntegrableError("weight 1/ph_zero is not finite on (0, T]")
     return t, w
@@ -228,7 +230,7 @@ class _Discretization:
     q_grid: np.ndarray
 
 
-def _build_discretization(qfn, machine: _TauMachine, n: int) -> _Discretization:
+def _build_discretization(qa, machine: _TauMachine, n: int) -> _Discretization:
     m = machine.m
     targets = machine.tau_total * np.arange(n + 1) / n
     t_nodes = machine.t_of_tau(targets)
@@ -244,10 +246,10 @@ def _build_discretization(qfn, machine: _TauMachine, n: int) -> _Discretization:
     WT = (_WEIGHTS_K * half[:, None] * W).ravel()
     offsets = 15 * np.concatenate([[0], nsub0 + np.arange(n - 1)])
 
-    QV = np.array([qfn(float(x)) for x in X])
+    QV = qa(X)
     dtau = float(targets[1] - targets[0])
     Lidx, Lw, _ = _stencil_rows(machine.tau_of(X), dtau, n)
-    q_grid = np.array([qfn(float(t)) for t in t_nodes])
+    q_grid = qa(t_nodes)
     return _Discretization(t_nodes, targets, dtau, WT, QV, offsets, Lidx, Lw, q_grid)
 
 
@@ -259,7 +261,7 @@ def contraction_precheck(fam: PFunction, q, T: float, u0: float,
     converge); q is bounded by dense sampling.  The returned k is the
     contraction factor at the best radius found, feasible or not.
     """
-    qfn, _ = as_scalar_fn(q)
+    qa = as_array_fn(q)
     rep = check_l1(fam, 0.0, T, tol=min(tol, 1e-9))
     if rep.diverged or not rep.converged:
         raise NonIntegrableError(
@@ -267,11 +269,11 @@ def contraction_precheck(fam: PFunction, q, T: float, u0: float,
             "no contraction setup exists"
         )
     l1 = rep.estimate
-    q_inf = max(abs(qfn(float(t))) for t in np.linspace(0.0, T, 2049))
-    b_lo = max(abs(u0), 1e-6)
-    b_hi = 10.0 * (abs(u0) + math.sqrt(q_inf + 1.0))
-    bs = np.geomspace(b_lo, b_hi, 200)
-    margins = np.minimum(bs / (q_inf + bs * bs), 1.0 / (2.0 * bs)) - l1
+    qs = np.abs(qa(np.linspace(0.0, T, 2049)))
+    q_inf = float(qs[0] if math.isnan(qs[0]) else np.nanmax(qs))  # as max() over the points
+    with np.errstate(over="ignore", invalid="ignore"):  # past float range a ball has no margin
+        bs = np.geomspace(max(abs(u0), 1e-6), 10.0 * (abs(u0) + math.sqrt(q_inf + 1.0)), 200)
+        margins = np.minimum(bs / (q_inf + bs * bs), 1.0 / (2.0 * bs)) - l1
     i = int(np.argmax(margins))
     b = float(bs[i])
     return ContractionCertificate(
@@ -294,9 +296,8 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
     override is not set, and DivergenceError when updates grow for five
     consecutive sweeps or the sweep cap is reached.
     """
-    fam = problem.family
-    T, u0, n, tol = problem.T, problem.u0, problem.grid_n, problem.tol
-    qfn, _ = as_scalar_fn(problem.q)
+    fam, T, u0, n, tol = problem.family, problem.T, problem.u0, problem.grid_n, problem.tol
+    qa = as_array_fn(problem.q)
 
     cert = contraction_precheck(fam, problem.q, T, u0)
     if not cert.feasible and not override:
@@ -305,52 +306,54 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
             f"margin={cert.margin:.3g}); pass override=True to iterate anyway"
         )
 
-    for t in np.geomspace(T * 1e-6, T, 128):
-        v = fam.ph_zero(float(t))
+    ts = np.geomspace(T * 1e-6, T, 128)
+    try:
+        vs = fam.ph_zero_array(ts)
+    except PcalcError:  # a bad value before the failing point is reported first
+        vs = (fam.ph_zero(float(t)) for t in ts)
+    for t, v in zip(ts, vs):
         if not (math.isfinite(v) and v > 0.0):
             raise ParameterError(
-                f"solver needs ph_zero > 0 on (0, T]; found {v!r} at t={float(t):g}"
+                f"solver needs ph_zero > 0 on (0, T]; found {float(v)!r} at t={float(t):g}"
             )
 
     machine = _TauMachine(fam, T)
-    disc = _build_discretization(qfn, machine, n)
+    if not machine.tau_total / n > 0.0:
+        raise ParameterError(f"transformed horizon tau(T) = {machine.tau_total!r} underflows")
+    disc = _build_discretization(qa, machine, n)
 
     U = np.full(n + 1, float(u0) if start is None else float(start))
     updates: list[float] = []
     max_norm = float(np.max(np.abs(U)))
     growth = 0
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        u_at_nodes = np.einsum("ij,ij->i", disc.Lw, U[disc.Lidx])
-        v = disc.QV - u_at_nodes * u_at_nodes
-        panel = np.add.reduceat(disc.WT * v, disc.offsets)
-        new = np.empty(n + 1)
-        new[0] = u0
-        new[1:] = u0 + np.cumsum(panel)
-        delta = float(np.max(np.abs(new - U)))
-        if not math.isfinite(delta):
-            raise DivergenceError("iterate became non-finite")
-        growth = growth + 1 if updates and delta > updates[-1] else 0
-        updates.append(delta)
-        U = new
-        max_norm = max(max_norm, float(np.max(np.abs(U))))
-        if delta <= tol:
-            converged = True
-            break
-        if growth >= 5:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in the finiteness check
+        for _ in range(_MAX_SWEEPS):
+            u_at_nodes = np.einsum("ij,ij->i", disc.Lw, U[disc.Lidx])
+            v = disc.QV - u_at_nodes * u_at_nodes
+            panel = np.add.reduceat(disc.WT * v, disc.offsets)
+            new = np.concatenate([[u0], u0 + np.cumsum(panel)])
+            delta = float(np.max(np.abs(new - U)))
+            if not math.isfinite(delta):
+                raise DivergenceError("iterate became non-finite")
+            growth = growth + 1 if updates and delta > updates[-1] else 0
+            updates.append(delta)
+            U = new
+            max_norm = max(max_norm, float(np.max(np.abs(U))))
+            if delta <= tol:
+                break
+            if growth >= 5:
+                raise DivergenceError(
+                    f"updates grew for five consecutive sweeps (last {delta:g})"
+                )
+        else:
             raise DivergenceError(
-                f"updates grew for five consecutive sweeps (last {delta:g})"
+                f"no convergence within {_MAX_SWEEPS} sweeps; last update {updates[-1]:g}"
             )
-    if not converged:
-        raise DivergenceError(
-            f"no convergence within {_MAX_SWEEPS} sweeps; last update {updates[-1]:g}"
-        )
 
     # interior residual of the converged grid function, 4th-order in tau
     i = np.arange(2, n - 1)
     du = (U[i - 2] - 8.0 * U[i - 1] + 8.0 * U[i + 1] - U[i + 2]) / (12.0 * disc.dtau)
-    rho = du + U[i] ** 2 - disc.q_grid[i]
-    residual = float(np.max(np.abs(rho)))
+    residual = float(np.max(np.abs(du + U[i] ** 2 - disc.q_grid[i])))
 
     return RiccatiSolution(
         grid=tuple(float(t) for t in disc.t_nodes),
@@ -373,10 +376,8 @@ def riccati_residual(fam: PFunction, sol: RiccatiSolution, q) -> float:
     Reads the solution through its cubic tau-interpolant, so a perturbed
     grid value shows up as a large defect.
     """
-    qfn, _ = as_scalar_fn(q)
-    machine: _TauMachine = sol._machine  # type: ignore[assignment]
-    if machine is None:
-        machine = _TauMachine(fam, sol.grid[-1])
+    qa = as_array_fn(q)
+    machine = sol._machine or _TauMachine(fam, sol.grid[-1])
     u = np.asarray(sol.u)
     n = len(u) - 1
     dtau = sol.tau[1] - sol.tau[0]
@@ -384,5 +385,4 @@ def riccati_residual(fam: PFunction, sol: RiccatiSolution, q) -> float:
     idx, w, dw = _stencil_rows(s, dtau, n)
     val = np.einsum("ij,ij->i", w, u[idx])
     der = np.einsum("ij,ij->i", dw, u[idx]) / dtau
-    q = np.array([qfn(float(t)) for t in machine.t_of_tau(s)])
-    return float(np.max(np.abs(der + val * val - q)))
+    return float(np.max(np.abs(der + val * val - qa(machine.t_of_tau(s)))))

@@ -150,12 +150,17 @@ def _scan_for_root(residual: Callable[[float], float], a: float, b: float,
     )
 
 
+def _need_interval(a: float, b: float) -> None:
+    # the searches sample grids over [a, b]
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ParameterError(f"need finite a < b, got [{a!r}, {b!r}]")
+
+
 def find_mvt_point(fam: PFunction, f: Expr | str | Callable[[float], float],
                    a: float, b: float, tol: float = 1e-8) -> MvtResult:
     """Find c in (a, b) where the deformation derivative matches the
     multiplier-weighted secant slope of f."""
-    if not a < b:
-        raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
+    _need_interval(a, b)
     fn, e = as_scalar_fn(f)
     slope = (fn(b) - fn(a)) / (b - a)
     dp = _dp_evaluator(fam, fn, e, tol / 10.0)
@@ -177,8 +182,7 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
     sampling: the deformation derivative of g keeps away from zero on
     (a, b), and g separates the endpoints.
     """
-    if not a < b:
-        raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
+    _need_interval(a, b)
     ffn, fe = as_scalar_fn(f)
     gfn, ge = as_scalar_fn(g)
     if fe is not None and ge is not None and fe == ge:
@@ -217,8 +221,7 @@ def find_rolle_point(fam: PFunction, f: Expr | str | Callable[[float], float],
     Requires |f| below tol at both endpoints, in keeping with the
     equal-values hypothesis.
     """
-    if not a < b:
-        raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
+    _need_interval(a, b)
     fn, e = as_scalar_fn(f)
     fa, fb = fn(a), fn(b)
     if abs(fa) >= tol or abs(fb) >= tol:
@@ -297,8 +300,7 @@ def max_principle_check(fam: PFunction, f: Expr | str | Callable[[float], float]
                         vanish_tol: float = 1e-4) -> MaxPrincipleReport:
     """Locate the maximum of f on [a, b] by dense sampling plus golden
     refinement, then measure the deformation derivative there."""
-    if not a < b:
-        raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
+    _need_interval(a, b)
     fn, _ = as_scalar_fn(f)
     cs = np.linspace(a, b, 2048)
     vals = np.array([fn(c) for c in cs])

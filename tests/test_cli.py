@@ -1,7 +1,11 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pcalc.cli import main
 
@@ -422,3 +426,142 @@ class TestOutputHandling:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+
+# --- fuzzing ---------------------------------------------------------------
+
+# Each flag draws from a fixed pool: mostly legal values, one time in eight a
+# hostile one (malformed or non-finite numbers, negatives, empty strings,
+# garbled or deep expressions).  Sizes stay small (--n, --m, short
+# intervals); the slowest run seen, ftc on exp(exp(t)) over [1, 3], takes
+# about 5 s, every other one well under a second.
+_BAD_NUMBERS = ("-1", "-0", "1e-300", "nan", "inf", "-inf", "", "abc",
+                "1/3", "0x10", "1e999", " 2", "--")
+_BAD_EXPRS = ("ln(t)", "1/t", "sqrt(t-2)", "gamma(t)", "t^t^t", "exp(exp(t))",
+              "corpus:nosuch", "y", "t +", "((t", "", "2*", "\u00e9", "t t", "1e999*t",
+              "(" * 150 + "t" + ")" * 150, "t" + "+t" * 150, "-" * 120 + "t")
+_NUMBER = (("0", "0.5", "1", "2", "0.25", "1.5", "3"), _BAD_NUMBERS)
+_EXPR = (("t", "t^2", "sin(t)", "abs(t-1)", "exp(-(t^2))", "t^3-t", "cos(t)", "1",
+          "corpus:gauss", "corpus:abs"), _BAD_EXPRS)
+_INT = (("16", "17", "32"), ("2", "0", "-3", "2.5", "", "x", "1e3"))
+_SIDE = (("both", "left", "right"), ("up", ""))
+_FAMILIES = (  # legal family flags
+    ("--family", "khalil", "--alpha", "0.5"), ("--family", "katugampola", "--alpha", "0.3"),
+    ("--family", "gfd", "--alpha", "0.5", "--beta", "1.5"),
+    ("--family", "nderiv", "--alpha", "0.5"), ("--family", "nderiv", "--alpha", "1", "--F", "t+1"),
+    ("--family", "cosine", "--alpha", "0.8"), ("--family", "power", "--alpha", "2"),
+    ("--family", "custom", "--p", "t + h*t"), ("--family", "custom", "--p", "t*exp(h)"),
+)
+_FAMILY = {  # single flags, mixed freely, hostile values included
+    "--family": (("khalil", "gfd", "custom", "power"), ("bogus", "")),
+    "--alpha": (("0.5", "1.5"), _BAD_NUMBERS),
+    "--beta": (("1.5",), _BAD_NUMBERS + ("1e300",)),
+    "--F": (("t + 1", "t^alpha"), _BAD_EXPRS),
+    "--p": (("t + h", "t + h*alpha"), ("t + abs(h)", "h", "t + y") + _BAD_EXPRS),
+}
+_COMMON = {"--format": (("json", "csv"), ("xml",)),
+           "--output": (("{out}",), ("{missing}", "")),
+           "--tol": (("1e-6", "1e-8", "1e-12"), _BAD_NUMBERS),
+           "--help": ((None,), ())}
+_INTERVAL = {"--f": _EXPR, "--a": (("0", "0.5", "1"), _BAD_NUMBERS),
+             "--b": (("1.5", "2", "3"), _BAD_NUMBERS)}
+# per subcommand: the flags usually given, then the ones sometimes added
+_COMMANDS = {
+    "deriv": ({"--f": _EXPR, "--t": _NUMBER}, {"--side": _SIDE}),
+    "integral": (_INTERVAL, {}),
+    "ftc": (_INTERVAL,
+            {"--direction": (("forward", "backward"), ("sideways",))}),
+    "ibp": ({**_INTERVAL, "--g": _EXPR}, {}),
+    "mvt": (_INTERVAL, {"--g": _EXPR}),
+    "rolle": (_INTERVAL, {}),
+    "maxprinciple": (_INTERVAL, {}),
+    "hypothesis": ({"--t": _NUMBER},
+                   {"--epsilons": (("0.1,0.01", "1e-3"), ("0.01,0.1", "a,b", "", "-1"))}),
+    "riccati": ({"--q": _EXPR, "--u0": (_NUMBER[0], _BAD_NUMBERS + ("1e300",)),
+                 "--T": (("0.05", "0.1", "0.5"), _BAD_NUMBERS)},
+                {"--n": _INT, "--override": ((None,), ()), "--start": _NUMBER}),
+    "weierstrass": ({"--a": (("3", "41", "5"), _INT[1]), "--b": (("0.9", "0.5"), _BAD_NUMBERS),
+                     "--alpha": (("2", "1.5"), _BAD_NUMBERS),
+                     "--x": (("1/3", "0.25", "0"), ("1/0", "x", "-1/2", "", "nan", "1e400"))},
+                    {"--m": (("0", "3", "5"), ("-1", "x", "2.5"))}),
+    "polygon": ({"--vertices": (("{vertices}",), ("{badvertices}", "{missing}", ""))},
+                {"--grid": (("0.5,1", "0.5,1.5"), ("", "a", "nan")), "--side": _SIDE}),
+    "compare": ({"--f": _EXPR, "--t": _NUMBER}, {}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS) + ["bogus", "--help"]))
+    usual, extra = _COMMANDS.get(command, ({}, {}))
+    if command not in ("weierstrass", "bogus", "--help"):  # commands that take a family
+        extra = {**extra, **_FAMILY}
+        if command == "compare":
+            extra.update({flag + "2": pool for flag, pool in _FAMILY.items()})
+    pools = {**usual, **extra, **_COMMON}
+    flags = [flag for flag in usual if draw(st.integers(0, 9))]  # mostly all present
+    flags += draw(st.lists(st.sampled_from(sorted({**extra, **_COMMON})), max_size=2))
+    argv = [command]
+    if "--family" in extra and draw(st.integers(0, 3)):
+        argv += draw(st.sampled_from(_FAMILIES))
+        if command == "compare":
+            argv += [a + "2" if a.startswith("--") else a
+                     for a in draw(st.sampled_from(_FAMILIES))]
+    for flag in flags:
+        ok, bad = pools[flag]
+        value = draw(st.sampled_from(bad if bad and not draw(st.integers(0, 7)) else ok))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "v.csv").write_text("0,0\n1,1\n2,0\n")
+    (root / "bad.csv").write_text("0,0\n1,x\n")
+    return {"out": str(root / "out.txt"), "missing": str(root / "no" / "x.txt"),
+            "vertices": str(root / "v.csv"), "badvertices": str(root / "bad.csv")}
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    @given(_argv())
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_argv_ends_in_a_documented_outcome(self, fuzz_paths, argv):
+        argv = [a.format(**fuzz_paths) if a.startswith("{") else a for a in argv]
+        code, _, err = run_quiet(argv)
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert err.startswith("error: "), argv
+        if code == 2:
+            assert err, argv
+
+    # inputs the fuzzer found: each used to escape as a traceback or a
+    # numpy RuntimeWarning
+    FOUND = (
+        (["--help"], 0),
+        (["deriv", "--help"], 0),
+        (["maxprinciple", *KHALIL, "--f", "sin(t)", "--a", "1", "--b", "inf"], 1),
+        (["ftc", "--family", "gfd", "--alpha", "0.5", "--beta", "1e300",
+          "--f", "sin(t)", "--a", "0", "--b", "3"], 1),
+        (["riccati", "--family", "khalil", "--alpha", "1.5", "--q", "t^2",
+          "--u0", "1", "--T", "1e-300"], 1),
+        (["riccati", *KHALIL, "--q", "corpus:gauss", "--u0", "1e300", "--T", "0.1"], 2),
+        (["riccati", *KHALIL, "--q", "0", "--u0", "1e300", "--T", "0.1", "--override"], 2),
+    )
+
+    @pytest.mark.parametrize("argv, code", FOUND)
+    def test_found_inputs(self, argv, code):
+        got, out, err = run_quiet(argv)
+        assert got == code
+        assert "Traceback" not in err and "Warning" not in err
+        if code == 0:
+            assert out.startswith("usage: pcalc")
+        else:
+            assert err.startswith("error: ") or json.loads(err)["error"]

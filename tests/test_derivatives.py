@@ -3,10 +3,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcalc.corpus import corpus_entry, smooth_entries
+from pcalc.corpus import corpus_entry, corpus_list, smooth_entries
 from pcalc.derivatives import (
     compare_definitions,
     extrapolate_quotient,
@@ -152,6 +152,43 @@ class TestFormulaRoute:
                     ref = p_derivative_formula(fam, entry.f, t)
                     assert est.value == pytest.approx(ref, rel=1e-6, abs=1e-6), (
                         entry.name, fam.label, t)
+
+
+def _family_of_kind(kind, alpha):
+    if kind == "gfd":
+        return make_family(kind, alpha, beta=1.5)
+    if kind == "power":
+        return make_family(kind, 1.0 + alpha)
+    if kind == "custom":
+        return make_family(kind, F="t + h*(1 + t^2) + h^2*t")
+    return make_family(kind, alpha)
+
+
+class TestRoutesAgree:
+    # every corpus entry with a derivative, every family kind, at points
+    # 0.05 or more inside both domains and |t| <= 4 (as in ACCEPTANCE 1):
+    # where ph_zero != 0 the two routes agree to the ACCEPTANCE 1e-6
+    # relative cap; where it vanishes (power) the formula route refuses
+    # ph_zero = 5.4e4 here: a ladder starting at h0 = 1e-2 began 540
+    # units away from t and never recovered
+    @example(name="exp", kind="nderiv", alpha=0.875, u=0.00390625)
+    @given(st.sampled_from([e.name for e in corpus_list() if e.fprime is not None]),
+           st.sampled_from(["khalil", "katugampola", "gfd", "nderiv", "cosine",
+                            "power", "custom"]),
+           st.floats(0.1, 0.9), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=150)
+    def test_limit_matches_formula(self, name, kind, alpha, u):
+        entry, fam = corpus_entry(name), _family_of_kind(kind, alpha)
+        lo = max(entry.domain[0], fam.domain.lo, -4.0) + 0.05
+        hi = min(entry.domain[1], fam.domain.hi, 4.0) - 0.05
+        t = lo + u * (hi - lo)
+        if fam.ph_zero(t) == 0.0:
+            with pytest.raises(EvaluationError):
+                p_derivative_formula(fam, entry.f, t)
+            return
+        est = p_derivative_limit(fam, entry.f, t, tol=1e-8)
+        ref = p_derivative_formula(fam, entry.f, t)
+        assert abs(est.value - ref) / max(1.0, abs(ref)) < 1e-6, (name, fam.label, t)
 
 
 class TestPowerFamily:

@@ -1,6 +1,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from pcalc.expr import (
     Neg,
     Num,
     Var,
+    compile_array,
     compile_expr,
     differentiate,
     evaluate,
@@ -184,6 +186,101 @@ class TestCompiled:
             with pytest.raises(EvaluationError) as got:
                 compile_expr(e)(env["t"])
             assert str(got.value) == str(ref.value)
+
+
+_LEAVES = st.one_of(
+    st.one_of(st.floats(), st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0])).map(Num),
+    st.sampled_from(["t", "h", "y", "pi", "e"]).map(Var))
+# + - * /, negation, abs and sqrt are exact in numpy as in math; gamma
+# points are always redone by the closure
+_EXACT = st.recursive(_LEAVES, lambda kids: st.one_of(
+    kids.map(Neg),
+    st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
+    st.builds(Call, st.sampled_from(["abs", "sqrt", "gamma"]), kids),
+), max_leaves=12)
+# one pow or transcendental node over exact subtrees: numpy may differ there by an ulp
+_ONE_INEXACT = st.one_of(
+    st.builds(BinOp, st.just("^"), _EXACT, _EXACT),
+    st.builds(Call, st.sampled_from(["sin", "cos", "tan", "exp", "ln"]), _EXACT))
+_POINTS = st.lists(st.one_of(st.floats(), st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0])),
+                   min_size=1, max_size=6)
+
+
+def _loop_outcome(fn, cols):
+    """What a loop of the scalar closure over the points gives."""
+    out = []
+    for i, values in enumerate(zip(*cols)):
+        try:
+            out.append(fn(*values))
+        except EvaluationError as exc:
+            return "raised", i, str(exc)
+    return "values", out
+
+
+def _kernel_outcome(kernel, cols):
+    """The kernel's values, or its error and the first index whose
+    prefix makes it raise."""
+    try:
+        return "values", list(kernel(*(np.array(c) for c in cols)))
+    except EvaluationError as exc:
+        message = str(exc)
+    for i in range(len(cols[0])):
+        try:
+            kernel(*(np.array(c[:i + 1]) for c in cols))
+        except EvaluationError as exc:
+            return "raised", i, str(exc)
+    return "raised", None, message  # no prefix raises: a mismatch
+
+
+def _within_ulps(a, b, n):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return abs(a - b) <= n * math.ulp(max(abs(a), abs(b)))
+
+
+class TestCompiledArray:
+    def _outcomes(self, e, t, h, with_h):
+        if with_h:
+            n = min(len(t), len(h))
+            cols, names = (t[:n], h[:n]), ("t", "h")
+        else:
+            cols, names = (t,), ("t",)
+        return (_kernel_outcome(compile_array(e, names), cols),
+                _loop_outcome(compile_expr(e, names), cols))
+
+    @given(_EXACT, _POINTS, _POINTS, st.booleans())
+    def test_exact_nodes_bit_for_bit(self, e, t, h, with_h):
+        got, ref = self._outcomes(e, t, h, with_h)
+        assert got[0] == ref[0]
+        if ref[0] == "raised":
+            assert got == ref
+        else:
+            assert [struct.pack("<d", v) for v in got[1]] == \
+                [struct.pack("<d", v) for v in ref[1]]
+
+    @given(_ONE_INEXACT, _POINTS, _POINTS, st.booleans())
+    def test_pow_and_transcendentals_within_4_ulp(self, e, t, h, with_h):
+        got, ref = self._outcomes(e, t, h, with_h)
+        assert got[0] == ref[0]
+        if ref[0] == "raised":
+            assert got == ref
+        else:
+            assert all(_within_ulps(a, b, 4) for a, b in zip(got[1], ref[1]))
+
+    def test_first_failing_point_raises(self):
+        kernel = compile_array(parse("ln(t) + 1/(t - 2)"))
+        with pytest.raises(EvaluationError, match=r"^division by zero$"):
+            kernel(np.array([1.0, 2.0, 0.0]))
+        with pytest.raises(EvaluationError, match=r"domain error in ln\(0\.0\)"):
+            kernel(np.array([1.0, 0.0, 2.0]))
+        assert compile_array(parse("t^2"))(np.empty(0)).shape == (0,)
+
+    def test_shapes_and_unused_arguments(self):
+        kernel = compile_array(parse("t + 1"), ("t", "h", "alpha"))
+        out = kernel(np.arange(6.0).reshape(2, 3), 0.0, None)  # alpha is never read
+        assert out.shape == (2, 3)
+        assert out.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert compile_array(parse("pi"))(np.zeros(3)).tolist() == [math.pi] * 3
 
 
 class TestManipulation:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pcalc.errors import (
+    DifferentiationError,
     DomainError,
     EvaluationError,
     NonIntegrableError,
     ParameterError,
+    PcalcError,
     QuadratureError,
     UsageError,
 )
@@ -197,6 +200,70 @@ class TestDeformationValues:
     def test_domain_str(self):
         assert str(make_family("khalil", 0.5).domain) == "(0.0, inf)"
         assert str(make_family("cosine", 0.5).domain) == "[0.0, 1.5707963267948966)"
+
+
+# every kind, an F-family, a multiplier that fails inside the domain and
+# one that is unavailable
+ARRAY_FAMILIES = (
+    make_family("khalil", 0.5), make_family("katugampola", 0.3),
+    make_family("gfd", 0.7, beta=1.5), make_family("nderiv", 0.4),
+    make_family("nderiv", 0.5, F="ln(t) + alpha"), make_family("cosine", 0.6),
+    make_family("power", 2.0), make_family("custom", F="t + h*sqrt(t - 1) + h^2"),
+    make_family("custom", F="t + abs(h)*t"),
+)
+
+
+def _first_error(run, pts):
+    """(type, index, message) of the first failing point of run, or None."""
+    try:
+        run(pts)
+    except PcalcError as exc:
+        for i in range(len(pts)):
+            try:
+                run(pts[:i + 1])
+            except PcalcError as first:
+                return type(first).__name__, i, str(first)
+        return type(exc).__name__, None, str(exc)
+    return None
+
+
+class TestMultiplierArray:
+    @given(st.sampled_from(ARRAY_FAMILIES),
+           st.lists(st.one_of(st.floats(-1.0, 4.0), st.sampled_from(
+               [0.0, -0.0, 5e-324, 1e-300, 1e-3, 1.5, math.pi / 2, math.inf, math.nan])),
+               min_size=1, max_size=8))
+    def test_matches_scalar_loop(self, fam, pts):
+        def loop(xs):
+            return [fam.ph_zero(x) for x in xs]
+
+        def kernel(xs):
+            return fam.ph_zero_array(np.array(xs)).tolist()
+
+        err = _first_error(loop, pts)
+        assert _first_error(kernel, pts) == err
+        if err is None:
+            for got, ref in zip(kernel(pts), loop(pts)):
+                if math.isfinite(ref):
+                    assert abs(got - ref) <= 4 * math.ulp(ref)  # numpy pow, exp
+                else:
+                    assert struct.pack("<d", got) == struct.pack("<d", ref)
+
+    def test_first_failing_point_raises(self):
+        khalil = ARRAY_FAMILIES[0]
+        with pytest.raises(DomainError, match=r"^t=-1\.0 outside the khalil"):
+            khalil.ph_zero_array(np.array([1.0, 2.0, -1.0, 0.0]))
+        sqrt = make_family("custom", F="t + h*sqrt(t - 1)")
+        with pytest.raises(EvaluationError, match=r"sqrt\(-0\.5\)"):
+            sqrt.ph_zero_array(np.array([2.0, 0.5, math.inf]))
+        with pytest.raises(DomainError, match="t=inf"):
+            sqrt.ph_zero_array(np.array([2.0, math.inf, 0.5]))
+        with pytest.raises(DifferentiationError, match="multiplier unavailable"):
+            ARRAY_FAMILIES[-1].ph_zero_array(np.array([1.0]))
+
+    def test_shape_is_kept(self):
+        t = np.linspace(0.5, 2.0, 6).reshape(2, 3)
+        assert ARRAY_FAMILIES[0].ph_zero_array(t).shape == (2, 3)
+        assert ARRAY_FAMILIES[6].ph_zero_array(t).tolist() == [[0.0] * 3] * 2
 
 
 class TestOffsetSolvability:

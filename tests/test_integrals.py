@@ -4,7 +4,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcalc.expr
@@ -234,6 +234,9 @@ class TestMpmathOracle:
         b = a + width
         assert _assert_within_claims(fam, a, b, _power_reference(fam, a, b))
 
+    # one Kronrod panel once missed the layer next to the pole by 4.9e-10
+    # here, 14x its error estimate
+    @example(alpha=0.509, a=1.4078)
     @given(st.floats(0.1, 0.95), st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
     @settings(max_examples=40)
     def test_cosine_up_to_half_pi(self, alpha, a):
@@ -241,3 +244,20 @@ class TestMpmathOracle:
         b = math.pi / 2
         _assert_within_claims(make_family("cosine", alpha), a, b,
                               _cosine_reference(alpha, a, b))
+
+    # cos(t)^(alpha-1) on [0, fl(pi/2)]; 40 digits of alpha = 0.5 from mpmath
+    COSINE_HALF = 2.6220575386419006481
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10])
+    def test_cosine_error_estimate_covers_the_error(self, alpha, tol):
+        b = math.pi / 2
+        res = p_integral(make_family("cosine", alpha), "1", 0.0, b, tol)
+        assert abs(res.value - _cosine_reference(alpha, 0.0, b)) <= res.error_estimate
+
+    def test_cosine_half_converges_at_1e_9(self):
+        # the blind-zone tail used to carry a fixed 1% uncertainty floor
+        # (8.4e-10 here), which kept this from converging
+        rep = check_l1(make_family("cosine", 0.5), 0.0, math.pi / 2, tol=1e-9)
+        assert rep.converged
+        assert abs(rep.estimate - self.COSINE_HALF) <= 1e-9

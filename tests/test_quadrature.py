@@ -5,6 +5,7 @@ import pytest
 
 from pcalc.errors import NonIntegrableError, QuadratureError
 from pcalc.quadrature import (
+    _graded_side,
     endpoint_exponent,
     gk15,
     integrate_adaptive,
@@ -132,3 +133,13 @@ class TestGraded:
             val, err, panels, _ = integrate_graded(lambda x: x ** -p, 0.0, b, 1e-9)
             exact = b ** (1.0 - p) / (1.0 - p)
             assert abs(val - exact) <= max(10.0 * err, 1e-9 * max(1.0, abs(exact)))
+
+
+class TestEndpointModel:
+    def test_model_out_of_float_range_is_quadrature_error(self):
+        # sin sampled near 1e300 is noise; the power law fitted to it used
+        # to overflow with a bare OverflowError
+        b = 1.0000003051757814e+300
+        with pytest.raises(QuadratureError, match="leaves float range"):
+            _graded_side(math.sin, b - 3.0517578130216632e+293, b, 0.0875, "right",
+                         1e-8, 4096)

@@ -6,6 +6,7 @@ import pytest
 
 from pcalc.errors import (
     DivergenceError,
+    EvaluationError,
     InfeasibleCertificateError,
     NonIntegrableError,
     ParameterError,
@@ -166,6 +167,55 @@ class TestTauTable:
         sol = solve_riccati(sqrt_decay_problem(grid_n=512))
         riccati_residual(KHALIL, sol, "0")
         assert calls[0] < 50_000
+
+
+class TestArrayKernels:
+    def test_scalar_ph_zero_budget(self, monkeypatch):
+        # set-up samples the multiplier through ph_zero_array; counted as
+        # in test_ph_zero_call_budget (15,497 calls before the array kernels)
+        calls = [0]
+        ph_zero = PFunction.ph_zero
+
+        def counted(self, t):
+            calls[0] += 1
+            return ph_zero(self, t)
+
+        monkeypatch.setattr(PFunction, "ph_zero", counted)
+        sol = solve_riccati(sqrt_decay_problem(grid_n=512))
+        riccati_residual(KHALIL, sol, "0")
+        assert calls[0] < 1_000
+
+    def test_q_error_is_the_scalar_one(self):
+        with pytest.raises(EvaluationError, match=r"^domain error in ln\(0\.0\)$"):
+            contraction_precheck(KHALIL, "ln(t)", 0.05, 1.0)
+        with pytest.raises(EvaluationError, match=r"^division by zero$"):
+            solve_riccati(sqrt_decay_problem(q="1/(t - 0.025)"))
+
+    def test_callable_q_matches_expression(self):
+        a = solve_riccati(sqrt_decay_problem(q="t*t", u0=0.5))
+        b = solve_riccati(sqrt_decay_problem(q=lambda t: t * t, u0=0.5))
+        assert a.u == b.u
+        assert riccati_residual(KHALIL, a, "t*t") == riccati_residual(KHALIL, b, lambda t: t * t)
+
+    def test_bad_multiplier_value_before_a_failing_point_is_reported_first(self):
+        # ph_zero = 1/(t - c) is negative from the first sample on and
+        # divides by zero at the 101st: the scalar scan stops at the first
+        T = 0.05
+        c = float(np.geomspace(T * 1e-6, T, 128)[100])
+        fam = make_family("custom", F=f"t + h/(t - {c!r})")
+        with pytest.raises(ParameterError, match=r"found -\d"):
+            solve_riccati(RiccatiProblem(family=fam, q="0", u0=0.1, T=T), override=True)
+
+    def test_extreme_inputs_end_in_typed_errors(self):
+        # tau(T) underflows for T = 1e-300 under t^0.5 weights; a huge u0
+        # overflows the certificate's ball radii and the sweeps
+        with pytest.raises(ParameterError, match="underflows"):
+            solve_riccati(RiccatiProblem(family=make_family("khalil", 1.5), q="t^2",
+                                         u0=1.0, T=1e-300))
+        with pytest.raises(InfeasibleCertificateError):
+            solve_riccati(sqrt_decay_problem(u0=1e300))
+        with pytest.raises(DivergenceError, match="non-finite"):
+            solve_riccati(sqrt_decay_problem(u0=1e300), override=True)
 
 
 class TestValidation:
