@@ -94,8 +94,8 @@ class Interval:
 class PFunction:
     """One deformation family: p, the multiplier ph_zero, a domain.
 
-    The evaluators are plain function attributes, so ``fam.p(t, h)`` calls
-    through without method binding.  ph0a is the multiplier's numpy form,
+    p and ph_zero are methods over the callables given at construction;
+    ph_zero checks the domain first.  ph0a is the multiplier's numpy form,
     the closed form over a whole array; without one, ph_zero_array falls
     back to ph0 point by point.  Instances are immutable by convention;
     construct them with make_family.

@@ -297,6 +297,8 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
     consecutive sweeps or the sweep cap is reached.
     """
     fam, T, u0, n, tol = problem.family, problem.T, problem.u0, problem.grid_n, problem.tol
+    if start is not None and not math.isfinite(start):
+        raise ParameterError("start must be finite")
     qa = as_array_fn(problem.q)
 
     cert = contraction_precheck(fam, problem.q, T, u0)

@@ -120,21 +120,21 @@ def _bisect_sign_change(res: Callable[[float], float], lo: float, hi: float,
 
 
 def _scan_for_root(residual: Callable[[float], float], a: float, b: float,
-                   tol: float) -> tuple[float, tuple[float, float], bool]:
+                   tol: float) -> tuple[float, tuple[float, float]]:
     """Locate c in (a, b) with residual(c) ~ 0; see module docstring."""
     cs = a + (b - a) * np.arange(1, _GRID_N + 1) / (_GRID_N + 1)
     rs = np.array([residual(c) for c in cs])
 
     if float(np.max(np.abs(rs))) < tol:
-        return 0.5 * (a + b), (a, b), True
+        return 0.5 * (a + b), (a, b)
 
     for i in range(len(cs) - 1):
         if rs[i] == 0.0:
-            return float(cs[i]), (float(cs[i]), float(cs[i])), False
+            return float(cs[i]), (float(cs[i]), float(cs[i]))
         if rs[i] * rs[i + 1] < 0.0:
             c, lo, hi = _bisect_sign_change(residual, float(cs[i]), float(cs[i + 1]),
                                             float(rs[i]))
-            return c, (lo, hi), False
+            return c, (lo, hi)
 
     # no crossing: squeeze |residual| around the grid minimum
     i0 = int(np.argmin(np.abs(rs)))
@@ -142,7 +142,7 @@ def _scan_for_root(residual: Callable[[float], float], a: float, b: float,
     hi = float(cs[i0 + 1]) if i0 < len(cs) - 1 else float(cs[-1])
     c, lo, hi = _golden_min(lambda x: abs(residual(x)), lo, hi, _KINK_WIDTH)
     if abs(residual(c)) < tol:
-        return c, (lo, hi), False
+        return c, (lo, hi)
     raise RootSearchError(
         f"no sign change and no residual below {tol:g} in ({a!r}, {b!r})",
         grid=tuple(float(x) for x in cs),
@@ -168,9 +168,7 @@ def find_mvt_point(fam: PFunction, f: Expr | str | Callable[[float], float],
     def residual(c: float) -> float:
         return dp(c) - slope * fam.ph_zero(c)
 
-    c, bracket, degenerate = _scan_for_root(residual, a, b, tol)
-    if degenerate:
-        return MvtResult(c, fam.ph_zero(c), abs(residual(c)), (a, b))
+    c, bracket = _scan_for_root(residual, a, b, tol)
     return MvtResult(c, fam.ph_zero(c), abs(residual(c)), bracket)
 
 
@@ -208,9 +206,7 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
     def residual(c: float) -> float:
         return df * dp_g(c) - dg * dp_f(c)
 
-    c, bracket, degenerate = _scan_for_root(residual, a, b, tol)
-    if degenerate:
-        return MvtResult(c, dp_g(c), abs(residual(c)), (a, b))
+    c, bracket = _scan_for_root(residual, a, b, tol)
     return MvtResult(c, dp_g(c), abs(residual(c)), bracket)
 
 
@@ -229,9 +225,7 @@ def find_rolle_point(fam: PFunction, f: Expr | str | Callable[[float], float],
             f"endpoint values f(a)={fa!r}, f(b)={fb!r} are not both below {tol:g}"
         )
     dp = _dp_evaluator(fam, fn, e, tol / 10.0)
-    c, bracket, degenerate = _scan_for_root(dp, a, b, tol)
-    if degenerate:
-        return MvtResult(c, fam.ph_zero(c), abs(dp(c)), (a, b))
+    c, bracket = _scan_for_root(dp, a, b, tol)
     return MvtResult(c, fam.ph_zero(c), abs(dp(c)), bracket)
 
 

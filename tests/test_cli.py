@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -428,6 +430,95 @@ class TestOutputHandling:
         assert first == second
 
 
+# --- the command surface -----------------------------------------------------
+
+# the expected --help texts at 80 columns, each headed by "==== pcalc ARGV"
+_HELP_CHUNKS = re.split(r"^==== pcalc (.*)\n", (Path(__file__).parent / "cli_help_80.txt")
+                        .read_text(encoding="utf-8"), flags=re.M)[1:]
+HELP = dict(zip(_HELP_CHUNKS[::2], _HELP_CHUNKS[1::2]))
+POWER = ["--family", "power", "--alpha", "2"]
+
+
+class TestSurface:
+    # what a change to how the commands are declared could silently reorder:
+    # per command, the argv tail, the keys of inputs, result and diagnostics,
+    # the CSV header, and the keys of one nested record where there is one
+    SURFACE = {
+        "deriv": ([*KHALIL, "--f", "t^2", "--t", "4"], "family f t",
+                  "limit formula error_estimate converged", "side levels formula_error tol",
+                  "limit,formula,error_estimate,converged"),
+        "integral": ([*KHALIL, "--f", "1", "--a", "0", "--b", "4"], "family f a b",
+                     "value error_estimate subdivisions graded", "tol",
+                     "value,error_estimate,subdivisions,graded"),
+        "ftc": ([*KHALIL, "--f", "t^2", "--a", "0", "--b", "2"], "family direction f a b",
+                "residual", "tol", "residual"),
+        "ibp": ([*KHALIL, "--f", "t^2", "--g", "sin(t)", "--a", "0.5", "--b", "2"],
+                "family f g a b", "residual", "tol", "residual"),
+        "mvt": ([*KHALIL, "--f", "t^2", "--a", "1", "--b", "2"], "family f g a b",
+                "c k residual bracket degenerate", "tol",
+                "c,k,residual,bracket_lo,bracket_hi,degenerate"),
+        "rolle": ([*KHALIL, "--f", "sin(pi*t)", "--a", "1", "--b", "2"], "family f a b",
+                  "c k residual bracket degenerate", "tol",
+                  "c,k,residual,bracket_lo,bracket_hi,degenerate"),
+        "maxprinciple": ([*KHALIL, "--f", "sin(pi*t)", "--a", "0.2", "--b", "1"],
+                         "family f a b", "c f_at_c derivative derivative_error vanishes "
+                         "interior left_decreasing right_increasing", "tol",
+                         "c,f_at_c,derivative,derivative_error,vanishes,interior,"
+                         "left_decreasing,right_increasing"),
+        "hypothesis": ([*POWER, "--t", "0.5"], "family t", "verdict_plus verdict_minus records",
+                       "tol", "epsilon,h_plus,h_minus"),
+        "riccati": ([*KHALIL, "--q", "t", "--u0", "1", "--T", "0.05", "--n", "16"],
+                    "family q u0 T n", "certificate iterations final_delta residual "
+                    "max_iterate_norm override grid u", "tol updates", "t,u"),
+        "weierstrass": (["--a", "41", "--b", "0.9", "--alpha", "2", "--x", "1/3", "--m", "2"],
+                        "a b alpha x m", "steps", "tol growth threshold condition",
+                        "m,alpha_m,t_m,h_m,quotient,lower_bound"),
+        "polygon": ([*POWER, "--vertices", "v.csv"], "family vertices grid side", "points",
+                    "tol", "t,value,error_estimate,converged"),
+        "compare": ([*KHALIL, "--family2", "katugampola", "--alpha2", "0.5", "--f", "t^2",
+                     "--t", "1.5"], "family_1 family_2 f t", "value_1 value_2 abs_diff "
+                    "ratio expected_ratio converged_1 converged_2", "tol",
+                    "value_1,value_2,abs_diff,ratio,expected_ratio,converged_1,converged_2"),
+    }
+    NESTED = {  # result key -> keys of its (first) record
+        "hypothesis": ("records", "epsilon h_plus h_minus"),
+        "riccati": ("certificate", "feasible b k l1_norm q_inf margin"),
+        "weierstrass": ("steps", "m alpha_m t_m t_m_float h_m quotient lower_bound"),
+        "polygon": ("points", "t value error_estimate converged"),
+    }
+
+    def test_help_covers_every_command(self):
+        assert list(HELP) == ["--help"] + [f"{c} --help" for c in self.SURFACE]
+
+    @pytest.mark.parametrize("argv", list(HELP))
+    def test_help_text(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, argv.split())
+        assert (code, err) == (0, "")
+        assert out == HELP[argv]
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_key_order_and_csv_header(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "v.csv").write_text("0,0\n1,1\n2,0\n")
+        tail, inputs, result, diagnostics, header = self.SURFACE[command]
+        code, out, _ = run(capsys, [command, *tail, "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["command", "inputs", "result", "diagnostics"]
+        assert list(doc["inputs"]) == inputs.split()
+        assert list(doc["result"]) == result.split()
+        assert list(doc["diagnostics"]) == diagnostics.split()
+        if command in self.NESTED:
+            key, keys = self.NESTED[command]
+            record = doc["result"][key]
+            assert list(record[0] if isinstance(record, list) else record) == keys.split()
+        code, out, _ = run(capsys, [command, *tail, "--format", "csv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1 if command == "riccati" else 0] == header
+
+
 # --- fuzzing ---------------------------------------------------------------
 
 # Each flag draws from a fixed pool: mostly legal values, one time in eight a
@@ -543,7 +634,7 @@ class TestFuzz:
             assert err, argv
 
     # inputs the fuzzer found: each used to escape as a traceback or a
-    # numpy RuntimeWarning
+    # numpy RuntimeWarning, or to end in the wrong exit code
     FOUND = (
         (["--help"], 0),
         (["deriv", "--help"], 0),
@@ -554,6 +645,7 @@ class TestFuzz:
           "--u0", "1", "--T", "1e-300"], 1),
         (["riccati", *KHALIL, "--q", "corpus:gauss", "--u0", "1e300", "--T", "0.1"], 2),
         (["riccati", *KHALIL, "--q", "0", "--u0", "1e300", "--T", "0.1", "--override"], 2),
+        (["riccati", *KHALIL, "--q", "0", "--u0", "1", "--T", "0.05", "--start", "nan"], 1),
     )
 
     @pytest.mark.parametrize("argv, code", FOUND)

@@ -233,6 +233,16 @@ class TestValidation:
         with pytest.raises(ParameterError):
             sqrt_decay_problem(u0=math.nan)
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start(self, start, monkeypatch):
+        # rejected like a non-finite u0, before the certificate is computed
+        def precheck(*args, **kw):
+            raise AssertionError("contraction_precheck ran")
+        monkeypatch.setattr("pcalc.riccati.contraction_precheck", precheck)
+        for override in (False, True):
+            with pytest.raises(ParameterError, match="start must be finite"):
+                solve_riccati(sqrt_decay_problem(), override=override, start=start)
+
     def test_vanishing_multiplier_has_no_certificate(self):
         # ph_zero identically 0 makes the weight non-integrable
         power = make_family("power", 2.0)

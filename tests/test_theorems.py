@@ -122,18 +122,20 @@ class TestScan:
         assert "(1.0, 1.0000000001)" in str(exc.value)
 
     def test_sign_change_bisects(self):
-        c, (lo, hi), degenerate = _scan_for_root(
-            lambda c: c - 0.637, 0.0, 1.0, 1e-12)
+        c, (lo, hi) = _scan_for_root(lambda c: c - 0.637, 0.0, 1.0, 1e-12)
         assert c == pytest.approx(0.637, abs=1e-9)
         assert hi - lo <= 1e-11
-        assert not degenerate
+        assert (lo, hi) != (0.0, 1.0)  # not the degenerate bracket
 
     def test_touching_zero_from_above(self):
-        c, (lo, hi), degenerate = _scan_for_root(
-            lambda c: (c - 0.25) ** 2, 0.0, 1.0, 1e-8)
+        c, (lo, hi) = _scan_for_root(lambda c: (c - 0.25) ** 2, 0.0, 1.0, 1e-8)
         assert c == pytest.approx(0.25, abs=1e-4)
         assert hi - lo <= 1e-10
-        assert not degenerate
+        assert (lo, hi) != (0.0, 1.0)
+
+    def test_degenerate_case_brackets_the_whole_interval(self):
+        # a residual below tol everywhere: the midpoint, with (a, b) as bracket
+        assert _scan_for_root(lambda c: 0.0, 0.0, 1.0, 1e-8) == (0.5, (0.0, 1.0))
 
 
 class TestMaxPrinciple:

@@ -1,0 +1,168 @@
+"""Record what the pcalc command prints for a fixed set of argv.
+
+Each case runs in-process through ``pcalc.cli.main`` and records stdout,
+stderr, the exit code and, for ``--output`` cases, the file written.  The
+cases cover every subcommand in json, csv and its default format, every
+``--help`` text (at COLUMNS=80), and the usage and numerical error exits,
+including which error wins when several inputs are bad at once.
+
+    python3 tools/cli_snapshot.py OUT.json
+
+Run it on two checkouts and diff the files to show that a change to the
+command line leaves every output as it was.  The outputs carry floats
+computed by numpy, so the file is a diff tool, not a portable test.
+"""
+
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from pcalc.cli import main  # noqa: E402
+
+K = ["--family", "khalil", "--alpha", "0.5"]
+POWER = ["--family", "power", "--alpha", "2"]
+
+# one valid invocation per subcommand, in the order of `pcalc --help`
+VALID = {
+    "deriv": ["deriv", *K, "--f", "t^2", "--t", "4"],
+    "integral": ["integral", *K, "--f", "sin(t)", "--a", "0", "--b", "4"],
+    "ftc": ["ftc", *K, "--direction", "backward", "--f", "t^2", "--a", "0", "--b", "2"],
+    "ibp": ["ibp", *K, "--f", "t^2", "--g", "sin(t)", "--a", "0.5", "--b", "2"],
+    "mvt": ["mvt", *K, "--f", "t", "--g", "sqrt(t)", "--a", "1", "--b", "2"],
+    "rolle": ["rolle", *K, "--f", "sin(pi*t)", "--a", "1", "--b", "2"],
+    "maxprinciple": ["maxprinciple", *K, "--f", "sin(pi*t)", "--a", "0.2", "--b", "1"],
+    "hypothesis": ["hypothesis", *POWER, "--t", "0.5", "--epsilons", "1e-2,1e-4"],
+    "riccati": ["riccati", *K, "--q", "t", "--u0", "1", "--T", "0.05", "--n", "16"],
+    "weierstrass": ["weierstrass", "--a", "41", "--b", "0.9", "--alpha", "2",
+                    "--x", "1/3", "--m", "3"],
+    "polygon": ["polygon", *POWER, "--vertices", "v.csv", "--side", "right"],
+    "compare": ["compare", "--family", "gfd", "--alpha", "0.5", "--beta", "1.5",
+                "--family2", "khalil", "--alpha2", "0.5", "--f", "corpus:exp",
+                "--t", "1.2"],
+}
+
+EXTRA = [  # further successful runs: other branches of the handlers
+    ["deriv", *K, "--f", "corpus:abs", "--t", "1", "--side", "left"],
+    ["ftc", *K, "--f", "corpus:sin", "--a", "0", "--b", "2"],
+    ["mvt", *K, "--f", "t^2", "--a", "1", "--b", "2", "--format", "csv"],
+    ["hypothesis", *K, "--t", "1"],
+    ["riccati", *K, "--q", "0", "--u0", "1", "--T", "0.05", "--start", "0.5",
+     "--n", "16", "--format", "json"],
+    ["polygon", *POWER, "--vertices", "v.csv", "--grid", "0.5,1.5", "--format", "json"],
+    ["compare", *POWER, "--family2", "power", "--alpha2", "2", "--f", "corpus:sin",
+     "--t", "0.3"],
+    ["deriv", *K, "--f", "t^2", "--t", "4", "--output", "out.txt"],
+    ["riccati", *K, "--q", "0", "--u0", "1", "--T", "0.05", "--n", "16",
+     "--output", "out.txt"],
+]
+
+ERRORS = [  # exit 1 and exit 2, each with the message that wins
+    [], ["nosuch"], ["deriv"], ["deriv", *K, "--f", "t"],
+    ["deriv", *K, "--f", "t", "--t", "x"], ["deriv", *K, "--f", "t", "--t", "1", "--bogus"],
+    ["deriv", *K, "--f", "t", "--t", "1", "--format", "xml"],
+    ["deriv", *K, "--f", "t +", "--t", "1"],
+    ["deriv", *K, "--f", "corpus:nosuch", "--t", "1"],
+    ["deriv", *K, "--f", "(" * 400 + "t" + ")" * 400, "--t", "1"],
+    ["deriv", "--family", "bogus", "--f", "t", "--t", "1"],
+    ["deriv", "--family", "custom", "--f", "t", "--t", "1"],
+    ["deriv", *K, "--p", "t+h", "--f", "t", "--t", "1"],
+    ["deriv", "--family", "khalil", "--f", "t", "--t", "1"],
+    ["deriv", *K, "--f", "t", "--t", "1", "--tol", "0.5"],
+    ["deriv", *K, "--f", "t", "--t", "1", "--output", "no/such/dir/x.json"],
+    # precedence: tolerance, family 1, family 2, then the handler's parsing
+    ["deriv", "--family", "custom", "--f", "t +", "--t", "1", "--tol", "1"],
+    ["deriv", "--family", "custom", "--f", "t +", "--t", "1"],
+    ["compare", "--family", "custom", "--family2", "khalil", "--f", "t +", "--t", "1"],
+    ["compare", *K, "--family2", "custom", "--f", "t +", "--t", "1"],
+    ["compare", *K, "--family2", "khalil", "--f", "t +", "--t", "1"],
+    ["ibp", *K, "--f", "t +", "--g", "(", "--a", "1", "--b", "2"],
+    ["ibp", *K, "--f", "t", "--g", "(", "--a", "1", "--b", "2"],
+    ["mvt", *K, "--f", "t +", "--g", "(", "--a", "1", "--b", "2"],
+    ["mvt", *K, "--f", "t", "--g", "(", "--a", "1", "--b", "2"],
+    ["polygon", "--family", "custom", "--vertices", "missing.csv", "--grid", "a"],
+    ["polygon", *POWER, "--vertices", "missing.csv", "--grid", "a"],
+    ["polygon", *POWER, "--vertices", "bad.csv"],
+    ["polygon", *POWER, "--vertices", "v.csv", "--grid", "a"],
+    ["polygon", *K, "--vertices", "v.csv", "--grid", "1.0"],
+    ["hypothesis", *K, "--t", "1", "--epsilons", "a,b"],
+    ["hypothesis", *K, "--t", "1", "--epsilons", "0.01,0.1"],
+    ["riccati", *K, "--q", "(", "--u0", "nan", "--T", "0.05"],
+    ["riccati", *K, "--q", "0", "--u0", "nan", "--T", "0.05"],
+    ["riccati", *K, "--q", "0", "--u0", "1", "--T", "0.05", "--start", "nan"],
+    ["riccati", *K, "--q", "0", "--u0", "1", "--T", "0.05", "--n", "2"],
+    ["riccati", *K, "--q", "0", "--u0", "1", "--T", "10"],
+    ["riccati", *K, "--q", "0", "--u0", "1", "--T", "10", "--format", "json"],
+    ["riccati", *K, "--q", "0", "--u0", "1e300", "--T", "0.1", "--override"],
+    ["weierstrass", "--a", "9", "--b", "0.9", "--alpha", "2", "--x", "0"],
+    ["weierstrass", "--a", "41", "--b", "0.9", "--alpha", "2", "--x", "1/0"],
+    ["weierstrass", "--a", "41", "--b", "0.9", "--alpha", "2", "--x", "0", "--tol", "1"],
+    ["integral", *K, "--f", "t", "--a", "-1", "--b", "1"],
+    ["integral", *K, "--f", "ln(t-2)", "--a", "0.5", "--b", "1"],
+    ["integral", *K, "--f", "ln(t-2)", "--a", "0.5", "--b", "1", "--format", "csv"],
+    ["integral", *K, "--f", "1/(t-0.5)", "--a", "0", "--b", "1"],
+    ["maxprinciple", *K, "--f", "sin(t)", "--a", "1", "--b", "inf"],
+    ["rolle", *K, "--f", "t", "--a", "1", "--b", "2"],
+    ["mvt", *K, "--f", "t", "--g", "1", "--a", "1", "--b", "2"],
+]
+
+ENV_CASES = [  # (PCALC_TOL, argv)
+    ("1e-6", ["deriv", *K, "--f", "t^2", "--t", "4"]),
+    ("plenty", ["deriv", *K, "--f", "t^2", "--t", "4"]),
+    ("plenty", ["deriv", *K, "--f", "t^2", "--t", "4", "--tol", "1e-7"]),
+    ("1", ["weierstrass", "--a", "41", "--b", "0.9", "--alpha", "2", "--x", "0"]),
+]
+
+
+def cases():
+    for argv in VALID.values():
+        yield None, argv
+        for fmt in ("json", "csv"):
+            yield None, [*argv, "--format", fmt]
+    yield None, ["--help"]
+    for name in VALID:
+        yield None, [name, "--help"]
+    for argv in EXTRA + ERRORS:
+        yield None, argv
+    yield from ENV_CASES
+
+
+def run(env_tol, argv):
+    os.environ.pop("PCALC_TOL", None)
+    if env_tol is not None:
+        os.environ["PCALC_TOL"] = env_tol
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    record = {"argv": argv, "env": env_tol, "code": code,
+              "stdout": out.getvalue(), "stderr": err.getvalue()}
+    if os.path.exists("out.txt"):
+        record["file"] = Path("out.txt").read_text(encoding="utf-8")
+        os.remove("out.txt")
+    return record
+
+
+def snapshot() -> list[dict]:
+    os.environ["COLUMNS"] = "80"
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        os.chdir(root)  # relative file names keep the echoed inputs stable
+        try:
+            Path("v.csv").write_text("# vertices\n0,0\n1,1\n\n2,0\n")
+            Path("bad.csv").write_text("0,0\n1,2,3\n")
+            return [run(env, argv) for env, argv in cases()]
+        finally:
+            os.chdir(here)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python3 tools/cli_snapshot.py OUT.json")
+    records = snapshot()
+    Path(sys.argv[1]).write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(records)} cases written to {sys.argv[1]}")
