@@ -6,7 +6,8 @@ Two routes:
   (f(p(t, h)) - f(t)) / h to h -> 0 along a geometric ladder of step
   sizes, one Neville polynomial extrapolation per side.
 - p_derivative_formula evaluates ph_zero(t) * f'(t), valid only where the
-  multiplier is nonzero and f is symbolically differentiable.
+  multiplier is nonzero and f is symbolically differentiable: one point
+  of FormulaRoute, whose grid call covers an array of points at once.
 
 compare_definitions runs the limit route under two families at the same
 point and reports the observed and predicted ratio.
@@ -22,15 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DifferentiationError, EvaluationError, PcalcError, UsageError
-from .expr import (
-    EXPR_TYPES, Expr, compile_array, compile_expr, differentiate, evaluate, parse,
-)
+from .expr import (EXPR_TYPES, Expr, _differentiate, _flagged_array, compile_array,
+                   compile_expr, differentiate, evaluate, parse)
 from .families import PFunction
 
-__all__ = [
-    "DerivEstimate", "ComparisonReport",
-    "p_derivative_limit", "p_derivative_formula", "compare_definitions",
-]
+__all__ = ["DerivEstimate", "ComparisonReport",
+           "p_derivative_limit", "p_derivative_formula", "compare_definitions"]
 
 _EPS = sys.float_info.epsilon
 _SIDES = ("both", "left", "right")
@@ -76,19 +74,16 @@ def as_array_fn(f: Expr | str | Callable[[float], float]) -> Callable[[np.ndarra
     Expressions come back as compile_array kernels; a plain callable is
     called once per point, in index order.
     """
-    fn, e = as_scalar_fn(f)
-    if e is not None:
+    e = parse(f) if isinstance(f, str) else f
+    if isinstance(e, EXPR_TYPES):
         return compile_array(e)
+    fn, _ = as_scalar_fn(e)
     return lambda t: np.fromiter((fn(float(x)) for x in t), dtype=float, count=len(t))
 
 
-def extrapolate_quotient(
-    quotient: Callable[[float], float | None],
-    sign: float,
-    h0: float,
-    tol: float,
-    max_levels: int,
-) -> tuple[float, float, bool, list[float], list[float]]:
+def extrapolate_quotient(quotient: Callable[[float], float | None], sign: float, h0: float,
+                         tol: float, max_levels: int,
+                         ) -> tuple[float, float, bool, list[float], list[float]]:
     """Drive quotient(h) -> h=0 along h0 * 2^-k * sign.
 
     quotient returns None to skip a level.  Convergence: two successive
@@ -131,15 +126,9 @@ def extrapolate_quotient(
     return prev, last_delta, False, hs, qs
 
 
-def p_derivative_limit(
-    fam: PFunction,
-    f: Expr | str | Callable[[float], float],
-    t: float,
-    side: str = "both",
-    tol: float = 1e-8,
-    h0: float | None = None,
-    max_levels: int = 30,
-) -> DerivEstimate:
+def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float], t: float,
+                       side: str = "both", tol: float = 1e-8, h0: float | None = None,
+                       max_levels: int = 30) -> DerivEstimate:
     """Estimate the deformation derivative of f at t from its definition.
 
     Levels where f(p(t, h)) fails to evaluate are skipped; so are levels
@@ -197,37 +186,83 @@ def p_derivative_limit(
                          tuple(hr) + tuple(hl), tuple(qr) + tuple(ql), converged)
 
 
-def p_derivative_formula(
-    fam: PFunction,
-    f: Expr | str | Callable[[float], float],
-    t: float,
-    fprime: Expr | str | Callable[[float], float] | None = None,
-) -> float:
+class FormulaRoute:
+    """ph_zero(t) * f'(t) for one f under one family, at a point or a grid.
+
+    f' is derived at the first call past the multiplier checks; kinks=True
+    adds abs(u)' = (u/abs(u)) u', 0/0 where u = 0.  route(t) walks the tree
+    of f' the first time, then runs it compiled (the same floats).
+    route.grid(ts), ts 1-d, gives (values, mask): values[i] is route(ts[i])
+    to a few ulp where mask[i] is False, NaN where it is True, which is
+    where f' or the product is not finite, the multiplier is 0 or raises
+    (then everywhere), or the array kernel would defer to the scalar
+    closure.  Callers run masked points on a scalar route in index order.
+    """
+
+    def __init__(self, fam: PFunction, f: Expr | str | Callable[[float], float],
+                 fprime: Expr | str | Callable[[float], float] | None = None,
+                 kinks: bool = False) -> None:
+        self.fam, self._spec = fam, (f, fprime, kinks)
+        self._fprime = self._fn = self._kernel = None
+
+    def _derivative(self) -> Expr | Callable[[float], float]:
+        # f' as a tree, or the callable given as fprime
+        if self._fprime is None:
+            f, fprime, kinks = self._spec
+            if fprime is None:
+                e = parse(f) if isinstance(f, str) else f
+                if not isinstance(e, EXPR_TYPES):
+                    raise UsageError(
+                        "formula route needs an expression for f, or an explicit fprime"
+                    )
+                fprime = _differentiate(e, "t", True) if kinks else differentiate(e, "t")
+            self._fprime = parse(fprime) if isinstance(fprime, str) else fprime
+        return self._fprime
+
+    def __call__(self, t: float) -> float:
+        mult = self.fam.ph_zero(t)
+        if mult == 0.0:
+            raise EvaluationError(
+                f"multiplier of {self.fam.label} vanishes at t={t!r}; "
+                "the product formula does not apply (use p_derivative_limit)"
+            )
+        fp = self._derivative()
+        if not isinstance(fp, EXPR_TYPES):
+            d = fp(t)
+        elif self._fn is None:  # one point: walking the tree costs less than compiling it
+            self._fn, d = False, evaluate(fp, {"t": t})
+        else:
+            self._fn = self._fn or compile_expr(fp)
+            d = self._fn(t)
+        if not math.isfinite(d):
+            raise EvaluationError(f"f'({t!r}) is not finite")
+        return mult * d
+
+    def grid(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            fp, mult = self._derivative(), self.fam.ph_zero_array(ts)
+        except PcalcError:
+            fp = None
+        if not isinstance(fp, EXPR_TYPES):
+            return np.full(len(ts), math.nan), np.ones(len(ts), dtype=bool)
+        self._kernel = self._kernel or _flagged_array(fp)
+        d, bad, _ = self._kernel(ts)
+        with np.errstate(all="ignore"):
+            values = mult * d
+        mask = bad | (mult == 0.0) | ~np.isfinite(values)
+        values[mask] = math.nan
+        return values, mask
+
+
+def p_derivative_formula(fam: PFunction, f: Expr | str | Callable[[float], float], t: float,
+                         fprime: Expr | str | Callable[[float], float] | None = None) -> float:
     """Product form ph_zero(t) * f'(t).
 
     Raises EvaluationError where the multiplier vanishes (the formula says
     nothing there; use p_derivative_limit) and DifferentiationError when f
     cannot be differentiated symbolically and no fprime was supplied.
     """
-    mult = fam.ph_zero(t)
-    if mult == 0.0:
-        raise EvaluationError(
-            f"multiplier of {fam.label} vanishes at t={t!r}; "
-            "the product formula does not apply (use p_derivative_limit)"
-        )
-    if fprime is None:
-        e = parse(f) if isinstance(f, str) else f
-        if not isinstance(e, EXPR_TYPES):
-            raise UsageError(
-                "formula route needs an expression for f, or an explicit fprime"
-            )
-        fprime = differentiate(e, "t")
-    fprime = parse(fprime) if isinstance(fprime, str) else fprime
-    # one point: walking the tree costs less than compiling it
-    d = evaluate(fprime, {"t": t}) if isinstance(fprime, EXPR_TYPES) else as_scalar_fn(fprime)[0](t)
-    if not math.isfinite(d):
-        raise EvaluationError(f"f'({t!r}) is not finite")
-    return mult * d
+    return FormulaRoute(fam, f, fprime)(t)
 
 
 @dataclass(frozen=True)
@@ -243,14 +278,9 @@ class ComparisonReport:
     converged_2: bool
 
 
-def compare_definitions(
-    fam1: PFunction,
-    fam2: PFunction,
-    f: Expr | str | Callable[[float], float],
-    t: float,
-    tol: float = 1e-8,
-    side: str = "both",
-) -> ComparisonReport:
+def compare_definitions(fam1: PFunction, fam2: PFunction,
+                        f: Expr | str | Callable[[float], float], t: float,
+                        tol: float = 1e-8, side: str = "both") -> ComparisonReport:
     """Run the limit definition under two families at one point.
 
     expected_ratio is the multiplier quotient ph_zero_1(t)/ph_zero_2(t)
@@ -266,8 +296,7 @@ def compare_definitions(
         ratio = math.nan if v1 == 0.0 else math.copysign(math.inf, v1)
     expected: float | None
     try:
-        m1 = fam1.ph_zero(t)
-        m2 = fam2.ph_zero(t)
+        m1, m2 = fam1.ph_zero(t), fam2.ph_zero(t)
         expected = m1 / m2 if m2 != 0.0 else None
     except (EvaluationError, DifferentiationError):
         expected = None

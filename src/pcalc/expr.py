@@ -428,20 +428,33 @@ def compile_array(e: Expr, names: tuple[str, ...] = ("t",)) -> Callable[..., np.
     (they may be None).
     """
     scalar = compile_expr(e, names)
+    flagged = _flagged_array(e, names)
+
+    def kernel(*args: Any) -> np.ndarray:
+        out, bad, cols = flagged(*args)
+        for i in np.flatnonzero(bad):
+            out[i] = scalar(*(a if col is None else float(col[i])
+                              for a, col in zip(args, cols)))
+        return out.reshape(np.broadcast_shapes(*(np.shape(a) for a in args)))
+
+    return kernel
+
+
+def _flagged_array(e: Expr, names: tuple[str, ...] = ("t",)) -> Callable[..., Any]:
+    """compile_array without the closure.  The kernel returns the flat
+    values, the flat flags of the points compile_array would recompute by
+    the closure (their values mean nothing) and the flat columns."""
     used = variables(e)
     run = _compile_array(e, {name: i for i, name in enumerate(names)})
 
-    def kernel(*args: Any) -> np.ndarray:
+    def kernel(*args: Any) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
         shape = np.broadcast_shapes(*(np.shape(a) for a in args))
         cols = [np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
                 if name in used else None for name, a in zip(names, args)]
         bad = np.zeros(math.prod(shape), dtype=bool)
         with np.errstate(all="ignore"):
             out = np.array(np.broadcast_to(run(cols, bad), bad.shape))
-        for i in np.flatnonzero(bad):
-            out[i] = scalar(*(a if col is None else float(col[i])
-                              for a, col in zip(args, cols)))
-        return out.reshape(shape)
+        return out, bad, cols
 
     return kernel
 
@@ -624,24 +637,30 @@ def differentiate(e: Expr, var: str = "t") -> Expr:
     DifferentiationError so callers can fall back to the limit path.
     Subtrees independent of `var` differentiate to 0 regardless of shape.
     """
+    return _differentiate(e, var, False)
+
+
+def _differentiate(e: Expr, var: str, kinks: bool) -> Expr:
+    # kinks=True differentiates abs(u) as (u/abs(u)) * u': the classical
+    # derivative off the kink, 0/0 (an evaluation error) where u = 0
     if var not in variables(e):
         return _ZERO
     if isinstance(e, Var):
         return _ONE  # variables(e) contains var, so e is Var(var)
     if isinstance(e, Neg):
-        return _neg(differentiate(e.arg, var))
+        return _neg(_differentiate(e.arg, var, kinks))
     if isinstance(e, BinOp):
         op = e.op
         if op in "+-":
-            da = differentiate(e.left, var)
-            db = differentiate(e.right, var)
+            da = _differentiate(e.left, var, kinks)
+            db = _differentiate(e.right, var, kinks)
             return _add(da, db) if op == "+" else _sub(da, db)
         if op == "*":
-            return _add(_mul(differentiate(e.left, var), e.right),
-                        _mul(e.left, differentiate(e.right, var)))
+            return _add(_mul(_differentiate(e.left, var, kinks), e.right),
+                        _mul(e.left, _differentiate(e.right, var, kinks)))
         if op == "/":
-            num = _sub(_mul(differentiate(e.left, var), e.right),
-                       _mul(e.left, differentiate(e.right, var)))
+            num = _sub(_mul(_differentiate(e.left, var, kinks), e.right),
+                       _mul(e.left, _differentiate(e.right, var, kinks)))
             return _div(num, _pow(e.right, Num(2.0)))
         # power u^v
         u, v = e.left, e.right
@@ -649,17 +668,17 @@ def differentiate(e: Expr, var: str = "t") -> Expr:
         dv_needed = var in variables(v)
         if dv_needed and not du_needed:
             # c^v -> c^v * ln(c) * v'
-            return _mul(_mul(e, Call("ln", u)), differentiate(v, var))
+            return _mul(_mul(e, Call("ln", u)), _differentiate(v, var, kinks))
         if du_needed and not dv_needed:
             # u^c -> c * u^(c-1) * u'
             expm1 = _sub(v, _ONE) if not isinstance(v, Num) else Num(v.value - 1.0)
-            return _mul(_mul(v, _pow(u, expm1)), differentiate(u, var))
+            return _mul(_mul(v, _pow(u, expm1)), _differentiate(u, var, kinks))
         # general u^v -> u^v * (v' ln u + v u'/u)
-        return _mul(e, _add(_mul(differentiate(v, var), Call("ln", u)),
-                            _mul(v, _div(differentiate(u, var), u))))
+        return _mul(e, _add(_mul(_differentiate(v, var, kinks), Call("ln", u)),
+                            _mul(v, _div(_differentiate(u, var, kinks), u))))
     if isinstance(e, Call):
         u = e.arg
-        du = differentiate(u, var)
+        du = _differentiate(u, var, kinks)
         name = e.func
         if name == "sin":
             outer = Call("cos", u)
@@ -673,6 +692,8 @@ def differentiate(e: Expr, var: str = "t") -> Expr:
             return _div(du, u)
         elif name == "sqrt":
             return _div(du, _mul(Num(2.0), e))
+        elif name == "abs" and kinks:
+            outer = _div(u, e)
         else:
             # abs has no classical derivative at kinks; gamma would need
             # digamma.  Refuse so callers use the limit path instead.

@@ -421,7 +421,9 @@ def check_offset_solvability(
     """
     fam.require(t)
     eps = tuple(float(e) for e in epsilons)
-    if not eps or any(e <= 0.0 for e in eps):
+    if not eps:
+        raise ParameterError("need at least one epsilon")
+    if any(e <= 0.0 for e in eps):
         raise ParameterError("epsilons must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ParameterError("epsilons must be strictly decreasing")

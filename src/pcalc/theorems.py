@@ -4,7 +4,11 @@ The root searches all share one strategy: evaluate the residual on a
 uniform interior grid, declare the degenerate case when it is uniformly
 below tolerance, otherwise bisect the leftmost sign change; when the
 residual touches zero without crossing (a kink minimum), fall back to a
-golden-section squeeze of |residual| around the grid minimum.
+golden-section squeeze of |residual| around the grid minimum.  The grid
+is one array call of the product formula (FormulaRoute.grid, which takes
+abs(u)' = (u/abs(u)) u' off the kinks); the points it masks run the
+scalar route in ascending index order, the formula where it applies and
+the limit route elsewhere, as do bisection and golden refinement.
 """
 
 from __future__ import annotations
@@ -16,22 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import DerivEstimate, as_scalar_fn, p_derivative_limit
-from .errors import (
-    DifferentiationError,
-    EvaluationError,
-    ParameterError,
-    RootSearchError,
-)
-from .expr import Expr, compile_expr, differentiate
+from .derivatives import DerivEstimate, FormulaRoute, as_array_fn, as_scalar_fn, p_derivative_limit
+from .errors import (DifferentiationError, EvaluationError, ParameterError, RootSearchError,
+                     UsageError)
+from .expr import Expr
 from .families import PFunction
 
-__all__ = [
-    "MvtResult", "MonotonicityReport", "MaxPrincipleReport",
-    "find_mvt_point", "find_cauchy_mvt_point", "find_rolle_point",
-    "check_monotonicity_conditions", "max_principle_check",
-    "polygonal", "polygonal_derivative_scan",
-]
+__all__ = ["MvtResult", "MonotonicityReport", "MaxPrincipleReport",
+           "find_mvt_point", "find_cauchy_mvt_point", "find_rolle_point",
+           "check_monotonicity_conditions", "max_principle_check",
+           "polygonal", "polygonal_derivative_scan"]
 
 _GRID_N = 1024
 _SIGN_WIDTH = 1e-12
@@ -57,43 +55,26 @@ class MvtResult:
         return self.bracket[1] - self.bracket[0] > _KINK_WIDTH * 10.0
 
 
-def _dp_evaluator(
-    fam: PFunction, fn: Callable[[float], float], e: Expr | None, tol: float
-) -> Callable[[float], float]:
-    """Pointwise deformation derivative of fn (with tree e, if any),
-    product formula when it applies.
-
-    Falls back to the limit route at multiplier zeros and for functions
-    with no symbolic derivative; the limit value is used even when its
-    convergence flag is off, since the scan only needs a residual signal.
-    """
-    dfn: Callable[[float], float] | None = None
-    if e is not None:
-        try:
-            dfn = compile_expr(differentiate(e, "t"))
-        except DifferentiationError:
-            pass
+def _scan_derivative(fam: PFunction, fn: Callable[[float], float], e: Expr | None,
+                     tol: float) -> tuple[Callable[[float], float], FormulaRoute]:
+    """The scans' scalar derivative of fn (tree e, if any), and its route.
+    A limit value counts even unconverged: the scans need only a signal."""
+    route = FormulaRoute(fam, fn if e is None else e, kinks=True)
 
     def dp(c: float) -> float:
-        if dfn is not None:
-            try:
-                m = fam.ph_zero(c)
-                if m != 0.0:
-                    v = dfn(c)
-                    if math.isfinite(v):
-                        return m * v
-            except EvaluationError:
-                pass
+        try:
+            return route(c)
+        except (EvaluationError, DifferentiationError, UsageError):
+            pass  # a multiplier zero or failure, a kink, or no symbolic f'
         return p_derivative_limit(fam, fn, c, side="both", tol=tol).value
 
-    return dp
+    return dp, route
 
 
 def _golden_min(phi: Callable[[float], float], lo: float, hi: float,
                 width: float) -> tuple[float, float, float]:
     while hi - lo > width:
-        x1 = hi - _INVPHI * (hi - lo)
-        x2 = lo + _INVPHI * (hi - lo)
+        x1, x2 = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
         if phi(x1) < phi(x2):
             hi = x2
         else:
@@ -119,39 +100,47 @@ def _bisect_sign_change(res: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi), lo, hi
 
 
-def _scan_for_root(residual: Callable[[float], float], a: float, b: float,
-                   tol: float) -> tuple[float, tuple[float, float]]:
+def _on_grid(residual: Callable[[float], float], cs: np.ndarray,
+             grid: Callable[[np.ndarray], tuple] | None) -> np.ndarray:
+    # grid(cs) gives (values, mask) in one array call; residual fills the
+    # masked points (all, without a grid) in index order, so the first failure raises
+    rs, mask = grid(cs) if grid else (np.empty(len(cs)), np.ones(len(cs), dtype=bool))
+    for i in np.flatnonzero(mask):
+        rs[i] = residual(float(cs[i]))
+    return rs
+
+
+def _scan_for_root(residual: Callable[[float], float], a: float, b: float, tol: float,
+                   grid: Callable[[np.ndarray], tuple] | None = None,
+                   ) -> tuple[float, tuple[float, float]]:
     """Locate c in (a, b) with residual(c) ~ 0; see module docstring."""
     cs = a + (b - a) * np.arange(1, _GRID_N + 1) / (_GRID_N + 1)
-    rs = np.array([residual(c) for c in cs])
+    rs = _on_grid(residual, cs, grid)
 
     if float(np.max(np.abs(rs))) < tol:
         return 0.5 * (a + b), (a, b)
 
-    for i in range(len(cs) - 1):
+    with np.errstate(all="ignore"):
+        hits = np.flatnonzero((rs[:-1] == 0.0) | (rs[:-1] * rs[1:] < 0.0))
+    if hits.size:  # the leftmost zero or sign change
+        i = int(hits[0])
         if rs[i] == 0.0:
             return float(cs[i]), (float(cs[i]), float(cs[i]))
-        if rs[i] * rs[i + 1] < 0.0:
-            c, lo, hi = _bisect_sign_change(residual, float(cs[i]), float(cs[i + 1]),
-                                            float(rs[i]))
-            return c, (lo, hi)
+        c, lo, hi = _bisect_sign_change(residual, float(cs[i]), float(cs[i + 1]),
+                                        float(rs[i]))
+        return c, (lo, hi)
 
     # no crossing: squeeze |residual| around the grid minimum
     i0 = int(np.argmin(np.abs(rs)))
-    lo = float(cs[i0 - 1]) if i0 > 0 else float(cs[0])
-    hi = float(cs[i0 + 1]) if i0 < len(cs) - 1 else float(cs[-1])
+    lo, hi = float(cs[max(i0 - 1, 0)]), float(cs[min(i0 + 1, len(cs) - 1)])
     c, lo, hi = _golden_min(lambda x: abs(residual(x)), lo, hi, _KINK_WIDTH)
     if abs(residual(c)) < tol:
         return c, (lo, hi)
-    raise RootSearchError(
-        f"no sign change and no residual below {tol:g} in ({a!r}, {b!r})",
-        grid=tuple(float(x) for x in cs),
-        residuals=tuple(float(r) for r in rs),
-    )
+    raise RootSearchError(f"no sign change and no residual below {tol:g} in ({a!r}, {b!r})",
+                          grid=tuple(cs.tolist()), residuals=tuple(rs.tolist()))
 
 
-def _need_interval(a: float, b: float) -> None:
-    # the searches sample grids over [a, b]
+def _need_interval(a: float, b: float) -> None:  # the searches sample grids over [a, b]
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ParameterError(f"need finite a < b, got [{a!r}, {b!r}]")
 
@@ -163,12 +152,19 @@ def find_mvt_point(fam: PFunction, f: Expr | str | Callable[[float], float],
     _need_interval(a, b)
     fn, e = as_scalar_fn(f)
     slope = (fn(b) - fn(a)) / (b - a)
-    dp = _dp_evaluator(fam, fn, e, tol / 10.0)
+    dp, route = _scan_derivative(fam, fn, e, tol / 10.0)
 
     def residual(c: float) -> float:
         return dp(c) - slope * fam.ph_zero(c)
 
-    c, bracket = _scan_for_root(residual, a, b, tol)
+    def grid(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, mask = route.grid(cs)
+        if mask.all():  # no formula here, or a multiplier that raises
+            return values, mask
+        with np.errstate(all="ignore"):
+            return values - slope * fam.ph_zero_array(cs), mask
+
+    c, bracket = _scan_for_root(residual, a, b, tol, grid)
     return MvtResult(c, fam.ph_zero(c), abs(residual(c)), bracket)
 
 
@@ -186,27 +182,29 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
     if fe is not None and ge is not None and fe == ge:
         # identical numerator and denominator: every interior point works
         c = 0.5 * (a + b)
-        dp_g = _dp_evaluator(fam, gfn, ge, tol / 10.0)
-        return MvtResult(c, dp_g(c), 0.0, (a, b))
+        return MvtResult(c, _scan_derivative(fam, gfn, ge, tol / 10.0)[0](c), 0.0, (a, b))
 
-    df = ffn(b) - ffn(a)
-    dg = gfn(b) - gfn(a)
+    df, dg = ffn(b) - ffn(a), gfn(b) - gfn(a)
     if abs(dg) <= 1e-14 * max(1.0, abs(gfn(a)), abs(gfn(b))):
         raise ParameterError("g(b) = g(a): the two-function ratio is undefined")
 
-    dp_f = _dp_evaluator(fam, ffn, fe, tol / 10.0)
-    dp_g = _dp_evaluator(fam, gfn, ge, tol / 10.0)
-    for j in range(1, 65):
-        cj = a + (b - a) * j / 65.0
-        if abs(dp_g(cj)) <= 1e-12:
-            raise ParameterError(
-                f"derivative of g vanishes near c={cj:g}; denominator degenerate"
-            )
+    dp_f, route_f = _scan_derivative(fam, ffn, fe, tol / 10.0)
+    dp_g, route_g = _scan_derivative(fam, gfn, ge, tol / 10.0)
+    cj = a + (b - a) * np.arange(1, 65) / 65.0
+    values, mask = route_g.grid(cj)
+    for j, c in enumerate(cj.tolist()):  # masked points in index order, as in the scan
+        if abs(dp_g(c) if mask[j] else values[j]) <= 1e-12:
+            raise ParameterError(f"derivative of g vanishes near c={c:g}; denominator degenerate")
 
     def residual(c: float) -> float:
         return df * dp_g(c) - dg * dp_f(c)
 
-    c, bracket = _scan_for_root(residual, a, b, tol)
+    def grid(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        (vg, mg), (vf, mf) = route_g.grid(cs), route_f.grid(cs)
+        with np.errstate(all="ignore"):
+            return df * vg - dg * vf, mg | mf
+
+    c, bracket = _scan_for_root(residual, a, b, tol, grid)
     return MvtResult(c, dp_g(c), abs(residual(c)), bracket)
 
 
@@ -224,8 +222,8 @@ def find_rolle_point(fam: PFunction, f: Expr | str | Callable[[float], float],
         raise ParameterError(
             f"endpoint values f(a)={fa!r}, f(b)={fb!r} are not both below {tol:g}"
         )
-    dp = _dp_evaluator(fam, fn, e, tol / 10.0)
-    c, bracket = _scan_for_root(dp, a, b, tol)
+    dp, route = _scan_derivative(fam, fn, e, tol / 10.0)
+    c, bracket = _scan_for_root(dp, a, b, tol, route.grid)
     return MvtResult(c, fam.ph_zero(c), abs(dp(c)), bracket)
 
 
@@ -250,30 +248,27 @@ class MonotonicityReport:
     sampled_h: tuple[float, ...]
 
 
-def check_monotonicity_conditions(
-    fam: PFunction, t: float, h_samples: Sequence[float] = _DEFAULT_H_SAMPLES
-) -> MonotonicityReport:
+def check_monotonicity_conditions(fam: PFunction, t: float,
+                                  h_samples: Sequence[float] = _DEFAULT_H_SAMPLES,
+                                  ) -> MonotonicityReport:
     fam.require(t)
     mags = tuple(float(h) for h in h_samples)
     if any(h <= 0.0 for h in mags):
         raise ParameterError("h_samples must be positive magnitudes")
 
-    def holds(sign: float, cmp: Callable[[float, float], bool]) -> bool:
+    def holds(sign: float) -> bool:
+        # p(t, sign * mag) lies on the sign side of t for every magnitude
         for mag in mags:
             try:
                 pt = fam.p(t, sign * mag)
             except EvaluationError:
                 return False
-            if not cmp(pt, t):
+            if not (pt > t if sign > 0.0 else pt < t):
                 return False
         return True
 
-    return MonotonicityReport(
-        t=t,
-        left_decreasing=holds(-1.0, lambda pt, t0: pt < t0),
-        right_increasing=holds(1.0, lambda pt, t0: pt > t0),
-        sampled_h=mags,
-    )
+    return MonotonicityReport(t=t, left_decreasing=holds(-1.0),
+                              right_increasing=holds(1.0), sampled_h=mags)
 
 
 @dataclass(frozen=True)
@@ -295,23 +290,17 @@ def max_principle_check(fam: PFunction, f: Expr | str | Callable[[float], float]
     """Locate the maximum of f on [a, b] by dense sampling plus golden
     refinement, then measure the deformation derivative there."""
     _need_interval(a, b)
-    fn, _ = as_scalar_fn(f)
+    fn, e = as_scalar_fn(f)
     cs = np.linspace(a, b, 2048)
-    vals = np.array([fn(c) for c in cs])
+    vals = as_array_fn(fn if e is None else e)(cs)
     i0 = int(np.argmax(vals))
     interior = 0 < i0 < len(cs) - 1
-    lo = float(cs[max(i0 - 1, 0)])
-    hi = float(cs[min(i0 + 1, len(cs) - 1)])
+    lo, hi = float(cs[max(i0 - 1, 0)]), float(cs[min(i0 + 1, len(cs) - 1)])
     c, _, _ = _golden_min(lambda x: -fn(x), lo, hi, _KINK_WIDTH)
     est = p_derivative_limit(fam, fn, c, side="both", tol=tol)
-    return MaxPrincipleReport(
-        c=c,
-        f_at_c=fn(c),
-        derivative=est,
-        monotonicity=check_monotonicity_conditions(fam, c),
-        interior=interior,
-        vanishes=abs(est.value) <= vanish_tol,
-    )
+    return MaxPrincipleReport(c=c, f_at_c=fn(c), derivative=est,
+                              monotonicity=check_monotonicity_conditions(fam, c),
+                              interior=interior, vanishes=abs(est.value) <= vanish_tol)
 
 
 # --- piecewise-linear interpolants -------------------------------------------
@@ -325,28 +314,22 @@ def polygonal(vertices: Sequence[tuple[float, float]]) -> Callable[[float], floa
     pts = sorted((float(x), float(y)) for x, y in vertices)
     if len(pts) < 2:
         raise ParameterError("need at least two vertices")
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
     if any(x1 == x0 for x0, x1 in zip(xs, xs[1:])):
         raise ParameterError("vertex x-coordinates must be distinct")
 
     def f(x: float) -> float:
         i = bisect_right(xs, x) - 1
         i = min(max(i, 0), len(xs) - 2)
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = ys[i], ys[i + 1]
+        x0, x1, y0, y1 = xs[i], xs[i + 1], ys[i], ys[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     return f
 
 
-def polygonal_derivative_scan(
-    vertices: Sequence[tuple[float, float]],
-    fam: PFunction,
-    grid: Sequence[float],
-    side: str = "both",
-    tol: float = 1e-8,
-) -> list[DerivEstimate]:
+def polygonal_derivative_scan(vertices: Sequence[tuple[float, float]], fam: PFunction,
+                              grid: Sequence[float], side: str = "both",
+                              tol: float = 1e-8) -> list[DerivEstimate]:
     """Limit-route derivatives of a polygonal function on a grid of points.
 
     Only meaningful for families whose multiplier vanishes identically and

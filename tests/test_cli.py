@@ -646,6 +646,7 @@ class TestFuzz:
         (["riccati", *KHALIL, "--q", "corpus:gauss", "--u0", "1e300", "--T", "0.1"], 2),
         (["riccati", *KHALIL, "--q", "0", "--u0", "1e300", "--T", "0.1", "--override"], 2),
         (["riccati", *KHALIL, "--q", "0", "--u0", "1", "--T", "0.05", "--start", "nan"], 1),
+        (["hypothesis", *KHALIL, "--t", "1", "--epsilons", ","], 1),
     )
 
     @pytest.mark.parametrize("argv, code", FOUND)

@@ -303,6 +303,14 @@ class TestOffsetSolvability:
         with pytest.raises(ParameterError):
             check_offset_solvability(fam, 1.0, epsilons=())
 
+    def test_empty_epsilons_are_named_as_such(self):
+        # no epsilon at all is not a nonpositive one
+        fam = make_family("khalil", 0.5)
+        with pytest.raises(ParameterError, match="need at least one epsilon"):
+            check_offset_solvability(fam, 1.0, epsilons=())
+        with pytest.raises(ParameterError, match="epsilons must be positive"):
+            check_offset_solvability(fam, 1.0, epsilons=(1e-2, 0.0))
+
 
 class TestWeightNorm:
     def test_khalil_frozen_value(self):

@@ -1,13 +1,23 @@
 import math
+import struct
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcalc.expr
-from pcalc.errors import ParameterError, RootSearchError
-from pcalc.expr import parse
+import pcalc.theorems
+from pcalc.corpus import corpus_entry, corpus_list
+from pcalc.derivatives import FormulaRoute, p_derivative_formula
+from pcalc.errors import (DifferentiationError, EvaluationError, ParameterError, PcalcError,
+                          RootSearchError)
+from pcalc.expr import BinOp, Call, Neg, _differentiate, differentiate, evaluate, parse
 from pcalc.families import make_family
 from pcalc.theorems import (
+    _on_grid,
+    _scan_derivative,
     check_monotonicity_conditions,
     find_cauchy_mvt_point,
     find_mvt_point,
@@ -61,8 +71,8 @@ class TestMeanValue:
 
 class TestWorkBudget:
     def test_kinked_search_parses_once(self, monkeypatch):
-        # the limit route runs at every grid point here; it must reuse the
-        # parsed (and compiled) f instead of re-parsing the source each time
+        # every route of the search (grid, bisection, limit ladder) must reuse
+        # the parsed (and compiled) f instead of re-parsing the source
         calls = [0]
         original = pcalc.expr.parse
 
@@ -76,6 +86,152 @@ class TestWorkBudget:
         r = find_mvt_point(make_family("khalil", 0.6), "abs(t-1.3)", 1.0, 2.0)
         assert r.c == pytest.approx(1.3, abs=1e-6)
         assert calls[0] <= 2
+
+
+class TestKinkPath:
+    # abs(u)' = (u/abs(u)) u' off the kink lets the grid run on the product
+    # formula; only a kink sitting on a grid node runs the limit route
+    @pytest.fixture
+    def limit_calls(self, monkeypatch):
+        calls = []
+        original = pcalc.theorems.p_derivative_limit
+
+        def counted(fam, f, t, *args, **kwargs):
+            calls.append(t)
+            return original(fam, f, t, *args, **kwargs)
+
+        monkeypatch.setattr(pcalc.theorems, "p_derivative_limit", counted)
+        return calls
+
+    @pytest.mark.parametrize("search", ["mvt", "rolle", "cauchy"])
+    def test_kinked_searches_skip_the_limit_ladder(self, search, limit_calls):
+        # the limit route runs only where the formula cannot, not at each of
+        # the 1024 grid points
+        fam = make_family("khalil", 0.6)
+        if search == "mvt":
+            r = find_mvt_point(fam, "abs(t-1.3)", 1.0, 2.0)
+        elif search == "rolle":
+            r = find_rolle_point(fam, "abs(t-1.5)-0.5", 1.0, 2.0)
+        else:
+            r = find_cauchy_mvt_point(fam, "abs(t-1.3)", "t", 1.0, 2.0)
+        assert r.c == pytest.approx(1.5 if search == "rolle" else 1.3, abs=1e-9)
+        assert len(limit_calls) <= 10
+
+    def test_kink_on_a_grid_node_runs_the_limit_route(self, limit_calls):
+        # the scan grid of [0, 1025] is the integers 1..1024, so u = t - 512
+        # is exactly 0 at one node: 0/0 there, masked onto the limit route
+        route = FormulaRoute(KHALIL, parse("abs(t-512)"), kinks=True)
+        _, mask = route.grid(np.arange(1.0, 1025.0))
+        assert np.flatnonzero(mask).tolist() == [511]
+        r = find_mvt_point(KHALIL, "abs(t-512)", 0.0, 1025.0)
+        assert 512.0 in limit_calls
+        assert len(limit_calls) <= 10
+        assert abs(r.c - 512.0) <= 1e-9
+
+    def test_public_routes_still_refuse_abs(self):
+        with pytest.raises(DifferentiationError):
+            differentiate(parse("abs(t)"))
+        with pytest.raises(DifferentiationError):
+            p_derivative_formula(KHALIL, "abs(t)", 1.0)
+
+
+_KINDS = ["khalil", "katugampola", "gfd", "nderiv", "cosine", "power", "custom", "exact"]
+
+
+def _family(kind, alpha):
+    if kind == "gfd":
+        return make_family(kind, alpha, beta=1.5)
+    if kind == "power":
+        return make_family(kind, 1.0 + alpha)
+    if kind == "custom":
+        return make_family(kind, F="t + h*(1 + t^2) + h^2*t")
+    if kind == "exact":  # multiplier 1 + t*t: the same floats in numpy and in math
+        return make_family("custom", F="t + h*(1 + t*t)")
+    return make_family(kind, alpha)
+
+
+def _exact(e):
+    # + - * /, negation, abs and sqrt round alike in numpy and in math
+    if isinstance(e, BinOp):
+        return e.op != "^" and _exact(e.left) and _exact(e.right)
+    if isinstance(e, Neg):
+        return _exact(e.arg)
+    if isinstance(e, Call):
+        return e.func in ("abs", "sqrt") and _exact(e.arg)
+    return True
+
+
+def _exp_args(e, t):
+    # |x| summed over the exp(x) nodes of e at t; numpy and math may round x
+    # an ulp apart, and exp multiplies that relative error by |x|
+    if isinstance(e, BinOp):
+        return _exp_args(e.left, t) + _exp_args(e.right, t)
+    if isinstance(e, Neg):
+        return _exp_args(e.arg, t)
+    if isinstance(e, Call):
+        inner = abs(evaluate(e.arg, {"t": t})) if e.func == "exp" else 0.0
+        return inner + _exp_args(e.arg, t)
+    return 0.0
+
+
+def _outcome(run):
+    try:
+        return "values", [struct.pack("<d", v) for v in run()]
+    except PcalcError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestFormulaGrid:
+    # the grid call against the scalar route: every corpus entry (abs by the
+    # kink rule) under every family kind, at points inside both domains, plus
+    # the kink t = 0 and a point left of the family domain when drawn
+    @given(st.sampled_from([e.name for e in corpus_list()]), st.sampled_from(_KINDS),
+           st.floats(0.1, 0.9), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+           st.booleans(), st.booleans())
+    @settings(max_examples=200)
+    def test_grid_matches_scalar_route(self, name, kind, alpha, us, kink, outside):
+        entry, fam = corpus_entry(name), _family(kind, alpha)
+        lo = max(entry.domain[0], fam.domain.lo, -4.0) + 0.05
+        hi = min(entry.domain[1], fam.domain.hi, 4.0) - 0.05
+        pts = [lo + u * (hi - lo) for u in us]
+        if kink and fam.domain.contains(0.0):
+            pts.insert(len(pts) // 2, 0.0)
+        if outside and math.isfinite(fam.domain.lo):
+            pts.append(fam.domain.lo - 1.0)
+        ts = np.array(pts)
+        route = FormulaRoute(fam, entry.f, kinks=True)
+        values, mask = route.grid(ts)
+        assert np.isnan(values[mask]).all()
+
+        fprime = _differentiate(entry.f, "t", True)
+        exact = kind in ("exact", "power") and _exact(fprime)
+        for i in np.flatnonzero(~mask):
+            t = float(ts[i])
+            want = route(t)  # an unmasked point never needs the limit route
+            if exact:
+                assert struct.pack("<d", values[i]) == struct.pack("<d", want)
+            else:
+                cond = 1.0 + _exp_args(fprime, t) + (t ** -alpha if kind == "nderiv" else 0.0)
+                assert abs(values[i] - want) <= 4.0 * cond * math.ulp(want), (t, values[i], want)
+
+        # masked points run the scalar route in ascending index order, so
+        # the filled grid is the scalar loop, first failing point included
+        assert _outcome(lambda: _on_grid(route, ts, route.grid)[mask]) == \
+            _outcome(lambda: np.array([route(t) for t in ts.tolist()])[mask])
+        dp, _ = _scan_derivative(fam, lambda t: evaluate(entry.f, {"t": t}), entry.f, 1e-9)
+        assert _outcome(lambda: _on_grid(dp, ts, route.grid)[mask]) == \
+            _outcome(lambda: np.array([dp(t) for t in ts.tolist()])[mask])
+
+
+    def test_grid_masks_what_the_kernel_defers(self):
+        # 1/(1 + 1/t) is a finite 0 in numpy at t = 0, where the scalar
+        # closure divides by zero: the kernel flags it, so the grid masks it
+        route = FormulaRoute(make_family("custom", F="t + h"), None, fprime="1/(1 + 1/t)")
+        values, mask = route.grid(np.array([1.0, 0.0, 2.0]))
+        assert mask.tolist() == [False, True, False]
+        assert values[2] == route(2.0)
+        with pytest.raises(EvaluationError, match="division by zero"):
+            route(0.0)
 
 
 class TestCauchy:
