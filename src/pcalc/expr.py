@@ -24,19 +24,23 @@ Functions are unary: sin, cos, tan, exp, ln, sqrt, abs, gamma.  The
 identifiers pi and e are predefined constants.  Any other identifier must
 be one of the allowed variable names {t, x, h, alpha, beta} or a caller
 declared parameter; unknown names are rejected at parse time.
+
+The domain rules live in one operator table (_OPS) that evaluate,
+compile_expr and compile_array all read; a BinOp or Call not in it is a UsageError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 import numpy as np
 
-from .errors import DifferentiationError, EvaluationError, ParseError
+from .errors import DifferentiationError, EvaluationError, ParseError, UsageError
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call", "Env",
@@ -67,11 +71,19 @@ class BinOp:
     left: "Expr"
     right: "Expr"
 
+    def __post_init__(self) -> None:
+        if self.op not in _OPS or self.op in FUNCTIONS:
+            raise UsageError(f"unknown operator {self.op!r}")
+
 
 @dataclass(frozen=True)
 class Call:
     func: str
     arg: "Expr"
+
+    def __post_init__(self) -> None:
+        if self.func not in FUNCTIONS:
+            raise UsageError(f"unknown function {self.func!r}")
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
@@ -277,6 +289,47 @@ def _domain_error(exc: ArithmeticError | ValueError, what: str) -> EvaluationErr
     return EvaluationError(f"{kind} in {what}")
 
 
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvaluationError("division by zero")
+    return a / b
+
+
+def _power(a: float, b: float) -> float:
+    try:
+        return math.pow(a, b)
+    except (ValueError, OverflowError) as exc:
+        raise _domain_error(exc, f"{a!r}^{b!r}") from exc
+
+
+def _checked(func: str) -> Callable[[float], float]:
+    fn = FUNCTIONS[func]
+
+    def call(x: float) -> float:
+        try:
+            return fn(x)
+        except (ValueError, OverflowError) as exc:
+            raise _domain_error(exc, f"{func}({x!r})") from exc
+
+    return call
+
+
+class _Rule(NamedTuple):
+    scalar: Callable[..., float]  # checked: raises EvaluationError on a domain violation
+    ufunc: Any  # the numpy counterpart, or None (gamma)
+
+
+# the one operator table: each domain rule is written here and nowhere else
+_OPS: dict[str, _Rule] = {
+    "+": _Rule(operator.add, np.add), "-": _Rule(operator.sub, np.subtract),
+    "*": _Rule(operator.mul, np.multiply), "/": _Rule(_divide, np.divide),
+    "^": _Rule(_power, np.power),
+    **{func: _Rule(_checked(func), ufunc) for func, ufunc in (
+        ("sin", np.sin), ("cos", np.cos), ("tan", np.tan), ("exp", np.exp),
+        ("ln", np.log), ("sqrt", np.sqrt), ("abs", np.abs), ("gamma", None))},
+}
+
+
 def evaluate(e: Expr, env: Env) -> float:
     """Evaluate an expression to a float by walking the tree.
 
@@ -297,30 +350,9 @@ def evaluate(e: Expr, env: Env) -> float:
     if isinstance(e, Neg):
         return -evaluate(e.arg, env)
     if isinstance(e, BinOp):
-        a = evaluate(e.left, env)
-        b = evaluate(e.right, env)
-        op = e.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise EvaluationError("division by zero")
-            return a / b
-        # power
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise _domain_error(exc, f"{a!r}^{b!r}") from exc
+        return _OPS[e.op].scalar(evaluate(e.left, env), evaluate(e.right, env))
     if isinstance(e, Call):
-        v = evaluate(e.arg, env)
-        try:
-            return FUNCTIONS[e.func](v)
-        except (ValueError, OverflowError) as exc:
-            raise _domain_error(exc, f"{e.func}({v!r})") from exc
+        return _OPS[e.func].scalar(evaluate(e.arg, env))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -330,8 +362,8 @@ def compile_expr(e: Expr, names: tuple[str, ...] = ("t",)) -> Callable[..., floa
     compile_expr(e, names)(*values) returns the same float, bit for bit,
     as evaluate(e, dict(zip(names, values))), and raises the same
     EvaluationError at the same point of the evaluation order; only the
-    per-call dispatch on node types is gone.  Functions and constants are
-    looked up once, at compile time.
+    per-call dispatch on node types is gone.  Operator rules and constants
+    are looked up once, at compile time.
     """
     if len(names) == 1:
         return _compile(e, {names[0]: None})  # nodes receive the value itself
@@ -368,47 +400,12 @@ def _compile(e: Expr, slots: dict[str, int | None]) -> Callable[[Any], float]:
     if isinstance(e, BinOp):
         left = _compile(e.left, slots)
         right = _compile(e.right, slots)
-        op = e.op
-        if op == "+":
-            return lambda v: left(v) + right(v)
-        if op == "-":
-            return lambda v: left(v) - right(v)
-        if op == "*":
-            return lambda v: left(v) * right(v)
-        if op == "/":
-            def divide(v: Any) -> float:
-                a = left(v)
-                b = right(v)
-                if b == 0.0:
-                    raise EvaluationError("division by zero")
-                return a / b
-
-            return divide
-
-        pow_ = math.pow
-
-        def power(v: Any) -> float:
-            a = left(v)
-            b = right(v)
-            try:
-                return pow_(a, b)
-            except (ValueError, OverflowError) as exc:
-                raise _domain_error(exc, f"{a!r}^{b!r}") from exc
-
-        return power
+        op = _OPS[e.op].scalar
+        return lambda v: op(left(v), right(v))
     if isinstance(e, Call):
         arg = _compile(e.arg, slots)
-        fn = FUNCTIONS[e.func]
-        func = e.func
-
-        def call(v: Any) -> float:
-            x = arg(v)
-            try:
-                return fn(x)
-            except (ValueError, OverflowError) as exc:
-                raise _domain_error(exc, f"{func}({x!r})") from exc
-
-        return call
+        fn = _OPS[e.func].scalar
+        return lambda v: fn(arg(v))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -459,16 +456,18 @@ def _flagged_array(e: Expr, names: tuple[str, ...] = ("t",)) -> Callable[..., An
     return kernel
 
 
-_UFUNCS: dict[str, Callable[..., Any]] = {
-    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
-    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "ln": np.log,
-    "sqrt": np.sqrt, "abs": np.abs,
-}
-
-
 def _flag_all(cols: list[np.ndarray | None], bad: np.ndarray) -> float:
     bad[:] = True  # the closure decides these points
     return 0.0
+
+
+def _ufunc_node(ufunc: Any, *args: Callable[..., Any]) -> Callable[..., Any]:
+    def node(cols: list[np.ndarray | None], bad: np.ndarray) -> Any:
+        r = ufunc(*(arg(cols, bad) for arg in args))
+        bad |= ~np.isfinite(r)  # a zero divisor gives inf or nan
+        return r
+
+    return node
 
 
 def _compile_array(e: Expr, slots: dict[str, int]) -> Callable[..., Any]:
@@ -489,28 +488,13 @@ def _compile_array(e: Expr, slots: dict[str, int]) -> Callable[..., Any]:
         arg = _compile_array(e.arg, slots)
         return lambda cols, bad: np.negative(arg(cols, bad))
     if isinstance(e, BinOp):
-        left = _compile_array(e.left, slots)
-        right = _compile_array(e.right, slots)
-        ufunc = _UFUNCS[e.op]
-
-        def binop(cols: list[np.ndarray | None], bad: np.ndarray) -> Any:
-            r = ufunc(left(cols, bad), right(cols, bad))
-            bad |= ~np.isfinite(r)  # a zero divisor gives inf or nan
-            return r
-
-        return binop
+        return _ufunc_node(_OPS[e.op].ufunc, _compile_array(e.left, slots),
+                           _compile_array(e.right, slots))
     if isinstance(e, Call):
-        if e.func not in _UFUNCS:  # gamma: numpy has none
+        ufunc = _OPS[e.func].ufunc
+        if ufunc is None:  # gamma: numpy has none
             return _flag_all
-        arg = _compile_array(e.arg, slots)
-        ufunc = _UFUNCS[e.func]
-
-        def call(cols: list[np.ndarray | None], bad: np.ndarray) -> Any:
-            r = ufunc(arg(cols, bad))
-            bad |= ~np.isfinite(r)
-            return r
-
-        return call
+        return _ufunc_node(ufunc, _compile_array(e.arg, slots))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -560,8 +544,16 @@ def _is_num(e: Expr, v: float | None = None) -> bool:
     return isinstance(e, Num) and (v is None or e.value == v)
 
 
-def _fold(value: float) -> Expr | None:
-    return Num(value) if math.isfinite(value) else None
+def _fold(op: str, a: Expr, b: Expr) -> Expr:
+    # BinOp(op, a, b), or its value when both are numbers and it is finite
+    if isinstance(a, Num) and isinstance(b, Num):
+        try:
+            value = _OPS[op].scalar(a.value, b.value)
+        except EvaluationError:  # a zero divisor stays in the tree
+            return BinOp(op, a, b)
+        if math.isfinite(value):
+            return Num(value)
+    return BinOp(op, a, b)
 
 
 def _add(a: Expr, b: Expr) -> Expr:
@@ -569,11 +561,7 @@ def _add(a: Expr, b: Expr) -> Expr:
         return b
     if _is_num(b, 0.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        folded = _fold(a.value + b.value)
-        if folded is not None:
-            return folded
-    return BinOp("+", a, b)
+    return _fold("+", a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
@@ -581,11 +569,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
         return a
     if _is_num(a, 0.0):
         return _neg(b)
-    if isinstance(a, Num) and isinstance(b, Num):
-        folded = _fold(a.value - b.value)
-        if folded is not None:
-            return folded
-    return BinOp("-", a, b)
+    return _fold("-", a, b)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
@@ -595,11 +579,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
         return b
     if _is_num(b, 1.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        folded = _fold(a.value * b.value)
-        if folded is not None:
-            return folded
-    return BinOp("*", a, b)
+    return _fold("*", a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
@@ -607,11 +587,7 @@ def _div(a: Expr, b: Expr) -> Expr:
         return _ZERO
     if _is_num(b, 1.0):
         return a
-    if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
-        folded = _fold(a.value / b.value)
-        if folded is not None:
-            return folded
-    return BinOp("/", a, b)
+    return _fold("/", a, b)
 
 
 def _pow(a: Expr, b: Expr) -> Expr:

@@ -476,7 +476,7 @@ def _solve_offset(
             if r is None:
                 break
             if r == 0.0 or (r > 0.0) != (prev_r > 0.0):
-                root = h if r == 0.0 else _bisect_offset(resid, prev_h, h, prev_r)
+                root = h if r == 0.0 else _bisect(resid, prev_h, h, prev_r, 128)[0]
                 rr = resid(root)
                 gap = abs(rr) if rr is not None else math.inf
                 if best is None or abs(root) < abs(best[0]):
@@ -494,24 +494,24 @@ def _solve_offset(
     return root, gap
 
 
-def _bisect_offset(
-    resid: Callable[[float], float | None], lo: float, hi: float, rlo: float
-) -> float:
-    for _ in range(128):
+def _bisect(res: Callable[[float], float | None], lo: float, hi: float, rlo: float,
+            steps: int, width: float = 0.0) -> tuple[float, float, float]:
+    """Halve a bracket of a sign change of res, with res(lo) = rlo, for at
+    most `steps` steps or until it is at most `width` wide, and return
+    (root, lo, hi).  hi may lie below lo; a residual of None counts as
+    past the root."""
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if abs(hi - lo) <= width or mid == lo or mid == hi:
             break
-        rm = resid(mid)
-        if rm is None:
-            hi = mid
-            continue
+        rm = res(mid)
         if rm == 0.0:
-            return mid
-        if (rm > 0.0) == (rlo > 0.0):
+            return mid, mid, mid
+        if rm is not None and (rm > 0.0) == (rlo > 0.0):
             lo, rlo = mid, rm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), lo, hi
 
 
 # --- integrability of 1/|ph_zero| --------------------------------------------

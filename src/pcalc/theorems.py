@@ -24,7 +24,7 @@ from .derivatives import DerivEstimate, FormulaRoute, as_array_fn, as_scalar_fn,
 from .errors import (DifferentiationError, EvaluationError, ParameterError, RootSearchError,
                      UsageError)
 from .expr import Expr
-from .families import PFunction
+from .families import PFunction, _bisect
 
 __all__ = ["MvtResult", "MonotonicityReport", "MaxPrincipleReport",
            "find_mvt_point", "find_cauchy_mvt_point", "find_rolle_point",
@@ -82,24 +82,6 @@ def _golden_min(phi: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi), lo, hi
 
 
-def _bisect_sign_change(res: Callable[[float], float], lo: float, hi: float,
-                        rlo: float) -> tuple[float, float, float]:
-    for _ in range(200):
-        if hi - lo <= _SIGN_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        rm = res(mid)
-        if rm == 0.0:
-            return mid, mid, mid
-        if (rm > 0.0) == (rlo > 0.0):
-            lo, rlo = mid, rm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), lo, hi
-
-
 def _on_grid(residual: Callable[[float], float], cs: np.ndarray,
              grid: Callable[[np.ndarray], tuple] | None) -> np.ndarray:
     # grid(cs) gives (values, mask) in one array call; residual fills the
@@ -126,8 +108,8 @@ def _scan_for_root(residual: Callable[[float], float], a: float, b: float, tol: 
         i = int(hits[0])
         if rs[i] == 0.0:
             return float(cs[i]), (float(cs[i]), float(cs[i]))
-        c, lo, hi = _bisect_sign_change(residual, float(cs[i]), float(cs[i + 1]),
-                                        float(rs[i]))
+        c, lo, hi = _bisect(residual, float(cs[i]), float(cs[i + 1]), float(rs[i]),
+                            200, _SIGN_WIDTH)
         return c, (lo, hi)
 
     # no crossing: squeeze |residual| around the grid minimum

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pcalc.errors import DifferentiationError, EvaluationError, ParseError
+from pcalc.derivatives import p_derivative_formula
+from pcalc.errors import DifferentiationError, EvaluationError, ParseError, UsageError
 from pcalc.expr import (
     CONSTANTS,
     DEFAULT_VARIABLES,
@@ -26,6 +27,7 @@ from pcalc.expr import (
     to_source,
     variables,
 )
+from pcalc.families import make_family
 
 
 def ev(src, **env):
@@ -126,22 +128,53 @@ class TestEvaluation:
         with pytest.raises(EvaluationError):
             evaluate(parse("t"), {})
 
-    @pytest.mark.parametrize("src,env", [
-        ("1/t", {"t": 0.0}),
-        ("ln(t)", {"t": -1.0}),
-        ("ln(t)", {"t": 0.0}),
-        ("sqrt(t)", {"t": -4.0}),
-        ("t^0.5", {"t": -4.0}),
-        ("gamma(t)", {"t": 0.0}),
-        ("exp(t)", {"t": 1e9}),   # overflow
-    ])
-    def test_domain_failures(self, src, env):
-        with pytest.raises(EvaluationError):
-            evaluate(parse(src), env)
+    @pytest.mark.parametrize("src,env,message", [
+        pytest.param(*case, id=f"{case[0]}-env{i}") for i, case in enumerate([
+            ("1/t", {"t": 0.0}, "division by zero"),
+            ("ln(t)", {"t": -1.0}, "domain error in ln(-1.0)"),
+            ("ln(t)", {"t": 0.0}, "domain error in ln(0.0)"),
+            ("sqrt(t)", {"t": -4.0}, "domain error in sqrt(-4.0)"),
+            ("t^0.5", {"t": -4.0}, "domain error in -4.0^0.5"),
+            ("gamma(t)", {"t": 0.0}, "domain error in gamma(0.0)"),
+            ("exp(t)", {"t": 1e9}, "overflow in exp(1000000000.0)"),
+            ("t^2", {"t": 1e300}, "overflow in 1e+300^2.0"),
+            ("t*h", {"t": 1.0}, "unbound variable 'h'"),
+        ])])
+    def test_domain_failures(self, src, env, message):
+        e = parse(src)
+        for run in (lambda: evaluate(e, env),
+                    lambda: compile_expr(e, tuple(env))(*env.values()),
+                    lambda: compile_array(e, tuple(env))(*map(np.array, env.values()))):
+            with pytest.raises(EvaluationError) as exc:
+                run()
+            assert str(exc.value) == message
 
     def test_integer_powers_of_negatives_are_fine(self):
         assert ev("t^3", t=-2.0) == -8.0
         assert ev("t^2", t=-2.0) == 4.0
+
+
+class TestMalformedNodes:
+    @pytest.mark.parametrize("build,what", [
+        (lambda: BinOp("%", Num(2.0), Var("t")), "unknown operator '%'"),
+        (lambda: BinOp("sin", Num(2.0), Var("t")), "unknown operator 'sin'"),
+        (lambda: Call("foo", Var("t")), "unknown function 'foo'"),
+        (lambda: Call("^", Var("t")), "unknown function '^'"),
+    ], ids=["op-percent", "op-sin", "func-foo", "func-caret"])
+    @pytest.mark.parametrize("walk", [
+        lambda e: evaluate(e, {"t": 3.0}),
+        lambda e: compile_expr(e)(3.0),
+        lambda e: compile_array(e)(np.array([3.0])),
+        differentiate,
+        to_source,
+        lambda e: p_derivative_formula(make_family("khalil", 0.5), e, 3.0),
+    ], ids=["evaluate", "compile_expr", "compile_array", "differentiate", "to_source",
+            "p_derivative_formula"])
+    def test_unknown_names_are_usage_errors(self, build, what, walk):
+        # a node with an unknown name cannot be built, so no walker meets one
+        with pytest.raises(UsageError) as exc:
+            walk(BinOp("+", Var("t"), build()))
+        assert str(exc.value) == what
 
 
 def _trees(leaves):

@@ -106,6 +106,15 @@ ERRORS = [  # exit 1 and exit 2, each with the message that wins
     ["integral", *K, "--f", "ln(t-2)", "--a", "0.5", "--b", "1"],
     ["integral", *K, "--f", "ln(t-2)", "--a", "0.5", "--b", "1", "--format", "csv"],
     ["integral", *K, "--f", "1/(t-0.5)", "--a", "0", "--b", "1"],
+    # one case per domain rule of the expression operator table
+    ["deriv", *K, "--f", "1/(t-1)", "--t", "1"],
+    ["integral", *K, "--f", "(t-2)^0.5", "--a", "0.5", "--b", "1"],
+    ["deriv", *K, "--f", "exp(t)^1000", "--t", "1"],
+    ["integral", *K, "--f", "exp(t)^1000", "--a", "0.5", "--b", "1"],
+    ["deriv", *K, "--f", "sqrt(t-2)", "--t", "1"],
+    ["integral", *K, "--f", "sqrt(t-2)", "--a", "0.5", "--b", "1"],
+    ["deriv", *K, "--f", "exp(1000*t)", "--t", "1"],
+    ["integral", *K, "--f", "exp(1000*t)", "--a", "0.5", "--b", "1"],
     ["maxprinciple", *K, "--f", "sin(t)", "--a", "1", "--b", "inf"],
     ["rolle", *K, "--f", "t", "--a", "1", "--b", "2"],
     ["mvt", *K, "--f", "t", "--g", "1", "--a", "1", "--b", "2"],
