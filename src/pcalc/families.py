@@ -31,7 +31,7 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .expr import Expr, compile_array, compile_expr, differentiate, parse, variables
+from .expr import _OPS, Expr, compile_array, compile_expr, differentiate, parse, variables
 from .quadrature import integrate_graded
 
 __all__ = [
@@ -43,18 +43,8 @@ __all__ = [
 FAMILY_KINDS = ("khalil", "katugampola", "gfd", "nderiv", "cosine", "power", "custom")
 
 
-def _pow(x: float, y: float) -> float:
-    try:
-        return math.pow(x, y)
-    except (ValueError, OverflowError) as exc:
-        raise EvaluationError(f"{x!r}^{y!r} is undefined: {exc}") from None
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise EvaluationError(f"exp({x!r}) overflows") from None
+# the checked power and exp of the expression operator table, with its messages
+_pow, _exp = _OPS["^"].scalar, _OPS["exp"].scalar
 
 
 @dataclass(frozen=True)

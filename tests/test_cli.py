@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pcalc.cli import main
 
 KHALIL = ["--family", "khalil", "--alpha", "0.5"]
+WEIERSTRASS = ["--a", "41", "--b", "0.9", "--alpha", "2"]
 
 
 @pytest.fixture(autouse=True)
@@ -647,6 +648,9 @@ class TestFuzz:
         (["riccati", *KHALIL, "--q", "0", "--u0", "1e300", "--T", "0.1", "--override"], 2),
         (["riccati", *KHALIL, "--q", "0", "--u0", "1", "--T", "0.05", "--start", "nan"], 1),
         (["hypothesis", *KHALIL, "--t", "1", "--epsilons", ","], 1),
+        (["weierstrass", *WEIERSTRASS, "--x", "1/3", "--m", "300"], 1),
+        (["weierstrass", *WEIERSTRASS, "--x", "1e5000"], 1),
+        (["weierstrass", *WEIERSTRASS, "--x", "1e10000000"], 1),
     )
 
     @pytest.mark.parametrize("argv, code", FOUND)

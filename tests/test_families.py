@@ -16,7 +16,7 @@ from pcalc.errors import (
     QuadratureError,
     UsageError,
 )
-from pcalc.expr import parse
+from pcalc.expr import evaluate, parse
 from pcalc.families import (
     DEFAULT_EPSILONS,
     FAMILY_KINDS,
@@ -196,6 +196,17 @@ class TestDeformationValues:
             cos.require(math.pi / 2)
         power = make_family("power", 2.0)
         power.require(-1e6)
+
+    def test_domain_messages_match_expressions(self):
+        # families take the power and exp rules from the expression table
+        cases = ((make_family("khalil", 0.5).p, (-1.0, 0.1), "t^0.5", -1.0),
+                 (make_family("nderiv", 0.5).ph_zero, (1e-6,), "exp(t^(-0.5))", 1e-6))
+        for call, args, source, t in cases:
+            with pytest.raises(EvaluationError) as fam_err:
+                call(*args)
+            with pytest.raises(EvaluationError) as expr_err:
+                evaluate(parse(source), {"t": t})
+            assert str(fam_err.value) == str(expr_err.value)
 
     def test_domain_str(self):
         assert str(make_family("khalil", 0.5).domain) == "(0.0, inf)"

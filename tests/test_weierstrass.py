@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pcalc.errors import BoundViolationError, ParameterError
 from pcalc.weierstrass import (
+    MAX_DIGITS,
     WeierstrassParams,
     build_hm_sequence,
     check_growth_condition,
@@ -134,3 +137,121 @@ class TestDivergenceReport:
         err = BoundViolationError("quotient under floor", step=None)
         assert err.step is None
         assert "floor" in str(err)
+
+    def test_unconverged_tail_is_an_error(self):
+        # b this close to 1 needs about 300,000 tail terms at m = 1; the sum
+        # capped at 100,000 terms was 4.5e-5 off in relative terms
+        params = WeierstrassParams(41, 0.9999, 2.0)
+        assert check_growth_condition(params)
+        with pytest.raises(ParameterError, match=r"m=1 .*tol=1e-08.*100000 terms"):
+            divergence_report(params, Fraction(1, 3), m_max=1)
+
+    def test_ladder_deeper_than_floats_is_an_error(self):
+        # h_m^alpha = (1 - t_m) / 41^m leaves the float range at m = 201
+        with pytest.raises(ParameterError, match="m=201"):
+            build_hm_sequence(PARAMS, Fraction(1, 3), m_max=300)
+        assert len(build_hm_sequence(PARAMS, Fraction(1, 3), m_max=200)) == 200
+
+
+class TestInputX:
+    @pytest.mark.parametrize("x", [
+        math.nan, math.inf, -math.inf, "1e5000", "1e10000000", "1e-1001",
+        10 ** MAX_DIGITS, Fraction(1, 10 ** MAX_DIGITS), "1e" + "9" * 5000, [1],
+    ], ids=["nan", "inf", "-inf", "1e5000", "1e10000000", "1e-1001", "10^cap",
+            "10^-cap", "5000-digit exponent", "list"])
+    def test_rejected(self, x):
+        with pytest.raises(ParameterError):
+            weierstrass_eval(PARAMS, x)
+
+    def test_digit_cap_is_inclusive(self):
+        largest = 10 ** MAX_DIGITS - 1
+        for x in (largest, Fraction(1, largest), f"1e{MAX_DIGITS - 1}", "0.25e-3"):
+            weierstrass_eval(PARAMS, x)
+
+
+# the Fraction algorithm the integer angles replaced, kept as the reference
+def _ref_cos_pi(r):
+    r = r % 2
+    if r > 1:
+        r -= 2
+    if r == 0:
+        return 1.0
+    if r == 1:
+        return -1.0
+    if r == Fraction(1, 2) or r == Fraction(-1, 2):
+        return 0.0
+    return math.cos(math.pi * float(r))
+
+
+def _ref_eval(params, x, tol=1e-8):
+    total, bn, ang = 0.0, 1.0, x % 2
+    for _ in range(term_count(params, tol)):
+        total += bn * _ref_cos_pi(ang)
+        bn *= params.b
+        ang = (ang * params.a) % 2
+    return total
+
+
+def _ref_report(params, x, m_max, tol=1e-8):
+    a, b, alpha = params.a, params.b, params.alpha
+    coeff = (2.0 / 3.0) ** (1.0 / alpha) - (
+        math.pi / (a * b - 1.0)) * (3.0 / 2.0) ** ((alpha - 1.0) / alpha)
+    out = []
+    for m in range(1, m_max + 1):
+        alpha_m = math.ceil(a ** m * x - Fraction(1, 2))
+        t_m = a ** m * x - alpha_m
+        h_pow = (1 - t_m) / a ** m
+        h = float(h_pow) ** (1.0 / alpha)
+        head, bn = 0.0, 1.0
+        ang_base, ang_shift = x % 2, (x + h_pow) % 2
+        for _ in range(m):
+            head += bn * (_ref_cos_pi(ang_shift) - _ref_cos_pi(ang_base))
+            bn *= b
+            ang_base, ang_shift = (ang_base * a) % 2, (ang_shift * a) % 2
+        head /= h
+        sign = 1.0 if (alpha_m + 1) % 2 == 0 else -1.0
+        tail_sum, bn, ang = 0.0, b ** m, t_m % 2
+        for _ in range(100000):
+            tail_sum += bn * (1.0 + _ref_cos_pi(ang))
+            bn *= b
+            ang = (ang * a) % 2
+            if 2.0 * bn / ((1.0 - b) * h) < tol * b ** m:
+                break
+        quotient = abs(head + sign * tail_sum / h)
+        out.append((m, alpha_m, t_m, h, quotient, coeff * a ** (m / alpha) * b ** m))
+        if quotient < out[-1][-1]:
+            break
+    return out
+
+
+_THRESHOLD = 1.0 + 1.5 * math.pi
+_B_MAX = 0.95  # keeps the reference's Fraction tail to a few thousand terms
+
+
+@st.composite
+def _ladders(draw):
+    a = 2 * draw(st.integers(1, 121)) + 1
+    assume(a * _B_MAX > _THRESHOLD)  # else no alpha > 1 meets the growth condition
+    alpha = draw(st.floats(1.0, math.log(a) / math.log(_THRESHOLD / _B_MAX),
+                           exclude_min=True, exclude_max=True))
+    b = draw(st.floats(_THRESHOLD / a ** (1.0 / alpha), _B_MAX, exclude_min=True))
+    params = WeierstrassParams(a, b, alpha)
+    assume(check_growth_condition(params))
+    q = draw(st.integers(1, 10 ** 6))
+    return params, Fraction(draw(st.integers(-4 * q, 4 * q)), q), draw(st.integers(1, 8))
+
+
+class TestIntegerAngles:
+    @given(_ladders())
+    @settings(max_examples=60)
+    def test_bit_identical_to_fraction_angles(self, ladder):
+        params, x, m_max = ladder
+        expected = _ref_report(params, x, m_max)
+        try:
+            got = divergence_report(params, x, m_max=m_max)
+        except BoundViolationError as exc:
+            assert exc.step.m == len(expected)  # the reference stops at this rung
+            got, expected = [exc.step], expected[-1:]
+        assert [(s.m, s.alpha_m, s.t_m, s.h_m, s.quotient, s.lower_bound)
+                for s in got] == expected
+        assert weierstrass_eval(params, x) == _ref_eval(params, x)
