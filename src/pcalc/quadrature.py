@@ -3,18 +3,19 @@
 The core rule is the 15-point Kronrod extension of 7-point Gauss (open:
 no endpoint evaluations), driven by worst-panel-first bisection.  Endpoint
 singularities of algebraic type |g(x)| ~ (x-a)^(-gamma), 0 < gamma < 1,
-are detected by log-log slope sampling and removed with the change of
-variable x = a + u^m, m = 2/(1-gamma), which maps the integrand to a
-bounded, vanishing one near u = 0.
+are detected by a least-squares log-log line through six probes (the
+same `_line_fit` that models the float-blind tail) and removed with the
+change of variable x = a + u^m, m = 3/(1-gamma), which maps the integrand
+to a bounded, vanishing one near u = 0.  A panel samples and sums its 15
+nodes as Python floats, in node order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections.abc import Callable
-
-import numpy as np
 
 from .errors import EvaluationError, NonIntegrableError, QuadratureError
 
@@ -39,21 +40,12 @@ _WG = (
 )
 
 
-def _build_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs: list[float] = []
-    wk: list[float] = []
-    wg: list[float] = []
-    for i in range(8):
-        gauss_w = _WG[(i - 1) // 2] if i % 2 == 1 else 0.0
-        if i < 7:
-            xs.extend((-_XGK[i], _XGK[i]))
-            wk.extend((_WGK[i], _WGK[i]))
-            wg.extend((gauss_w, gauss_w))
-        else:
-            xs.append(0.0)
-            wk.append(_WGK[i])
-            wg.append(gauss_w)
-    return np.array(xs), np.array(wk), np.array(wg)
+def _build_rule() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """Nodes, Kronrod and Gauss weights in node order -x0, x0, ..., -x6, x6, 0."""
+    wg = tuple(_WG[i // 2] if i % 2 else 0.0 for i in range(8))
+    return (tuple(s * x for x in _XGK[:7] for s in (-1.0, 1.0)) + (0.0,),
+            tuple(v for w in _WGK[:7] for v in (w, w)) + _WGK[7:],
+            tuple(v for w in wg[:7] for v in (w, w)) + wg[7:])
 
 
 _NODES, _WEIGHTS_K, _WEIGHTS_G = _build_rule()
@@ -68,19 +60,15 @@ def gk15(fn: Callable[[float], float], a: float, b: float,
     """
     c = 0.5 * (a + b)
     hw = 0.5 * (b - a)
-    vals = np.empty(15)
-    for i in range(15):
-        vals[i] = fn(c + hw * _NODES[i])
-    # inf * 0 in the dot products is reported through the finiteness check
-    with np.errstate(invalid="ignore", over="ignore"):
-        res_k = hw * float(_WEIGHTS_K @ vals)
-        res_g = hw * float(_WEIGHTS_G @ vals)
+    vals = [float(fn(c + hw * x)) for x in _NODES]
+    # every Kronrod weight is nonzero, so a non-finite value or an
+    # overflowing sum leaves res_k non-finite (float arithmetic never warns)
+    res_k = hw * sum(map(operator.mul, _WEIGHTS_K, vals))
+    res_g = hw * sum(map(operator.mul, _WEIGHTS_G, vals))
     if not math.isfinite(res_k):
         if to_x is not None:
             a, b = sorted((to_x(a), to_x(b)))
-        raise NonIntegrableError(
-            f"non-finite integrand value on [{a!r}, {b!r}]"
-        )
+        raise NonIntegrableError(f"non-finite integrand value on [{a!r}, {b!r}]")
     return res_k, abs(res_k - res_g)
 
 
@@ -142,10 +130,12 @@ def endpoint_exponent(
 ) -> float | None:
     """Estimate gamma with |fn| ~ dist^(-gamma) at an endpoint, or None.
 
-    side is "left" (endpoint a) or "right" (endpoint b).  Returns None for
-    a bounded endpoint, the exponent for 0.05 < gamma < 0.98, and raises
-    NonIntegrableError at 0.98 and above: that band is either divergent or
-    too close to it for float sampling to tell the difference.
+    side is "left" (endpoint a) or "right" (endpoint b).  fn is probed at
+    distances span * 10^-j, j = 2..7, and gamma is minus the slope of the
+    `_line_fit` least-squares line through (log dist, log |fn|).  Returns
+    None for a bounded endpoint, the exponent for 0.05 < gamma < 0.98, and
+    raises NonIntegrableError at 0.98 and above: that band is either
+    divergent or too close to it for float sampling to tell the difference.
     """
     span = b - a
     dists = [span * 10.0 ** (-j) for j in range(2, 8)]
@@ -171,8 +161,7 @@ def endpoint_exponent(
             # cannot see the endpoint behavior; grade conservatively
             return 0.9
         return None  # integrand vanishes near the endpoint
-    slope = float(np.polyfit(logs_d, logs_v, 1)[0])
-    gamma = -slope
+    gamma = -_line_fit(logs_d, logs_v)[0]
     if gamma <= 0.05:
         return None
     if gamma >= 0.98:

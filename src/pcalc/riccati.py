@@ -46,6 +46,7 @@ __all__ = [
 _MAX_SWEEPS = 200
 _REF_CELLS = 512
 _NEWTON_STEPS = 64
+_NODES, _WEIGHTS_K = np.array(_NODES), np.array(_WEIGHTS_K)  # the GK15 rule, as arrays
 _VANDER = np.vander(_NODES, 15, increasing=True)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -48,6 +49,8 @@ class WeierstrassParams:
 
 def check_growth_condition(params: WeierstrassParams) -> bool:
     """a^(1/alpha) * b > 1 + 3 pi / 2, the divergence-rate hypothesis."""
+    if params.a > sys.float_info.max:  # int-float comparison is exact
+        raise ParameterError(f"a must not exceed the largest float, {sys.float_info.max!r}")
     return params.a ** (1.0 / params.alpha) * params.b > 1.0 + 1.5 * math.pi
 
 
@@ -194,7 +197,10 @@ def divergence_report(params: WeierstrassParams, x, m_max: int = 8,
         tail = sign * tail_sum / h
 
         quotient = abs(head + tail)
-        lower = coeff * a ** (m / alpha) * b ** m
+        try:
+            lower = coeff * a ** (m / alpha) * b ** m
+        except OverflowError:
+            raise ParameterError(f"a^(m/alpha) at m={m} exceeds the largest float") from None
         filled = replace(step, quotient=quotient, lower_bound=lower)
         if quotient < lower:
             raise BoundViolationError(f"difference quotient {quotient:.6g} fell below its "

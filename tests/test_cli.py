@@ -651,6 +651,10 @@ class TestFuzz:
         (["weierstrass", *WEIERSTRASS, "--x", "1/3", "--m", "300"], 1),
         (["weierstrass", *WEIERSTRASS, "--x", "1e5000"], 1),
         (["weierstrass", *WEIERSTRASS, "--x", "1e10000000"], 1),
+        (["weierstrass", "--a", str(10 ** 400 + 1), "--b", "0.9", "--alpha", "2",
+          "--x", "1/3"], 1),
+        (["weierstrass", "--a", str(10 ** 63 + 1), "--b", "0.1", "--alpha", "1.01",
+          "--x", "1/3", "--m", "5"], 1),
     )
 
     @pytest.mark.parametrize("argv, code", FOUND)

@@ -185,25 +185,29 @@ class TestWorkBudget:
             integration_by_parts_check(KHALIL, "t", "abs(t-1)", 0.5, 2.0)
 
 
-def _power_reference(fam, a, b):
-    # 1/ph_zero = t^(alpha-1)/c0: the integral is (b^alpha - a^alpha)/(alpha c0)
+def _power_reference(fam, a, b, f=None):
+    # 1/ph_zero = t^(alpha-1)/c0: the integral is (b^alpha - a^alpha)/(alpha c0);
+    # with an f, t = s^(1/alpha) leaves mpmath.quad f(s^(1/alpha))/(alpha c0)
     with mpmath.workdps(30):
         al = mpmath.mpf(fam.alpha)
         c0 = 1 if fam.kind != "gfd" else (
             mpmath.gamma(fam.beta) / mpmath.gamma(fam.beta - al + 1))
-        return float((mpmath.mpf(b) ** al - mpmath.mpf(a) ** al) / (al * c0))
+        lo, hi = mpmath.mpf(a) ** al, mpmath.mpf(b) ** al
+        if f is None:
+            return float((hi - lo) / (al * c0))
+        return float(mpmath.quad(lambda s: f(s ** (1 / al)), [lo, hi]) / (al * c0))
 
 
-def _cosine_reference(alpha, a, b):
-    # cos(t)^(alpha-1) over [a, b] is sin(d)^(alpha-1) over d in
-    # [pi/2 - b, pi/2 - a]; the float b = fl(pi/2) lies 6e-17 short of the
-    # pole.  d = s^(1/alpha) leaves mpmath.quad a smooth integrand.
+def _cosine_reference(alpha, a, b, f=lambda t: 1):
+    # f(t) cos(t)^(alpha-1) over [a, b] is f(pi/2 - d) sin(d)^(alpha-1) over
+    # d in [pi/2 - b, pi/2 - a]; the float b = fl(pi/2) lies 6e-17 short of
+    # the pole.  d = s^(1/alpha) leaves mpmath.quad a smooth integrand.
     with mpmath.workdps(30):
         al = mpmath.mpf(alpha)
         k = 1 / al
 
         def smooth(s):
-            return mpmath.sin(s ** k) ** (al - 1) * k * s ** (k - 1)
+            return f(mpmath.pi / 2 - s ** k) * mpmath.sin(s ** k) ** (al - 1) * k * s ** (k - 1)
 
         lo = (mpmath.pi / 2 - mpmath.mpf(b)) ** al
         hi = (mpmath.pi / 2 - mpmath.mpf(a)) ** al
@@ -224,7 +228,56 @@ def _assert_within_claims(fam, a, b, ref, tol=1e-10):
     return rep.converged
 
 
+_COEF = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _smooth_f(draw):
+    """a sin(k t) + b exp(c t) + p0 + p1 t + p2 t^2 as (source, mpmath function)."""
+    a, b, c, p0, p1, p2 = (draw(_COEF) for _ in range(6))
+    k = draw(st.floats(0.1, 5.0))
+    source = (f"({a!r})*sin(({k!r})*t) + ({b!r})*exp(({c!r})*t) + ({p0!r}) + ({p1!r})*t "
+              f"+ ({p2!r})*t^2")
+    return source, lambda t: (a * mpmath.sin(k * t) + b * mpmath.exp(c * t)
+                              + p0 + p1 * t + p2 * t ** 2)
+
+
+def _assert_f_within_claim(fam, f, a, b, ref, tol=1e-10):
+    """A value p_integral returns for f is as good as claimed; a
+    QuadratureError (budget, resolution or a divergence verdict) claims
+    no value."""
+    try:
+        res = p_integral(fam, f[0], a, b, tol)
+    except QuadratureError:
+        return
+    assert abs(res.value - ref) <= max(tol, res.error_estimate)
+
+
 class TestMpmathOracle:
+    @given(_smooth_f(), st.sampled_from(("khalil", "katugampola", "gfd")),
+           st.floats(0.1, 0.95), st.floats(0.5, 3.0), st.floats(0.01, 4.0))
+    @settings(max_examples=60)
+    def test_random_smooth_f_under_power_weights(self, f, kind, alpha, beta, b):
+        fam = make_family(kind, alpha, beta=beta if kind == "gfd" else None)
+        _assert_f_within_claim(fam, f, 0.0, b, _power_reference(fam, 0.0, b, f[1]))
+
+    @given(_smooth_f(), st.floats(0.1, 0.95),
+           st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
+    @settings(max_examples=40)
+    def test_random_smooth_f_under_cosine_weight(self, f, alpha, a):
+        b = math.pi / 2
+        _assert_f_within_claim(make_family("cosine", alpha), f, a, b,
+                               _cosine_reference(alpha, a, b, f[1]))
+
+    # A singular part too small for the endpoint probes to see is integrated
+    # as bounded, and its Kronrod error estimate is below the true error;
+    # the random-f property found this (see the FOUND line in CHANGES.md).
+    @pytest.mark.xfail(strict=True, reason="endpoint singularity hidden from the probes")
+    def test_hidden_singular_part_is_within_claim(self):
+        # (1e-8 + t) t^-0.9 over [0, 1] is 1e-8/0.1 + 1/1.1
+        res = p_integral(make_family("khalil", 0.1), "1e-8 + t", 0.0, 1.0)
+        assert abs(res.value - (1e-7 + 1 / 1.1)) <= max(1e-8, res.error_estimate)
+
     @given(st.sampled_from(("khalil", "katugampola", "gfd")),
            st.floats(0.1, 0.95), st.floats(0.5, 3.0),
            st.one_of(st.just(0.0), st.floats(0.0, 3.0)), st.floats(0.01, 4.0))

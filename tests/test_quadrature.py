@@ -1,11 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pcalc.errors import NonIntegrableError, QuadratureError
 from pcalc.quadrature import (
+    _NODES,
+    _WEIGHTS_G,
+    _WEIGHTS_K,
     _graded_side,
+    _line_fit,
     endpoint_exponent,
     gk15,
     integrate_adaptive,
@@ -42,6 +49,56 @@ class TestGk15:
             gk15(lambda x: float("nan"), 0.0, 1.0)
         with pytest.raises(NonIntegrableError):
             gk15(lambda x: float("inf"), 0.0, 1.0)
+
+    # A Kronrod-only node has Gauss weight 0, so the Gauss sum meets inf * 0.
+    KRONROD_ONLY = next(i for i, w in enumerate(_WEIGHTS_G) if w == 0.0)
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: math.inf if x == 0.5 + 0.5 * _NODES[TestGk15.KRONROD_ONLY] else 1.0,
+        lambda x: np.float64(np.inf if x == 0.5 + 0.5 * _NODES[TestGk15.KRONROD_ONLY]
+                             else 1.0),
+        lambda x: np.float64(1e308),
+        lambda x: 1e308,
+    ], ids=["inf-at-kronrod-only-node", "float64-inf", "float64-overflow", "sum-overflow"])
+    def test_nonfinite_sum_names_the_mapped_panel(self, fn):
+        # to_x is decreasing, so the reported panel is [to_x(1), to_x(0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonIntegrableError) as exc:
+                gk15(fn, 0.0, 1.0, to_x=lambda u: 5.0 - 2.0 * u)
+        assert str(exc.value) == "non-finite integrand value on [3.0, 5.0]"
+
+    @pytest.mark.parametrize("fn", [math.sin, math.exp, lambda x: x ** -0.5,
+                                    lambda x: math.cos(40.0 * x)])
+    def test_sum_in_node_order_matches_a_numpy_dot(self, fn):
+        # the former numpy dot products are the reference; the two orders
+        # of summation differ by at most a few roundings of the terms
+        a, b = 0.25, 2.0
+        hw = 0.5 * (b - a)
+        vals = np.array([fn(0.5 * (a + b) + hw * x) for x in _NODES])
+        res_k = hw * float(np.array(_WEIGHTS_K) @ vals)
+        res_g = hw * float(np.array(_WEIGHTS_G) @ vals)
+        val, err = gk15(fn, a, b)
+        bound = 32 * 2.0 ** -52 * hw * float(np.abs(vals) @ np.array(_WEIGHTS_K))
+        assert abs(val - res_k) <= bound
+        assert abs(err - abs(res_k - res_g)) <= 2 * bound
+
+
+class TestLineFit:
+    @given(st.lists(st.floats(-30.0, 5.0), min_size=3, max_size=8, unique=True),
+           st.data())
+    @settings(max_examples=200)
+    def test_slope_matches_polyfit(self, xs, data):
+        xs = sorted(xs)
+        assume(xs[-1] - xs[0] > 1e-3)
+        ys = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=len(xs),
+                                max_size=len(xs)))
+        slope, xbar, ybar, sxx = _line_fit(xs, ys)
+        ref = float(np.polyfit(xs, ys, 1)[0])
+        # |slope| <= sqrt(syy / sxx) (Cauchy-Schwarz): the scale at which a
+        # slope near 0 is compared
+        scale = math.sqrt(sum((y - ybar) ** 2 for y in ys) / sxx)
+        assert math.isclose(slope, ref, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
 
 class TestAdaptive:
@@ -85,6 +142,17 @@ class TestEndpointExponent:
     def test_right_side(self):
         gamma = endpoint_exponent(lambda x: (1.0 - x) ** -0.3, 0.0, 1.0, "right")
         assert gamma == pytest.approx(0.3, abs=0.05)
+
+    @given(st.floats(0.06, 0.97), st.floats(1e-3, 1e3), st.floats(1e-3, 10.0),
+           st.sampled_from(["left", "right"]))
+    @settings(max_examples=200)
+    def test_exact_power_law_gives_its_exponent(self, gamma, amp, span, side):
+        # the singular end sits at 0, so every probe distance is exact
+        if side == "left":
+            a, b, fn = 0.0, span, lambda x: amp * x ** -gamma
+        else:
+            a, b, fn = -span, 0.0, lambda x: amp * (-x) ** -gamma
+        assert endpoint_exponent(fn, a, b, side) == pytest.approx(gamma, abs=1e-12)
 
 
 class TestGraded:

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,29 @@ class TestDivergenceReport:
         with pytest.raises(ParameterError, match="m=201"):
             build_hm_sequence(PARAMS, Fraction(1, 3), m_max=300)
         assert len(build_hm_sequence(PARAMS, Fraction(1, 3), m_max=200)) == 200
+
+
+class TestFloatRange:
+    def test_a_beyond_the_largest_float_is_a_parameter_error(self):
+        # a is an int; the growth condition used to overflow converting it
+        params = WeierstrassParams(a=10 ** 400 + 1, b=0.9, alpha=2.0)
+        with pytest.raises(ParameterError, match="largest float, 1.7976931348623157e"):
+            check_growth_condition(params)
+        with pytest.raises(ParameterError, match="largest float"):
+            divergence_report(params, "1/3")
+
+    def test_limit_is_the_largest_float(self):
+        top = int(sys.float_info.max)  # even: a multiple of 2^971
+        assert check_growth_condition(WeierstrassParams(a=top - 1, b=0.9, alpha=2.0))
+        with pytest.raises(ParameterError):
+            check_growth_condition(WeierstrassParams(a=top + 1, b=0.9, alpha=2.0))
+
+    def test_floor_beyond_the_largest_float_is_a_parameter_error(self):
+        # h_5 is a positive subnormal, but a^(5/alpha) ~ 1e312 overflowed
+        params = WeierstrassParams(a=10 ** 63 + 1, b=0.1, alpha=1.01)
+        assert len(divergence_report(params, "1/3", m_max=4)) == 4
+        with pytest.raises(ParameterError, match=r"a\^\(m/alpha\) at m=5"):
+            divergence_report(params, "1/3", m_max=5)
 
 
 class TestInputX:

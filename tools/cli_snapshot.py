@@ -106,6 +106,9 @@ ERRORS = [  # exit 1 and exit 2, each with the message that wins
     ["weierstrass", "--a", "41", "--b", "0.9", "--alpha", "2", "--x", "1e5000"],
     ["weierstrass", "--a", "41", "--b", "0.9", "--alpha", "2", "--x", "1e10000000"],
     ["weierstrass", "--a", "41", "--b", "0.9999", "--alpha", "2", "--x", "1/3", "--m", "1"],
+    ["weierstrass", "--a", str(10 ** 400 + 1), "--b", "0.9", "--alpha", "2", "--x", "1/3"],
+    ["weierstrass", "--a", str(10 ** 63 + 1), "--b", "0.1", "--alpha", "1.01", "--x", "1/3",
+     "--m", "5"],
     ["integral", *K, "--f", "t", "--a", "-1", "--b", "1"],
     ["integral", *K, "--f", "ln(t-2)", "--a", "0.5", "--b", "1"],
     ["integral", *K, "--f", "ln(t-2)", "--a", "0.5", "--b", "1", "--format", "csv"],
