@@ -3,11 +3,10 @@
 The core rule is the 15-point Kronrod extension of 7-point Gauss (open:
 no endpoint evaluations), driven by worst-panel-first bisection.  Endpoint
 singularities of algebraic type |g(x)| ~ (x-a)^(-gamma), 0 < gamma < 1,
-are detected by a least-squares log-log line through six probes (the
-same `_line_fit` that models the float-blind tail) and removed with the
-change of variable x = a + u^m, m = 3/(1-gamma), which maps the integrand
-to a bounded, vanishing one near u = 0.  A panel samples and sums its 15
-nodes as Python floats, in node order.
+are detected by the least-squares log-log line `_line_fit` through six
+probes and removed with the change of variable x = a + u^m, m =
+3/(1-gamma), which maps the integrand to a bounded, vanishing one near
+u = 0.  A panel samples and sums its 15 nodes as Python floats.
 """
 
 from __future__ import annotations
@@ -41,11 +40,20 @@ _WG = (
 
 
 def _build_rule() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """Nodes, Kronrod and Gauss weights in node order -x0, x0, ..., -x6, x6, 0."""
-    wg = tuple(_WG[i // 2] if i % 2 else 0.0 for i in range(8))
-    return (tuple(s * x for x in _XGK[:7] for s in (-1.0, 1.0)) + (0.0,),
-            tuple(v for w in _WGK[:7] for v in (w, w)) + _WGK[7:],
-            tuple(v for w in wg[:7] for v in (w, w)) + wg[7:])
+    xs: list[float] = []
+    wk: list[float] = []
+    wg: list[float] = []
+    for i in range(8):
+        gauss_w = _WG[(i - 1) // 2] if i % 2 == 1 else 0.0
+        if i < 7:
+            xs.extend((-_XGK[i], _XGK[i]))
+            wk.extend((_WGK[i], _WGK[i]))
+            wg.extend((gauss_w, gauss_w))
+        else:
+            xs.append(0.0)
+            wk.append(_WGK[i])
+            wg.append(gauss_w)
+    return tuple(xs), tuple(wk), tuple(wg)
 
 
 _NODES, _WEIGHTS_K, _WEIGHTS_G = _build_rule()
@@ -130,12 +138,11 @@ def endpoint_exponent(
 ) -> float | None:
     """Estimate gamma with |fn| ~ dist^(-gamma) at an endpoint, or None.
 
-    side is "left" (endpoint a) or "right" (endpoint b).  fn is probed at
-    distances span * 10^-j, j = 2..7, and gamma is minus the slope of the
-    `_line_fit` least-squares line through (log dist, log |fn|).  Returns
-    None for a bounded endpoint, the exponent for 0.05 < gamma < 0.98, and
-    raises NonIntegrableError at 0.98 and above: that band is either
-    divergent or too close to it for float sampling to tell the difference.
+    side is "left" (endpoint a) or "right" (endpoint b); gamma is minus the
+    `_line_fit` slope of log |fn| on log dist, dist = span * 10^-j, j = 2..7.
+    Returns None for a bounded endpoint, the exponent for 0.05 < gamma <
+    0.98, and raises NonIntegrableError at 0.98 and above: that band is
+    either divergent or too close to it for float sampling to tell apart.
     """
     span = b - a
     dists = [span * 10.0 ** (-j) for j in range(2, 8)]
@@ -368,8 +375,5 @@ def integrate_graded(
         v1, e1, n1 = _graded_side(fn, a, mid, ga, "left", 0.5 * tol, max_panels)
         v2, e2, n2 = _graded_side(fn, mid, b, gb, "right", 0.5 * tol, max_panels)
         return v1 + v2, e1 + e2, n1 + n2, True
-    if ga is not None:
-        v, e, n = _graded_side(fn, a, b, ga, "left", tol, max_panels)
-    else:
-        v, e, n = _graded_side(fn, a, b, gb, "right", tol, max_panels)
-    return v, e, n, True
+    gamma, side = (ga, "left") if ga is not None else (gb, "right")
+    return (*_graded_side(fn, a, b, gamma, side, tol, max_panels), True)

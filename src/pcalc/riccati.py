@@ -46,8 +46,8 @@ __all__ = [
 _MAX_SWEEPS = 200
 _REF_CELLS = 512
 _NEWTON_STEPS = 64
-_NODES, _WEIGHTS_K = np.array(_NODES), np.array(_WEIGHTS_K)  # the GK15 rule, as arrays
-_VANDER = np.vander(_NODES, 15, increasing=True)
+_NODES_A, _WEIGHTS_K_A = np.array(_NODES), np.array(_WEIGHTS_K)  # the GK15 rule as arrays
+_VANDER = np.vander(_NODES_A, 15, increasing=True)
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,9 @@ class _TauMachine:
         self.m = 1.0 if gamma is None else min(2.0 / (1.0 - gamma), 64.0)
         ys = T ** (1.0 / self.m) * np.arange(n_ref + 1) / n_ref
         mid, half = 0.5 * (ys[:-1] + ys[1:]), 0.5 * (ys[1:] - ys[:-1])
-        _, vals = _weight(fam, self.m, mid[:, None] + half[:, None] * _NODES)
+        _, vals = _weight(fam, self.m, mid[:, None] + half[:, None] * _NODES_A)
         self.ys = ys
-        self.taus = np.concatenate([[0.0], np.cumsum(half * (vals @ _WEIGHTS_K))])
+        self.taus = np.concatenate([[0.0], np.cumsum(half * (vals @ _WEIGHTS_K_A))])
         self.tau_total = float(self.taus[-1])
         # an LU solve keeps the interpolant accurate between the nodes
         coef = np.zeros((n_ref, 16))
@@ -242,9 +242,9 @@ def _build_discretization(qa, machine: _TauMachine, n: int) -> _Discretization:
     first = y_nodes[0] + (y_nodes[1] - y_nodes[0]) * np.arange(nsub0 + 1) / nsub0
     edges = np.concatenate([first, y_nodes[2:]])
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    X, W = _weight(machine.fam, m, mid[:, None] + half[:, None] * _NODES)
+    X, W = _weight(machine.fam, m, mid[:, None] + half[:, None] * _NODES_A)
     X = X.ravel()
-    WT = (_WEIGHTS_K * half[:, None] * W).ravel()
+    WT = (_WEIGHTS_K_A * half[:, None] * W).ravel()
     offsets = 15 * np.concatenate([[0], nsub0 + np.arange(n - 1)])
 
     QV = qa(X)

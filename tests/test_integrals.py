@@ -242,15 +242,19 @@ def _smooth_f(draw):
                               + p0 + p1 * t + p2 * t ** 2)
 
 
-def _assert_f_within_claim(fam, f, a, b, ref, tol=1e-10):
-    """A value p_integral returns for f is as good as claimed; a
-    QuadratureError (budget, resolution or a divergence verdict) claims
-    no value."""
+def _assert_f_within_claim(fam, f, a, b, ref, tol=1e-10, budget_refusals=False):
+    """Whether p_integral returns a value for f; a value it returns is as
+    good as claimed.  With budget_refusals, running out of panels returns
+    False; every other QuadratureError, a divergence verdict included,
+    propagates."""
     try:
         res = p_integral(fam, f[0], a, b, tol)
-    except QuadratureError:
-        return
+    except QuadratureError as exc:
+        if budget_refusals and type(exc) is QuadratureError and "panels" in str(exc):
+            return False
+        raise
     assert abs(res.value - ref) <= max(tol, res.error_estimate)
+    return True
 
 
 class TestMpmathOracle:
@@ -259,15 +263,17 @@ class TestMpmathOracle:
     @settings(max_examples=60)
     def test_random_smooth_f_under_power_weights(self, f, kind, alpha, beta, b):
         fam = make_family(kind, alpha, beta=beta if kind == "gfd" else None)
-        _assert_f_within_claim(fam, f, 0.0, b, _power_reference(fam, 0.0, b, f[1]))
+        assert _assert_f_within_claim(fam, f, 0.0, b, _power_reference(fam, 0.0, b, f[1]))
 
+    # at tol 1e-10 graded cosine integrals with a small alpha may run out of
+    # panels (see the FOUND line in CHANGES.md); such a refusal claims no value
     @given(_smooth_f(), st.floats(0.1, 0.95),
            st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
     @settings(max_examples=40)
     def test_random_smooth_f_under_cosine_weight(self, f, alpha, a):
         b = math.pi / 2
         _assert_f_within_claim(make_family("cosine", alpha), f, a, b,
-                               _cosine_reference(alpha, a, b, f[1]))
+                               _cosine_reference(alpha, a, b, f[1]), budget_refusals=True)
 
     # A singular part too small for the endpoint probes to see is integrated
     # as bounded, and its Kronrod error estimate is below the true error;

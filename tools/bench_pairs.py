@@ -1,20 +1,21 @@
 """Run the benchmark on two checkouts in alternating pairs and save the runs.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
-        [--workloads calculus,scan,riccati] [--seeds 301-310] [--seconds 30] \
-        [--trace-seed S] [--trace-seconds 10] [--parent-rev REV] [--what TEXT]
+        [--seeds 301-310] [--trace-seed S] [--what TEXT]
 
 Each checkout runs its own ``perfbench/run.py`` on its own sources, one
-process at a time.  For every workload and seed the two sides form a pair;
-the pair for the first seed runs the parent first, the next the change
-first, and so on, so that drift on the host falls on both sides alike.
-The output holds every run's result and detail lines, a per-metric
-summary (median and quartiles per side, pairs the change won, how much
-worse the change's median is, against the bound in the change's
-``BENCHMARK.json``) and, with ``--trace-seed``, one traced run per side
-with its per-layer metrics and the span time per name over the traced
-pass.  The file is rewritten after every pair, so an interrupted session
-keeps the pairs it finished.
+process at a time, for every workload of the change's ``BENCHMARK.json``
+and for its ``run_seconds``.  For every workload and seed the two sides
+form a pair; the pair for the first seed runs the parent first, the next
+the change first, and so on, so that drift on the host falls on both
+sides alike.  The output holds every run's result and detail lines, a
+per-metric summary (median and quartiles per side, pairs the change won,
+how much worse the change's median is, against the bound in the change's
+``BENCHMARK.json``) and, with ``--trace-seed``, one traced calculus run
+of ``TRACE_SECONDS`` per side with its per-layer metrics and the span
+time per name over the traced pass.  The parent's revision is read from
+its checkout with git.  The file is rewritten after every pair, so an
+interrupted run keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACE_SECONDS = 10
 
 
 def _seeds(text: str) -> list[int]:
@@ -86,6 +88,11 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def _revision(root: Path) -> str:
+    return subprocess.run(["git", "-C", str(root), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def _span_seconds(root: Path, workload: str, seed: int) -> dict:
     """Time per span name over the one pass the traced run dumps."""
     dump = json.loads((root / "perfbench" / "out" / f"spans-{workload}-{seed}.json")
@@ -101,26 +108,20 @@ def main() -> None:
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workloads", help="comma list; default: BENCHMARK.json's workloads")
     ap.add_argument("--seeds", default="301-310", help="LO-HI or a comma list")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--trace-seed", type=int, help="add one traced calculus run per side")
-    ap.add_argument("--trace-seconds", type=float, default=10.0)
-    ap.add_argument("--parent-rev", default="", help="recorded as the parent's revision")
     ap.add_argument("--what", default="perfbench end-to-end runs, parent commit vs this "
                     "change, alternating which side runs first per pair")
     args = ap.parse_args()
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     seeds = _seeds(args.seeds)
     doc = {"what": args.what,
            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                       "--trace 0",
-           "parent": args.parent_rev, "seeds": seeds,
+           "parent": _revision(roots["parent"]), "seeds": seeds,
            "order": "the 1st, 3rd, ... seed of a workload runs the parent first, "
                     "the 2nd, 4th, ... the change first",
            "environment": {}, "summary": {}, "runs": []}
@@ -147,11 +148,11 @@ def main() -> None:
     if args.trace_seed is not None:
         doc["traced"] = {
             "command": f"python3 perfbench/run.py --workload calculus --seed {args.trace_seed} "
-                       f"--seconds {args.trace_seconds:g} --trace 1",
+                       f"--seconds {TRACE_SECONDS} --trace 1",
             "note": "one traced run per side, parent first; per-pass layer figures, "
                     "span times and probes are single samples and noisy"}
         for side in SIDES:
-            run = _run(roots[side], "calculus", args.trace_seed, args.trace_seconds, 1)
+            run = _run(roots[side], "calculus", args.trace_seed, TRACE_SECONDS, 1)
             doc["traced"][side] = {
                 "per_layer": {k: v["value"] for k, v in run["result"]["metrics"].items()},
                 "span_s_per_pass": _span_seconds(roots[side], "calculus", args.trace_seed)}
