@@ -68,8 +68,8 @@ def ftc_forward(fam: PFunction, f: Expr | str | Callable[[float], float],
     """|derivative-of-the-integral residual| at an interior point t.
 
     Builds the difference quotient of I(f) incrementally: each level
-    integrates only [t, p(t, h)], with the inner quadrature tolerance
-    scaled by |h| so the quotient noise stays near tol/100 at every level.
+    integrates only [t, p(t, h)], the inner tolerance scaled by |h| and
+    max(1, |f(t)|), so the quotient noise stays near tol/100 of that scale.
     Extrapolates both sides, then compares against f(t).
     """
     if not a < t:
@@ -93,7 +93,7 @@ def ftc_forward(fam: PFunction, f: Expr | str | Callable[[float], float],
         if lo == hi:
             return 0.0
         try:
-            seg, _, _, _ = integrate_graded(g, lo, hi, (tol / 100.0) * abs(h))
+            seg, _, _, _ = integrate_graded(g, lo, hi, (tol / 100.0) * max(1.0, abs(f_t)) * abs(h))
         except QuadratureError:
             return None
         q = (seg if pt >= t else -seg) / h

@@ -7,17 +7,17 @@ gates the iteration; an infeasible certificate raises unless the caller
 overrides, and the override is recorded in the solution.
 
 Discretization: nodes are placed uniformly in the transformed time
-tau(t) = integral of 1/ph_zero, where the problem is an ordinary
-du/dtau = q - u^2.  tau is one table: on each reference cell the weight
-is sampled at the 15 Kronrod nodes, and tau is the integral of the
-polynomial interpolating those samples, read by polynomial evaluation
-and inverted by safeguarded Newton steps.  The running integral is
-accumulated per panel with fixed Kronrod nodes whose weights fold in the
-1/ph_zero factor, and the iterate is read at quadrature abscissae through
-cubic stencils in tau.  Set-up samples ph_zero and q through their array
-kernels (PFunction.ph_zero_array, expr.compile_array), which give the
-scalar values and raise the scalar errors at the same point; the sweeps
-are plain numpy array arithmetic.
+tau(t) = integral of 1/ph_zero (_TauMachine), where the problem is an
+ordinary du/dtau = q - u^2.  The running integral is summed per grid
+panel at the 15 Kronrod nodes, whose weights fold in 1/ph_zero; past the
+first interval each node reads tau from its own panel's weight samples
+(the spectral integration matrix; Greengard 1991).  All nodes of a panel
+read the iterate through one cubic stencil in tau, so the panel's sum of
+q - u^2 is a quadratic form A_p - U_p' M_p U_p in four stencil values,
+and a Picard sweep is a gather and two small einsums.  Set-up samples
+ph_zero and q through their array kernels (PFunction.ph_zero_array,
+expr.compile_array), which give the scalar values and raise the scalar
+errors at the same point.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ _REF_CELLS = 512
 _NEWTON_STEPS = 64
 _NODES_A, _WEIGHTS_K_A = np.array(_NODES), np.array(_WEIGHTS_K)  # the GK15 rule as arrays
 _VANDER = np.vander(_NODES_A, 15, increasing=True)
+_POWERS = np.arange(1, 16)
+_LAGRANGE = ((1, 2, 3, -6.0), (0, 2, 3, 2.0), (0, 1, 3, -2.0), (0, 1, 2, 6.0))
+# row k: the integrals of r^0 .. r^14 from -1 to GK15 node k
+_NODE_INTEGRALS = (_NODES_A[:, None] ** _POWERS - (-1.0) ** _POWERS) / _POWERS
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,7 @@ class RiccatiSolution:
     max_iterate_norm: float
     override: bool
     _machine: object = field(repr=False, compare=False, default=None)
+    _t_mid: object = field(repr=False, compare=False, default=None)  # t at the tau-midpoints
 
     def interpolate(self, t: float) -> float:
         """Cubic readout of u at an arbitrary time in [0, T]."""
@@ -122,18 +127,29 @@ def _weight(fam: PFunction, m: float, y: np.ndarray) -> tuple[np.ndarray, np.nda
     return t, w
 
 
+def _horner(C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # tau - taus[j] at reference coordinate r, C = _coef[:, j], and its r-derivative
+    p, dp = C[15], np.zeros_like(r)
+    for k in range(14, -1, -1):
+        dp = dp * r + p
+        p = p * r + C[k]
+    return p, dp
+
+
 class _TauMachine:
     """Transformed time tau(t) = integral_0^t 1/ph_zero and its inverse.
 
     Works in y = t^(1/m), m chosen from the left-endpoint exponent of
     1/ph_zero, so that every reference cell sees a nearly linear weight
     W(y).  Each cell samples W at the 15 Kronrod nodes: taus accumulates
-    the GK15 cell sums, and _coef holds the power-series coefficients, in
-    the cell's reference coordinate r in [-1, 1], of the integral from
-    r = -1 of the polynomial through those samples (GK15 integrates it
-    exactly, so the table is continuous).  tau_of evaluates the table on
-    arrays; t_of_tau inverts it by Newton steps on the W interpolant
-    inside a shrinking bracket, bisecting when a step leaves it.
+    the GK15 cell sums, and _coef holds, one row per power of the cell's
+    coordinate r in [-1, 1], the integral from r = -1 of the polynomial
+    through those samples (GK15 integrates it exactly, so the table is
+    continuous).  tau_of and t_of_tau gather a point's coefficients once;
+    t_of_tau inverts by Newton steps on the W interpolant in a shrinking
+    bracket, bisecting when a step leaves it.  The solver inverts its grid
+    and tau-midpoints in one call; its panels read tau from their own
+    samples, so tau_of serves only the first interval and interpolate.
     """
 
     __slots__ = ("fam", "T", "m", "ys", "taus", "tau_total", "_coef")
@@ -151,24 +167,17 @@ class _TauMachine:
         self.tau_total = float(self.taus[-1])
         # an LU solve keeps the interpolant accurate between the nodes
         coef = np.zeros((n_ref, 16))
-        coef[:, 1:] = np.linalg.solve(_VANDER, vals.T).T / np.arange(1, 16)
-        coef[:, 0] = -(coef[:, 1:] @ (-1.0) ** np.arange(1, 16))
-        self._coef = half[:, None] * coef
-
-    def _horner(self, j: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # tau - taus[j] at reference coordinate r of cell j, and its r-derivative
-        p, dp = self._coef[j, 15], np.zeros_like(r)
-        for k in range(14, -1, -1):
-            dp = dp * r + p
-            p = p * r + self._coef[j, k]
-        return p, dp
+        coef[:, 1:] = np.linalg.solve(_VANDER, vals.T).T / _POWERS
+        coef[:, 0] = -(coef[:, 1:] @ (-1.0) ** _POWERS)
+        self._coef = (half[:, None] * coef).T  # one row per power
 
     def tau_of(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         y = np.minimum(np.maximum(t, 0.0) ** (1.0 / self.m), self.ys[-1])
         j = np.clip(np.searchsorted(self.ys, y) - 1, 0, len(self.ys) - 2)
         a, b = self.ys[j], self.ys[j + 1]
-        tau = self.taus[j] + self._horner(j, (y - 0.5 * (a + b)) / (0.5 * (b - a)))[0]
+        r = (y - 0.5 * (a + b)) / (0.5 * (b - a))
+        tau = self.taus[j] + _horner(self._coef[:, j], r)[0]
         return np.select([t <= 0.0, t >= self.T], [0.0, self.tau_total], tau)
 
     def t_of_tau(self, s) -> np.ndarray:
@@ -177,8 +186,9 @@ class _TauMachine:
         goal = s - self.taus[j]
         inside = (s > 0.0) & (s < self.tau_total)  # the others are set below
         lo, hi, r = -np.ones_like(s), np.ones_like(s), np.zeros_like(s)
+        C = self._coef[:, j]
         for _ in range(_NEWTON_STEPS):
-            f, d = self._horner(j, r)
+            f, d = _horner(C, r)
             f = f - goal
             lo, hi = np.where(f < 0.0, r, lo), np.where(f < 0.0, hi, r)
             step = np.divide(f, d, out=np.zeros_like(f), where=d > 0.0)
@@ -201,57 +211,49 @@ def _stencil_rows(s: np.ndarray, dtau: float,
     pos = s / dtau
     i0 = np.clip(np.floor(pos).astype(int) - 1, 0, n - 3)
     xi = pos - i0
-    d0, d1, d2, d3 = xi, xi - 1.0, xi - 2.0, xi - 3.0
-    w = np.stack([
-        d1 * d2 * d3 / -6.0,
-        d0 * d2 * d3 / 2.0,
-        d0 * d1 * d3 / -2.0,
-        d0 * d1 * d2 / 6.0,
-    ], axis=1)
-    dw = np.stack([
-        (d2 * d3 + d1 * d3 + d1 * d2) / -6.0,
-        (d2 * d3 + d0 * d3 + d0 * d2) / 2.0,
-        (d1 * d3 + d0 * d3 + d0 * d1) / -2.0,
-        (d1 * d2 + d0 * d2 + d0 * d1) / 6.0,
-    ], axis=1)
-    idx = i0[:, None] + np.arange(4)[None, :]
-    return idx, w, dw
+    d = (xi, xi - 1.0, xi - 2.0, xi - 3.0)  # distances to the stencil's four nodes
+    w, dw = np.empty((len(s), 4)), np.empty((len(s), 4))
+    for j, (a, b, c, den) in enumerate(_LAGRANGE):  # basis j: other nodes a, b, c, prod(j - k)
+        w[:, j] = d[a] * d[b] * d[c] / den
+        dw[:, j] = (d[b] * d[c] + d[a] * d[c] + d[a] * d[b]) / den
+    return i0[:, None] + np.arange(4), w, dw
 
 
 @dataclass
 class _Discretization:
     t_nodes: np.ndarray
+    t_mid: np.ndarray
     tau_nodes: np.ndarray
-    dtau: float
-    WT: np.ndarray
-    QV: np.ndarray
-    offsets: np.ndarray
-    Lidx: np.ndarray
-    Lw: np.ndarray
+    stencil: np.ndarray  # grid panel p reads U[stencil[p]]
+    A: np.ndarray  # panel p adds A[p] - U[stencil[p]] @ M[p] @ U[stencil[p]]
+    M: np.ndarray
     q_grid: np.ndarray
 
 
 def _build_discretization(qa, machine: _TauMachine, n: int) -> _Discretization:
-    m = machine.m
-    targets = machine.tau_total * np.arange(n + 1) / n
-    t_nodes = machine.t_of_tau(targets)
-
+    targets = machine.tau_total * np.arange(2 * n + 1) / (2 * n)  # even entries: the grid
+    t_all = machine.t_of_tau(targets)
+    t_nodes = t_all[::2]
     # panels in y: the first grid interval is split to resolve the endpoint
-    y_nodes = t_nodes ** (1.0 / m)
-    nsub0 = max(1, math.ceil(m / 6.0))
+    y_nodes = t_nodes ** (1.0 / machine.m)
+    nsub0 = max(1, math.ceil(machine.m / 6.0))
     first = y_nodes[0] + (y_nodes[1] - y_nodes[0]) * np.arange(nsub0 + 1) / nsub0
     edges = np.concatenate([first, y_nodes[2:]])
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    X, W = _weight(machine.fam, m, mid[:, None] + half[:, None] * _NODES_A)
-    X = X.ravel()
-    WT = (_WEIGHTS_K_A * half[:, None] * W).ravel()
-    offsets = 15 * np.concatenate([[0], nsub0 + np.arange(n - 1)])
-
-    QV = qa(X)
-    dtau = float(targets[1] - targets[0])
-    Lidx, Lw, _ = _stencil_rows(machine.tau_of(X), dtau, n)
-    q_grid = qa(t_nodes)
-    return _Discretization(t_nodes, targets, dtau, WT, QV, offsets, Lidx, Lw, q_grid)
+    X, W = _weight(machine.fam, machine.m, mid[:, None] + half[:, None] * _NODES_A)
+    WT = _WEIGHTS_K_A * half[:, None] * W
+    # tau at the nodes from each panel's samples, S solved here (at import LAPACK costs RSS);
+    # the first interval, where W may be a fractional power of y (m is fitted), reads the table
+    S_T = np.linalg.solve(_VANDER.T, _NODE_INTEGRALS.T)
+    local = targets[2:2 * n:2, None] + half[nsub0:, None] * (W[nsub0:] @ S_T)
+    tau_at = np.concatenate([machine.tau_of(X[:nsub0].ravel()), local.ravel()])
+    Lw = _stencil_rows(tau_at, float(targets[2]), n)[1].reshape(*W.shape, 4)
+    # every node of grid panel p reads U through the stencil starting at clip(p - 1, 0, n - 3)
+    panels = np.concatenate([[0], nsub0 + np.arange(n - 1)])
+    A = np.add.reduceat(np.sum(WT * qa(X.ravel()).reshape(W.shape), axis=1), panels)
+    M = np.add.reduceat(np.swapaxes(WT[..., None] * Lw, 1, 2) @ Lw, panels)
+    stencil = np.clip(np.arange(n) - 1, 0, n - 3)[:, None] + np.arange(4)
+    return _Discretization(t_nodes, t_all[1::2], targets[::2], stencil, A, M, qa(t_nodes))
 
 
 def contraction_precheck(fam: PFunction, q, T: float, u0: float,
@@ -262,7 +264,10 @@ def contraction_precheck(fam: PFunction, q, T: float, u0: float,
     converge); q is bounded by dense sampling.  The returned k is the
     contraction factor at the best radius found, feasible or not.
     """
-    qa = as_array_fn(q)
+    return _certificate(fam, as_array_fn(q), T, u0, tol)
+
+
+def _certificate(fam: PFunction, qa, T: float, u0: float, tol: float) -> ContractionCertificate:
     rep = check_l1(fam, 0.0, T, tol=min(tol, 1e-9))
     if rep.diverged or not rep.converged:
         raise NonIntegrableError(
@@ -277,14 +282,8 @@ def contraction_precheck(fam: PFunction, q, T: float, u0: float,
         margins = np.minimum(bs / (q_inf + bs * bs), 1.0 / (2.0 * bs)) - l1
     i = int(np.argmax(margins))
     b = float(bs[i])
-    return ContractionCertificate(
-        feasible=bool(margins[i] > 0.0),
-        b=b,
-        k=2.0 * b * l1,
-        l1_norm=l1,
-        q_inf=q_inf,
-        margin=float(margins[i]),
-    )
+    return ContractionCertificate(feasible=bool(margins[i] > 0.0), b=b, k=2.0 * b * l1,
+                                  l1_norm=l1, q_inf=q_inf, margin=float(margins[i]))
 
 
 def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
@@ -302,7 +301,7 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
         raise ParameterError("start must be finite")
     qa = as_array_fn(problem.q)
 
-    cert = contraction_precheck(fam, problem.q, T, u0)
+    cert = _certificate(fam, qa, T, u0, 1e-9)
     if not cert.feasible and not override:
         raise InfeasibleCertificateError(
             f"contraction certificate infeasible (k={cert.k:.6g}, "
@@ -331,9 +330,8 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
     growth = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in the finiteness check
         for _ in range(_MAX_SWEEPS):
-            u_at_nodes = np.einsum("ij,ij->i", disc.Lw, U[disc.Lidx])
-            v = disc.QV - u_at_nodes * u_at_nodes
-            panel = np.add.reduceat(disc.WT * v, disc.offsets)
+            Up = U[disc.stencil]
+            panel = disc.A - np.einsum("pi,pi->p", Up, np.einsum("pij,pj->pi", disc.M, Up))
             new = np.concatenate([[u0], u0 + np.cumsum(panel)])
             delta = float(np.max(np.abs(new - U)))
             if not math.isfinite(delta):
@@ -355,13 +353,13 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
 
     # interior residual of the converged grid function, 4th-order in tau
     i = np.arange(2, n - 1)
-    du = (U[i - 2] - 8.0 * U[i - 1] + 8.0 * U[i + 1] - U[i + 2]) / (12.0 * disc.dtau)
+    du = (U[i - 2] - 8.0 * U[i - 1] + 8.0 * U[i + 1] - U[i + 2]) / (12.0 * disc.tau_nodes[1])
     residual = float(np.max(np.abs(du + U[i] ** 2 - disc.q_grid[i])))
 
     return RiccatiSolution(
-        grid=tuple(float(t) for t in disc.t_nodes),
-        u=tuple(float(x) for x in U),
-        tau=tuple(float(s) for s in disc.tau_nodes),
+        grid=tuple(disc.t_nodes.tolist()),
+        u=tuple(U.tolist()),
+        tau=tuple(disc.tau_nodes.tolist()),
         iterations=len(updates),
         final_delta=updates[-1],
         residual=residual,
@@ -370,6 +368,7 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
         max_iterate_norm=max_norm,
         override=override,
         _machine=machine,
+        _t_mid=disc.t_mid,
     )
 
 
@@ -380,7 +379,6 @@ def riccati_residual(fam: PFunction, sol: RiccatiSolution, q) -> float:
     grid value shows up as a large defect.
     """
     qa = as_array_fn(q)
-    machine = sol._machine or _TauMachine(fam, sol.grid[-1])
     u = np.asarray(sol.u)
     n = len(u) - 1
     dtau = sol.tau[1] - sol.tau[0]
@@ -388,4 +386,6 @@ def riccati_residual(fam: PFunction, sol: RiccatiSolution, q) -> float:
     idx, w, dw = _stencil_rows(s, dtau, n)
     val = np.einsum("ij,ij->i", w, u[idx])
     der = np.einsum("ij,ij->i", dw, u[idx]) / dtau
-    return float(np.max(np.abs(der + val * val - qa(machine.t_of_tau(s)))))
+    t_mid = sol._t_mid if sol._t_mid is not None else (  # a detached solution inverts again
+        sol._machine or _TauMachine(fam, sol.grid[-1])).t_of_tau(s)
+    return float(np.max(np.abs(der + val * val - qa(t_mid))))

@@ -99,6 +99,13 @@ class TestFtcForward:
         res = ftc_forward(fam, parse("exp(t)"), 0.0, 1.5, tol=1e-8)
         assert abs(res) < 1e-5
 
+    def test_large_integrand_is_resolved_relative_to_f(self):
+        # f(3) = exp(e^3) ~ 5.3e8: an inner tolerance of tol/100 * |h| alone
+        # is below float resolution there, and the quotient was noise
+        fam = make_family("custom", F="t + h*t")
+        res = ftc_forward(fam, parse("exp(exp(t))"), 1.0, 3.0, tol=1e-8)
+        assert abs(res) < 1e-10 * math.exp(math.exp(3.0))
+
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ParameterError):
             ftc_forward(KHALIL, parse("t"), 2.0, 2.0)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pcalc.derivatives import as_array_fn
 from pcalc.errors import (
     DivergenceError,
     EvaluationError,
@@ -13,8 +14,15 @@ from pcalc.errors import (
 )
 from pcalc.families import PFunction, make_family
 from pcalc.riccati import (
+    _NODE_INTEGRALS,
+    _NODES_A,
+    _VANDER,
+    _WEIGHTS_K_A,
     RiccatiProblem,
+    _build_discretization,
+    _stencil_rows,
     _TauMachine,
+    _weight,
     contraction_precheck,
     riccati_residual,
     solve_riccati,
@@ -169,6 +177,91 @@ class TestTauTable:
         assert calls[0] < 50_000
 
 
+# one family of each kind the tau table grades differently, with a horizon inside its domain
+PANEL_CASES = [
+    (KHALIL, 0.05),
+    (make_family("gfd", 0.6, beta=1.4), 0.3),
+    (make_family("cosine", 0.7), 1.2),
+    (make_family("custom", F="t + h*sqrt(t)*(1 + t)"), 0.2),
+]
+PANEL_IDS = [fam.kind for fam, _ in PANEL_CASES]
+
+
+def _grid_panels(machine, n):
+    """Kronrod nodes and weights of the solver's grid panels, laid out independently.
+
+    Returns the node times (sub-panel x 15), their weights folding in
+    1/ph_zero, the grid panel of each sub-panel, and the grid's tau.
+    """
+    tau_grid = machine.tau_total * np.arange(n + 1) / n
+    y = machine.t_of_tau(tau_grid) ** (1.0 / machine.m)
+    nsub0 = max(1, math.ceil(machine.m / 6.0))  # the first interval is split
+    edges = np.concatenate([np.linspace(y[0], y[1], nsub0 + 1), y[2:]])
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    X, W = _weight(machine.fam, machine.m, mid[:, None] + half[:, None] * _NODES_A)
+    owner = np.concatenate([np.zeros(nsub0, dtype=int), np.arange(1, n)])
+    return X, _WEIGHTS_K_A * half[:, None] * W, owner, tau_grid
+
+
+class TestPanelForms:
+    @pytest.mark.parametrize("fam,T", PANEL_CASES, ids=PANEL_IDS)
+    def test_quadratic_forms_match_nodewise_sweep(self, fam, T):
+        # reference: read U at every node through its own stencil at tau_of(node)
+        n = 64
+        qa = as_array_fn("1 + t")
+        machine = _TauMachine(fam, T)
+        disc = _build_discretization(qa, machine, n)
+        X, WT, owner, tau_grid = _grid_panels(machine, n)
+        idx, w, _ = _stencil_rows(machine.tau_of(X.ravel()), tau_grid[1], n)
+        rng = np.random.default_rng(11)
+        for U in (np.full(n + 1, 0.5), rng.uniform(0.2, 0.6, n + 1)):
+            u = np.sum(w * U[idx], axis=1)
+            nodes = np.sum(WT * (qa(X.ravel()) - u * u).reshape(X.shape), axis=1)
+            ref = np.bincount(owner, weights=nodes)
+            Up = U[disc.stencil]
+            got = disc.A - np.einsum("pi,pij,pj->p", Up, disc.M, Up)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+    @pytest.mark.parametrize("fam,T", PANEL_CASES, ids=PANEL_IDS)
+    def test_panel_local_tau_stays_inside_its_interval(self, fam, T, monkeypatch):
+        # the taus at which _build_discretization reads its stencils
+        seen = []
+
+        def spy(s, dtau, n):
+            seen.append(s)
+            return _stencil_rows(s, dtau, n)
+
+        monkeypatch.setattr("pcalc.riccati._stencil_rows", spy)
+        n = 64
+        machine = _TauMachine(fam, T)
+        disc = _build_discretization(as_array_fn("0"), machine, n)
+        X, _, owner, tau_grid = _grid_panels(machine, n)
+        tau = seen[0].reshape(X.shape)
+        assert np.max(np.abs(tau - machine.tau_of(X.ravel()).reshape(X.shape))) < 1e-12
+        # strictly inside, so one stencil serves every node of a grid panel
+        assert np.all(tau > tau_grid[owner][:, None])
+        assert np.all(tau < tau_grid[owner + 1][:, None])
+        idx = _stencil_rows(seen[0], tau_grid[1], n)[0].reshape(*X.shape, 4)
+        assert np.array_equal(idx, np.broadcast_to(disc.stencil[owner][:, None], idx.shape))
+
+    def test_integration_matrix_is_exact_on_monomials(self):
+        # S @ samples integrates the interpolant from -1 to each node, as the panels build it
+        S = np.linalg.solve(_VANDER.T, _NODE_INTEGRALS.T).T
+        for d in range(15):
+            exact = (_NODES_A ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+            assert np.max(np.abs(S @ _NODES_A ** d - exact)) < 1e-14
+
+    @pytest.mark.parametrize("fam,q,T", [(KHALIL, "sin(40*t)", 0.05),
+                                         (make_family("cosine", 0.7), "t", 0.3)],
+                             ids=["khalil", "cosine"])
+    def test_stored_midpoints_match_detached_residual(self, fam, q, T):
+        sol = solve_riccati(RiccatiProblem(family=fam, q=q, u0=0.5, T=T))
+        stored = riccati_residual(fam, sol, q)
+        for detached in (dataclasses.replace(sol, _t_mid=None),
+                         dataclasses.replace(sol, _machine=None, _t_mid=None)):
+            assert abs(riccati_residual(fam, detached, q) - stored) <= 1e-12
+
+
 class TestArrayKernels:
     def test_scalar_ph_zero_budget(self, monkeypatch):
         # set-up samples the multiplier through ph_zero_array; counted as
@@ -190,6 +283,17 @@ class TestArrayKernels:
             contraction_precheck(KHALIL, "ln(t)", 0.05, 1.0)
         with pytest.raises(EvaluationError, match=r"^division by zero$"):
             solve_riccati(sqrt_decay_problem(q="1/(t - 0.025)"))
+
+    def test_q_is_compiled_once_per_solve(self, monkeypatch):
+        seen = []
+
+        def counted(q):
+            seen.append(q)
+            return as_array_fn(q)
+
+        monkeypatch.setattr("pcalc.riccati.as_array_fn", counted)
+        solve_riccati(sqrt_decay_problem(q="t"))
+        assert seen == ["t"]
 
     def test_callable_q_matches_expression(self):
         a = solve_riccati(sqrt_decay_problem(q="t*t", u0=0.5))
@@ -237,8 +341,8 @@ class TestValidation:
     def test_non_finite_start(self, start, monkeypatch):
         # rejected like a non-finite u0, before the certificate is computed
         def precheck(*args, **kw):
-            raise AssertionError("contraction_precheck ran")
-        monkeypatch.setattr("pcalc.riccati.contraction_precheck", precheck)
+            raise AssertionError("the certificate was computed")
+        monkeypatch.setattr("pcalc.riccati._certificate", precheck)
         for override in (False, True):
             with pytest.raises(ParameterError, match="start must be finite"):
                 solve_riccati(sqrt_decay_problem(), override=override, start=start)

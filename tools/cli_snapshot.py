@@ -50,6 +50,7 @@ VALID = {
 EXTRA = [  # further successful runs: other branches of the handlers
     ["deriv", *K, "--f", "corpus:abs", "--t", "1", "--side", "left"],
     ["ftc", *K, "--f", "corpus:sin", "--a", "0", "--b", "2"],
+    ["ftc", "--family", "custom", "--p", "t+h*t", "--f", "exp(exp(t))", "--a", "1", "--b", "3"],
     ["mvt", *K, "--f", "t^2", "--a", "1", "--b", "2", "--format", "csv"],
     ["hypothesis", *K, "--t", "1"],
     ["riccati", *K, "--q", "0", "--u0", "1", "--T", "0.05", "--start", "0.5",
