@@ -1,9 +1,10 @@
 """Deformation families p(t, h) and their diagnostics.
 
 A family bundles the map p(t, h), the multiplier ph_zero(t) (the
-h-derivative of p at h = 0) and the valid t-interval.  Builtin kinds:
-khalil, katugampola, gfd, nderiv, cosine, power; "custom" takes a full
-p(t, h) expression and differentiates it symbolically in h.
+h-derivative of p at h = 0) and the valid t-interval.  Each closed-form
+kind (khalil, katugampola, gfd, nderiv, cosine, power) is one row of the
+_KINDS table; "custom" takes a full p(t, h) expression and differentiates
+it symbolically in h, and nderiv with an expression F is t + h*F on that path.
 
 Two numerical checks live here as well:
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +33,8 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .expr import _OPS, Expr, compile_array, compile_expr, differentiate, parse, variables
+from .expr import (_OPS, BinOp, Expr, Var, compile_array, compile_expr, differentiate, parse,
+                   variables)
 from .quadrature import integrate_graded
 
 __all__ = [
@@ -39,9 +42,6 @@ __all__ = [
     "EpsilonRecord", "SolvabilityReport", "check_offset_solvability",
     "L1Report", "check_l1", "DEFAULT_EPSILONS",
 ]
-
-FAMILY_KINDS = ("khalil", "katugampola", "gfd", "nderiv", "cosine", "power", "custom")
-
 
 # the checked power and exp of the expression operator table, with its messages
 _pow, _exp = _OPS["^"].scalar, _OPS["exp"].scalar
@@ -157,7 +157,79 @@ def _coerce_expr(source: Expr | str, allowed: frozenset[str], what: str) -> Expr
     return e
 
 
+class _Kind(NamedTuple):
+    """A closed-form kind: its t-domain, the alpha range it accepts (as a
+    test and as text) and the factory of its forms (p, ph0, ph0a) for
+    (alpha, c0), where c0 is the gfd coefficient and 1.0 for other kinds."""
+
+    domain: Interval
+    accepts: Callable[[float], bool]
+    needs: str
+    forms: Callable[[float, float], tuple]
+
+
 _POSITIVE_T = Interval(0.0, math.inf)
+_positive = lambda a: a > 0.0  # alpha > 0 suffices; values >= 1 are permitted and used
+
+
+_KINDS: dict[str, _Kind] = {
+    "khalil": _Kind(_POSITIVE_T, _positive, "alpha > 0", lambda a, c0: (
+        lambda t, h, a=a: t + h * _pow(t, 1.0 - a),
+        lambda t, a=a: _pow(t, 1.0 - a),
+        lambda t, a=a: np.power(t, 1.0 - a))),
+    "katugampola": _Kind(_POSITIVE_T, _positive, "alpha > 0", lambda a, c0: (
+        lambda t, h, a=a: t * _exp(h * _pow(t, -a)),
+        lambda t, a=a: _pow(t, 1.0 - a),
+        lambda t, a=a: np.power(t, 1.0 - a))),
+    "gfd": _Kind(_POSITIVE_T, _positive, "alpha > 0", lambda a, c0: (
+        lambda t, h, a=a, c0=c0: t + c0 * h * _pow(t, 1.0 - a),
+        lambda t, a=a, c0=c0: c0 * _pow(t, 1.0 - a),
+        lambda t, a=a, c0=c0: c0 * np.power(t, 1.0 - a))),
+    "nderiv": _Kind(_POSITIVE_T, _positive, "alpha > 0", lambda a, c0: (
+        lambda t, h, a=a: t + h * _exp(_pow(t, -a)),
+        lambda t, a=a: _exp(_pow(t, -a)),
+        lambda t, a=a: np.exp(np.power(t, -a)))),
+    "cosine": _Kind(Interval(0.0, math.pi / 2.0, closed_lo=True), lambda a: 0.0 < a <= 1.0,
+                    "0 < alpha <= 1", lambda a, c0: (
+        lambda t, h, a=a: t + math.sin(h) * _pow(math.cos(t), 1.0 - a),
+        lambda t, a=a: _pow(math.cos(t), 1.0 - a),
+        lambda t, a=a: np.power(np.cos(t), 1.0 - a))),
+    # d/dh h^a vanishes at h=0 since a > 1
+    "power": _Kind(Interval(-math.inf, math.inf), lambda a: a > 1.0, "alpha > 1", lambda a, c0: (
+        lambda t, h, a=a: t + _pow(h, a),
+        lambda t: 0.0,
+        np.zeros_like)),
+}
+FAMILY_KINDS = (*_KINDS, "custom")
+
+
+def _expression_forms(pe: Expr, alpha: float | None) -> tuple:
+    """The forms of a p(t, h) expression in t, h and alpha: p compiled as it
+    stands, the multiplier as its symbolic h-derivative at h = 0."""
+    pc = compile_expr(pe, ("t", "h", "alpha"))  # alpha is read only if pe uses it
+
+    def p(t: float, h: float, pc: Callable[..., float] = pc) -> float:
+        return pc(t, h, alpha)
+
+    try:
+        dpe = differentiate(pe, "h")
+    except DifferentiationError as exc:
+        msg = str(exc)
+
+        def unavailable(t: float, msg: str = msg) -> float:
+            raise DifferentiationError(f"custom family multiplier unavailable: {msg}")
+
+        return p, unavailable, None
+    dpc = compile_expr(dpe, ("t", "h", "alpha"))
+    dpa = compile_array(dpe, ("t", "h", "alpha"))
+
+    def ph0(t: float, dpc: Callable[..., float] = dpc) -> float:
+        return dpc(t, 0.0, alpha)
+
+    def ph0a(t: np.ndarray, dpa: Callable[..., np.ndarray] = dpa) -> np.ndarray:
+        return dpa(t, 0.0, alpha)
+
+    return p, ph0, ph0a
 
 
 def make_family(kind: str, alpha: float | None = None, beta: float | None = None,
@@ -165,8 +237,9 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
     """Construct a PFunction, validating parameters for the given kind.
 
     F is the generalized-family hook: for kind "nderiv" it is an expression
-    in (t, alpha) replacing exp(t^(-alpha)); for kind "custom" it is the
-    full p(t, h) expression (variables t, h, and optionally alpha).
+    in (t, alpha) replacing exp(t^(-alpha)), making p = t + h*F; for kind
+    "custom" it is the full p(t, h) expression (variables t, h, and
+    optionally alpha).
     """
     if kind not in FAMILY_KINDS:
         raise ParameterError(f"unknown family {kind!r}; valid: {', '.join(FAMILY_KINDS)}")
@@ -175,44 +248,32 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
     if F is not None and kind not in ("nderiv", "custom"):
         raise ParameterError(f"F only applies to nderiv/custom families, not {kind!r}")
 
-    if kind != "custom":
-        if alpha is None:
-            raise ParameterError(f"{kind} family requires alpha")
-        if not math.isfinite(alpha):
-            raise ParameterError("alpha must be finite")
+    if kind == "custom":
+        if F is None:
+            raise ParameterError("custom family requires F: the full p(t, h) expression")
+        pe = _coerce_expr(F, frozenset({"t", "h", "alpha"}), "custom p")
+        if "alpha" in variables(pe) and alpha is None:
+            raise ParameterError("custom p references alpha but no alpha was given")
+        return PFunction(kind, alpha, None, pe, Interval(-math.inf, math.inf),
+                         "custom(p=...)", *_expression_forms(pe, alpha))
 
-    if kind == "khalil":
-        _need_positive_alpha(kind, alpha)
-        a = alpha
-
-        def p(t: float, h: float, a: float = a) -> float:
-            return t + h * _pow(t, 1.0 - a)
-
-        fam = PFunction(kind, a, None, None, _POSITIVE_T,
-                        f"khalil(alpha={a:g})", p,
-                        lambda t, a=a: _pow(t, 1.0 - a),
-                        lambda t, a=a: np.power(t, 1.0 - a))
-
-    elif kind == "katugampola":
-        _need_positive_alpha(kind, alpha)
-        a = alpha
-
-        def p(t: float, h: float, a: float = a) -> float:
-            return t * _exp(h * _pow(t, -a))
-
-        fam = PFunction(kind, a, None, None, _POSITIVE_T,
-                        f"katugampola(alpha={a:g})", p,
-                        lambda t, a=a: _pow(t, 1.0 - a),
-                        lambda t, a=a: np.power(t, 1.0 - a))
-
-    elif kind == "gfd":
-        _need_positive_alpha(kind, alpha)
+    if alpha is None:
+        raise ParameterError(f"{kind} family requires alpha")
+    if not math.isfinite(alpha):
+        raise ParameterError("alpha must be finite")
+    row = _KINDS[kind]
+    if not row.accepts(alpha):
+        raise ParameterError(f"{kind} family needs {row.needs}, got {alpha!r}")
+    c0, label = 1.0, f"alpha={alpha:g}"
+    if kind == "gfd":
         if beta is None:
             raise ParameterError("gfd family requires beta")
+        if not math.isfinite(beta):
+            raise ParameterError("beta must be finite")
         if beta <= 0.0 and beta == math.floor(beta):
             raise ParameterError(f"gfd needs beta not in {{0, -1, -2, ...}}; got {beta!r}")
         try:
-            coeff = math.gamma(beta) / math.gamma(beta - alpha + 1.0)
+            c0 = math.gamma(beta) / math.gamma(beta - alpha + 1.0)
         except ValueError:
             raise ParameterError(
                 f"gamma pole at beta={beta!r}, alpha={alpha!r}: "
@@ -223,108 +284,16 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
                 f"gfd coefficient Gamma(beta)/Gamma(beta - alpha + 1) is out of "
                 f"float range at beta={beta!r}, alpha={alpha!r}"
             ) from None
-        a, c0 = alpha, coeff
-
-        def p(t: float, h: float, a: float = a, c0: float = c0) -> float:
-            return t + c0 * h * _pow(t, 1.0 - a)
-
-        fam = PFunction(kind, a, beta, None, _POSITIVE_T,
-                        f"gfd(alpha={a:g}, beta={beta:g})", p,
-                        lambda t, a=a, c0=c0: c0 * _pow(t, 1.0 - a),
-                        lambda t, a=a, c0=c0: c0 * np.power(t, 1.0 - a))
-
-    elif kind == "nderiv":
-        _need_positive_alpha(kind, alpha)
-        a = alpha
-        if F is None:
-            def p(t: float, h: float, a: float = a) -> float:
-                return t + h * _exp(_pow(t, -a))
-
-            fam = PFunction(kind, a, None, None, _POSITIVE_T,
-                            f"nderiv(alpha={a:g})", p,
-                            lambda t, a=a: _exp(_pow(t, -a)),
-                            lambda t, a=a: np.exp(np.power(t, -a)))
-        else:
-            fe = _coerce_expr(F, frozenset({"t", "alpha"}), "nderiv F")
-            fc = compile_expr(fe, ("t", "alpha"))
-            fa = compile_array(fe, ("t", "alpha"))
-
-            def fval(t: float, fc: Callable[..., float] = fc, a: float = a) -> float:
-                return fc(t, a)
-
-            fam = PFunction(kind, a, None, fe, _POSITIVE_T,
-                            f"nderiv(alpha={a:g}, F=...)",
-                            lambda t, h: t + h * fval(t), fval,
-                            lambda t, fa=fa, a=a: fa(t, a))
-
-    elif kind == "cosine":
-        if alpha is None or not 0.0 < alpha <= 1.0:
-            raise ParameterError(f"cosine family needs 0 < alpha <= 1, got {alpha!r}")
-        a = alpha
-        dom = Interval(0.0, math.pi / 2.0, closed_lo=True)
-
-        def p(t: float, h: float, a: float = a) -> float:
-            return t + math.sin(h) * _pow(math.cos(t), 1.0 - a)
-
-        fam = PFunction(kind, a, None, None, dom,
-                        f"cosine(alpha={a:g})", p,
-                        lambda t, a=a: _pow(math.cos(t), 1.0 - a),
-                        lambda t, a=a: np.power(np.cos(t), 1.0 - a))
-
-    elif kind == "power":
-        if alpha is None or not alpha > 1.0:
-            raise ParameterError(f"power family needs alpha > 1, got {alpha!r}")
-        a = alpha
-
-        def p(t: float, h: float, a: float = a) -> float:
-            return t + _pow(h, a)
-
-        # d/dh h^a vanishes at h=0 since a > 1
-        fam = PFunction(kind, a, None, None, Interval(-math.inf, math.inf),
-                        f"power(alpha={a:g})", p, lambda t: 0.0, np.zeros_like)
-
-    else:  # custom
-        if F is None:
-            raise ParameterError("custom family requires F: the full p(t, h) expression")
-        pe = _coerce_expr(F, frozenset({"t", "h", "alpha"}), "custom p")
-        if "alpha" in variables(pe) and alpha is None:
-            raise ParameterError("custom p references alpha but no alpha was given")
-        pc = compile_expr(pe, ("t", "h", "alpha"))  # alpha is read only if pe uses it
-
-        def p(t: float, h: float, pc: Callable[..., float] = pc) -> float:
-            return pc(t, h, alpha)
-
-        try:
-            dpe = differentiate(pe, "h")
-        except DifferentiationError as exc:
-            msg = str(exc)
-
-            def ph0(t: float, msg: str = msg) -> float:
-                raise DifferentiationError(f"custom family multiplier unavailable: {msg}")
-
-            ph0a = None
-        else:
-            dpc = compile_expr(dpe, ("t", "h", "alpha"))
-            dpa = compile_array(dpe, ("t", "h", "alpha"))
-
-            def ph0(t: float, dpc: Callable[..., float] = dpc) -> float:
-                return dpc(t, 0.0, alpha)
-
-            def ph0a(t: np.ndarray, dpa: Callable[..., np.ndarray] = dpa) -> np.ndarray:
-                return dpa(t, 0.0, alpha)
-
-        fam = PFunction(kind, alpha, None, pe, Interval(-math.inf, math.inf),
-                        "custom(p=...)", p, ph0, ph0a)
-
-    if kind != "custom":
-        _check_range_sampling(fam)
+        label += f", beta={beta:g}"
+    if F is None:
+        fe, forms = None, row.forms(alpha, c0)
+    else:  # nderiv: p = t + h*F, whose h-derivative folds to the F node itself
+        fe = _coerce_expr(F, frozenset({"t", "alpha"}), "nderiv F")
+        forms = _expression_forms(BinOp("+", Var("t"), BinOp("*", Var("h"), fe)), alpha)
+        label += ", F=..."
+    fam = PFunction(kind, alpha, beta, fe, row.domain, f"{kind}({label})", *forms)
+    _check_range_sampling(fam)
     return fam
-
-
-def _need_positive_alpha(kind: str, alpha: float | None) -> None:
-    # alpha > 0 suffices throughout; values >= 1 are permitted and used
-    if alpha is None or not alpha > 0.0:
-        raise ParameterError(f"{kind} family needs alpha > 0, got {alpha!r}")
 
 
 def _check_range_sampling(fam: PFunction) -> None:

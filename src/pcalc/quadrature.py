@@ -338,7 +338,6 @@ def _graded_side(
     gamma: float,
     side: str,
     tol: float,
-    max_panels: int,
 ) -> tuple[float, float, int]:
     end, sign = (a, 1.0) if side == "left" else (b, -1.0)
     try:
@@ -348,7 +347,7 @@ def _graded_side(
     if not math.isfinite(tail):  # the fitted power law leaves float range
         raise QuadratureError(f"endpoint model near {end!r} leaves float range")
     g, lo, hi, to_x = _transform(fn, end, sign, b - a, gamma, d0, offset)
-    v, e, n = integrate_adaptive(g, lo, hi, tol, max_panels, to_x)
+    v, e, n = integrate_adaptive(g, lo, hi, tol, to_x=to_x)
     return v + tail, e + terr, n
 
 
@@ -357,7 +356,6 @@ def integrate_graded(
     a: float,
     b: float,
     tol: float,
-    max_panels: int = 4096,
 ) -> tuple[float, float, int, bool]:
     """Adaptive integral of fn over [a, b] with endpoint grading.
 
@@ -368,12 +366,12 @@ def integrate_graded(
     ga = endpoint_exponent(fn, a, b, "left")
     gb = endpoint_exponent(fn, a, b, "right")
     if ga is None and gb is None:
-        v, e, n = integrate_adaptive(fn, a, b, tol, max_panels)
+        v, e, n = integrate_adaptive(fn, a, b, tol)
         return v, e, n, False
     if ga is not None and gb is not None:
         mid = 0.5 * (a + b)
-        v1, e1, n1 = _graded_side(fn, a, mid, ga, "left", 0.5 * tol, max_panels)
-        v2, e2, n2 = _graded_side(fn, mid, b, gb, "right", 0.5 * tol, max_panels)
+        v1, e1, n1 = _graded_side(fn, a, mid, ga, "left", 0.5 * tol)
+        v2, e2, n2 = _graded_side(fn, mid, b, gb, "right", 0.5 * tol)
         return v1 + v2, e1 + e2, n1 + n2, True
     gamma, side = (ga, "left") if ga is not None else (gb, "right")
-    return (*_graded_side(fn, a, b, gamma, side, tol, max_panels), True)
+    return (*_graded_side(fn, a, b, gamma, side, tol), True)

@@ -154,19 +154,19 @@ class _TauMachine:
 
     __slots__ = ("fam", "T", "m", "ys", "taus", "tau_total", "_coef")
 
-    def __init__(self, fam: PFunction, T: float, n_ref: int = _REF_CELLS) -> None:
+    def __init__(self, fam: PFunction, T: float) -> None:
         self.fam = fam
         self.T = T
         gamma = endpoint_exponent(lambda x: 1.0 / fam.ph_zero(x), 0.0, T, "left")
         self.m = 1.0 if gamma is None else min(2.0 / (1.0 - gamma), 64.0)
-        ys = T ** (1.0 / self.m) * np.arange(n_ref + 1) / n_ref
+        ys = T ** (1.0 / self.m) * np.arange(_REF_CELLS + 1) / _REF_CELLS
         mid, half = 0.5 * (ys[:-1] + ys[1:]), 0.5 * (ys[1:] - ys[:-1])
         _, vals = _weight(fam, self.m, mid[:, None] + half[:, None] * _NODES_A)
         self.ys = ys
         self.taus = np.concatenate([[0.0], np.cumsum(half * (vals @ _WEIGHTS_K_A))])
         self.tau_total = float(self.taus[-1])
         # an LU solve keeps the interpolant accurate between the nodes
-        coef = np.zeros((n_ref, 16))
+        coef = np.zeros((_REF_CELLS, 16))
         coef[:, 1:] = np.linalg.solve(_VANDER, vals.T).T / _POWERS
         coef[:, 0] = -(coef[:, 1:] @ (-1.0) ** _POWERS)
         self._coef = (half[:, None] * coef).T  # one row per power

@@ -83,18 +83,17 @@ def _golden_min(phi: Callable[[float], float], lo: float, hi: float,
 
 
 def _on_grid(residual: Callable[[float], float], cs: np.ndarray,
-             grid: Callable[[np.ndarray], tuple] | None) -> np.ndarray:
+             grid: Callable[[np.ndarray], tuple]) -> np.ndarray:
     # grid(cs) gives (values, mask) in one array call; residual fills the
-    # masked points (all, without a grid) in index order, so the first failure raises
-    rs, mask = grid(cs) if grid else (np.empty(len(cs)), np.ones(len(cs), dtype=bool))
+    # masked points in index order, so the first failure raises
+    rs, mask = grid(cs)
     for i in np.flatnonzero(mask):
         rs[i] = residual(float(cs[i]))
     return rs
 
 
 def _scan_for_root(residual: Callable[[float], float], a: float, b: float, tol: float,
-                   grid: Callable[[np.ndarray], tuple] | None = None,
-                   ) -> tuple[float, tuple[float, float]]:
+                   grid: Callable[[np.ndarray], tuple]) -> tuple[float, tuple[float, float]]:
     """Locate c in (a, b) with residual(c) ~ 0; see module docstring."""
     cs = a + (b - a) * np.arange(1, _GRID_N + 1) / (_GRID_N + 1)
     rs = _on_grid(residual, cs, grid)

@@ -16,10 +16,12 @@ from pcalc.errors import (
     QuadratureError,
     UsageError,
 )
-from pcalc.expr import evaluate, parse
+from pcalc.expr import _OPS, compile_array, compile_expr, evaluate, parse
 from pcalc.families import (
     DEFAULT_EPSILONS,
     FAMILY_KINDS,
+    Interval,
+    PFunction,
     check_l1,
     check_offset_solvability,
     make_family,
@@ -103,6 +105,149 @@ class TestConstruction:
         assert fam.kind == "gfd"
         assert fam.alpha == 0.5
         assert fam.beta == 1.5
+
+
+# make_family's message for each way its arguments can be wrong, in the
+# order the checks run: each row is also wrong in every later respect
+# it can be, so the row pins which message wins
+MESSAGES = [
+    (("fractal", 0.5, 1.5, "t"), "unknown family 'fractal'; valid: "
+     "khalil, katugampola, gfd, nderiv, cosine, power, custom"),
+    (("khalil", None, 1.5, "t"), "beta only applies to the gfd family, not 'khalil'"),
+    (("cosine", None, None, "t"), "F only applies to nderiv/custom families, not 'cosine'"),
+    (("gfd", None, None, None), "gfd family requires alpha"),
+    (("power", math.inf, None, None), "alpha must be finite"),
+    (("nderiv", math.nan, None, "z"), "alpha must be finite"),
+    (("khalil", -0.5, None, None), "khalil family needs alpha > 0, got -0.5"),
+    (("katugampola", 0.0, None, None), "katugampola family needs alpha > 0, got 0.0"),
+    (("gfd", -1.0, None, None), "gfd family needs alpha > 0, got -1.0"),
+    (("nderiv", 0.0, None, "h"), "nderiv family needs alpha > 0, got 0.0"),
+    (("cosine", 1.2, None, None), "cosine family needs 0 < alpha <= 1, got 1.2"),
+    (("cosine", 0.0, None, None), "cosine family needs 0 < alpha <= 1, got 0.0"),
+    (("power", 1.0, None, None), "power family needs alpha > 1, got 1.0"),
+    (("gfd", 0.5, None, None), "gfd family requires beta"),
+    (("gfd", 0.5, -2.0, None), "gfd needs beta not in {0, -1, -2, ...}; got -2.0"),
+    (("gfd", 0.5, 0.0, None), "gfd needs beta not in {0, -1, -2, ...}; got 0.0"),
+    (("gfd", 2.5, 1.5, None),
+     "gamma pole at beta=1.5, alpha=2.5: beta - alpha + 1 must avoid {0, -1, -2, ...}"),
+    (("gfd", 0.5, 200.0, None), "gfd coefficient Gamma(beta)/Gamma(beta - alpha + 1) is "
+     "out of float range at beta=200.0, alpha=0.5"),
+    (("gfd", 1.8, -199.7, None), "gfd coefficient Gamma(beta)/Gamma(beta - alpha + 1) is "
+     "out of float range at beta=-199.7, alpha=1.8"),  # Gamma(-200.5) underflows to 0
+    (("custom", 0.5, None, None), "custom family requires F: the full p(t, h) expression"),
+    (("custom", None, None, "t + alpha*h + x"),
+     "custom p may only reference ['alpha', 'h', 't']; found ['x']"),
+    (("custom", None, None, "t + alpha*h"), "custom p references alpha but no alpha was given"),
+    (("nderiv", 0.5, None, 5), "nderiv F must be an expression or source text"),
+    (("nderiv", 0.5, None, "t + h"), "nderiv F may only reference ['alpha', 't']; found ['h']"),
+    # F overflows to inf, so the probe step is 0 and p(t, 0) = t + 0*inf
+    (("nderiv", 0.5, None, "1e308*10"),
+     "nderiv(alpha=0.5, F=...): p(0.1, 0) = nan leaves the domain (0.0, inf)"),
+]
+
+
+class TestMessages:
+    @pytest.mark.parametrize("args, message", MESSAGES)
+    def test_message_and_precedence(self, args, message):
+        kind, alpha, beta, F = args
+        with pytest.raises(ParameterError) as exc:
+            make_family(kind, alpha, beta=beta, F=F)
+        assert str(exc.value) == message
+
+    def test_unknown_variable_is_a_parse_error(self):
+        with pytest.raises(UsageError, match=r"^unknown variable 'z' \(byte offset 6\)$"):
+            make_family("custom", F="t + h*z")
+
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(ParameterError, match="^beta must be finite$"):
+            make_family("gfd", 0.5, beta=beta)
+
+
+_pow, _exp = _OPS["^"].scalar, _OPS["exp"].scalar
+
+# each closed-form kind's domain, p, ph_zero and ph_zero's numpy form for
+# (alpha, c0), written out independently of make_family
+REFERENCE = {
+    "khalil": (Interval(0.0, math.inf), lambda a, c0: (
+        lambda t, h: t + h * _pow(t, 1.0 - a),
+        lambda t: _pow(t, 1.0 - a),
+        lambda t: np.power(t, 1.0 - a))),
+    "katugampola": (Interval(0.0, math.inf), lambda a, c0: (
+        lambda t, h: t * _exp(h * _pow(t, -a)),
+        lambda t: _pow(t, 1.0 - a),
+        lambda t: np.power(t, 1.0 - a))),
+    "gfd": (Interval(0.0, math.inf), lambda a, c0: (
+        lambda t, h: t + c0 * h * _pow(t, 1.0 - a),
+        lambda t: c0 * _pow(t, 1.0 - a),
+        lambda t: c0 * np.power(t, 1.0 - a))),
+    "nderiv": (Interval(0.0, math.inf), lambda a, c0: (
+        lambda t, h: t + h * _exp(_pow(t, -a)),
+        lambda t: _exp(_pow(t, -a)),
+        lambda t: np.exp(np.power(t, -a)))),
+    "cosine": (Interval(0.0, math.pi / 2.0, closed_lo=True), lambda a, c0: (
+        lambda t, h: t + math.sin(h) * _pow(math.cos(t), 1.0 - a),
+        lambda t: _pow(math.cos(t), 1.0 - a),
+        lambda t: np.power(np.cos(t), 1.0 - a))),
+    "power": (Interval(-math.inf, math.inf), lambda a, c0: (
+        lambda t, h: t + _pow(h, a),
+        lambda t: 0.0,
+        np.zeros_like)),
+}
+ALPHAS = {"cosine": st.floats(1e-3, 1.0), "power": st.floats(1.0 + 1e-9, 6.0)}
+NDERIV_F = ["exp(t^(-alpha)) + t", "t", "ln(t)", "alpha*sqrt(t)", "gamma(t)",
+            "abs(t - 1)", "1/(t - 1)", "t^alpha - 2"]
+POINTS = st.one_of(st.floats(-1.0, 40.0), st.sampled_from(
+    [0.0, 5e-324, 1e-300, 1e-3, 1.0, math.pi / 2, 1e300, math.inf, math.nan]))
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except (PcalcError, ValueError) as exc:  # cosine's p takes math.cos of t unchecked
+        return type(exc).__name__, str(exc)
+
+
+def _identical(fam, ref, t, h, ts):
+    for call in (lambda f: f.p(t, h), lambda f: f.ph_zero(t),
+                 lambda f: f.ph_zero_array(np.array(ts))):
+        got, want = _outcome(lambda: call(fam)), _outcome(lambda: call(ref))
+        assert got[0] == want[0]
+        if got[0] == "value":
+            assert np.array_equal(got[1], want[1], equal_nan=True)
+        else:
+            assert got[1] == want[1]
+
+
+class TestClosedForms:
+    @given(st.data(), st.sampled_from(sorted(REFERENCE)), POINTS, st.floats(-2.0, 2.0),
+           st.lists(POINTS, min_size=1, max_size=8))
+    def test_kinds_match_their_closed_forms(self, data, kind, t, h, ts):
+        alpha = data.draw(ALPHAS.get(kind, st.floats(1e-3, 4.0)), label="alpha")
+        beta = data.draw(st.floats(0.05, 8.0), label="beta") if kind == "gfd" else None
+        try:
+            fam = make_family(kind, alpha, beta=beta)
+        except ParameterError:  # a gamma pole, or the range probe
+            return
+        c0 = 1.0 if beta is None else math.gamma(beta) / math.gamma(beta - alpha + 1.0)
+        domain, forms = REFERENCE[kind]
+        assert fam.domain == domain
+        ref = PFunction(kind, alpha, beta, None, domain, fam.label, *forms(alpha, c0))
+        _identical(fam, ref, t, h, ts)
+
+    @given(st.sampled_from(NDERIV_F), st.floats(1e-3, 4.0), POINTS, st.floats(-2.0, 2.0),
+           st.lists(POINTS, min_size=1, max_size=8))
+    def test_nderiv_F_is_t_plus_h_F(self, F, alpha, t, h, ts):
+        try:
+            fam = make_family("nderiv", alpha, F=F)
+        except ParameterError:
+            return
+        fc = compile_expr(parse(F), ("t", "alpha"))
+        fa = compile_array(parse(F), ("t", "alpha"))
+        ref = PFunction("nderiv", alpha, None, fam.F, Interval(0.0, math.inf), fam.label,
+                        lambda t, h: t + h * fc(t, alpha), lambda t: fc(t, alpha),
+                        lambda t: fa(t, alpha))
+        _identical(fam, ref, t, h, ts)
 
 
 class TestDeformationValues:

@@ -264,34 +264,38 @@ class TestRolle:
             find_rolle_point(KHALIL, parse("cos(pi*t)"), 1.0, 2.0)
 
 
+def _masked(cs):  # a grid that leaves every point to the scalar residual
+    return np.empty(len(cs)), np.ones(len(cs), dtype=bool)
+
+
 class TestScan:
     def test_no_root_raises_with_diagnostics(self):
         with pytest.raises(RootSearchError) as exc:
-            _scan_for_root(lambda c: abs(c - 0.3) + 0.5, 0.0, 1.0, 1e-8)
+            _scan_for_root(lambda c: abs(c - 0.3) + 0.5, 0.0, 1.0, 1e-8, _masked)
         err = exc.value
         assert len(err.grid) == 1024
         assert len(err.residuals) == 1024
         assert "no sign change" in str(err)
         # bounds keep every digit, so a tiny interval stays readable
         with pytest.raises(RootSearchError) as exc:
-            _scan_for_root(lambda c: 0.5, 1.0, 1.0000000001, 1e-8)
+            _scan_for_root(lambda c: 0.5, 1.0, 1.0000000001, 1e-8, _masked)
         assert "(1.0, 1.0000000001)" in str(exc.value)
 
     def test_sign_change_bisects(self):
-        c, (lo, hi) = _scan_for_root(lambda c: c - 0.637, 0.0, 1.0, 1e-12)
+        c, (lo, hi) = _scan_for_root(lambda c: c - 0.637, 0.0, 1.0, 1e-12, _masked)
         assert c == pytest.approx(0.637, abs=1e-9)
         assert hi - lo <= 1e-11
         assert (lo, hi) != (0.0, 1.0)  # not the degenerate bracket
 
     def test_touching_zero_from_above(self):
-        c, (lo, hi) = _scan_for_root(lambda c: (c - 0.25) ** 2, 0.0, 1.0, 1e-8)
+        c, (lo, hi) = _scan_for_root(lambda c: (c - 0.25) ** 2, 0.0, 1.0, 1e-8, _masked)
         assert c == pytest.approx(0.25, abs=1e-4)
         assert hi - lo <= 1e-10
         assert (lo, hi) != (0.0, 1.0)
 
     def test_degenerate_case_brackets_the_whole_interval(self):
         # a residual below tol everywhere: the midpoint, with (a, b) as bracket
-        assert _scan_for_root(lambda c: 0.0, 0.0, 1.0, 1e-8) == (0.5, (0.0, 1.0))
+        assert _scan_for_root(lambda c: 0.0, 0.0, 1.0, 1e-8, _masked) == (0.5, (0.0, 1.0))
 
 
 class TestMaxPrinciple:

@@ -27,6 +27,7 @@ from pcalc.cli import main  # noqa: E402
 
 K = ["--family", "khalil", "--alpha", "0.5"]
 POWER = ["--family", "power", "--alpha", "2"]
+NDERIV_F = ["--family", "nderiv", "--alpha", "0.5", "--F", "exp(t^(-alpha)) + t"]
 
 # one valid invocation per subcommand, in the order of `pcalc --help`
 VALID = {
@@ -50,6 +51,8 @@ VALID = {
 EXTRA = [  # further successful runs: other branches of the handlers
     ["deriv", *K, "--f", "corpus:abs", "--t", "1", "--side", "left"],
     ["ftc", *K, "--f", "corpus:sin", "--a", "0", "--b", "2"],
+    ["deriv", *NDERIV_F, "--f", "t^2", "--t", "4"],
+    ["integral", *NDERIV_F, "--f", "sin(t)", "--a", "0", "--b", "4"],
     ["ftc", "--family", "custom", "--p", "t+h*t", "--f", "exp(exp(t))", "--a", "1", "--b", "3"],
     ["mvt", *K, "--f", "t^2", "--a", "1", "--b", "2", "--format", "csv"],
     ["hypothesis", *K, "--t", "1"],
@@ -74,6 +77,7 @@ ERRORS = [  # exit 1 and exit 2, each with the message that wins
     ["deriv", "--family", "custom", "--f", "t", "--t", "1"],
     ["deriv", *K, "--p", "t+h", "--f", "t", "--t", "1"],
     ["deriv", "--family", "khalil", "--f", "t", "--t", "1"],
+    ["deriv", "--family", "gfd", "--alpha", "0.5", "--beta=-inf", "--f", "t", "--t", "1"],
     ["deriv", *K, "--f", "t", "--t", "1", "--tol", "0.5"],
     ["deriv", *K, "--f", "t", "--t", "1", "--output", "no/such/dir/x.json"],
     # precedence: tolerance, family 1, family 2, then the handler's parsing
