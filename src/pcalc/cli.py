@@ -25,17 +25,12 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .corpus import corpus_entry
-from .derivatives import compare_definitions, p_derivative_formula, p_derivative_limit
+import pcalc
+
 from .errors import PcalcError, UsageError
 from .expr import Expr, parse
 from .families import (DEFAULT_EPSILONS, FAMILY_KINDS, PFunction, check_offset_solvability,
                        make_family)
-from .integrals import ftc_backward, ftc_forward, integration_by_parts_check, p_integral
-from .riccati import RiccatiProblem, solve_riccati
-from .theorems import (find_cauchy_mvt_point, find_mvt_point, find_rolle_point,
-                       max_principle_check, polygonal_derivative_scan)
-from .weierstrass import WeierstrassParams, check_growth_condition, divergence_report
 
 __all__ = ["main"]
 
@@ -151,7 +146,7 @@ def _family_label(args, suffix: str = "") -> str:
 
 def _fn_arg(text: str) -> Expr:
     if text.startswith("corpus:"):
-        return corpus_entry(text[len("corpus:"):]).f
+        return pcalc.corpus_entry(text[len("corpus:"):]).f
     return parse(text)
 
 
@@ -197,10 +192,10 @@ def _fields(obj, names: str) -> dict:
 
 def _deriv(args, tol, fam):
     f = _fn_arg(args.f)
-    est = p_derivative_limit(fam, f, args.t, side=args.side, tol=tol)
+    est = pcalc.p_derivative_limit(fam, f, args.t, side=args.side, tol=tol)
     formula = formula_error = None
     try:
-        formula = p_derivative_formula(fam, f, args.t)
+        formula = pcalc.p_derivative_formula(fam, f, args.t)
     except PcalcError as exc:
         formula_error = str(exc)
     result = {"limit": est.value, "formula": formula,
@@ -211,17 +206,17 @@ def _deriv(args, tol, fam):
 
 
 def _integral(args, tol, fam):
-    res = p_integral(fam, _fn_arg(args.f), args.a, args.b, tol=tol)
+    res = pcalc.p_integral(fam, _fn_arg(args.f), args.a, args.b, tol=tol)
     return _fields(res, "value error_estimate subdivisions graded"), {}
 
 
 def _ftc(args, tol, fam):
-    ftc = ftc_forward if args.direction == "forward" else ftc_backward
+    ftc = pcalc.ftc_forward if args.direction == "forward" else pcalc.ftc_backward
     return {"residual": ftc(fam, _fn_arg(args.f), args.a, args.b, tol=tol)}, {}
 
 
 def _ibp(args, tol, fam):
-    residual = integration_by_parts_check(
+    residual = pcalc.integration_by_parts_check(
         fam, _fn_arg(args.f), _fn_arg(args.g), args.a, args.b, tol=tol)
     return {"residual": residual}, {}
 
@@ -236,17 +231,17 @@ def _mvt_payload(r):
 def _mvt(args, tol, fam):
     f = _fn_arg(args.f)
     if args.g is None:
-        return _mvt_payload(find_mvt_point(fam, f, args.a, args.b, tol=tol))
+        return _mvt_payload(pcalc.find_mvt_point(fam, f, args.a, args.b, tol=tol))
     g = _fn_arg(args.g)
-    return _mvt_payload(find_cauchy_mvt_point(fam, f, g, args.a, args.b, tol=tol))
+    return _mvt_payload(pcalc.find_cauchy_mvt_point(fam, f, g, args.a, args.b, tol=tol))
 
 
 def _rolle(args, tol, fam):
-    return _mvt_payload(find_rolle_point(fam, _fn_arg(args.f), args.a, args.b, tol=tol))
+    return _mvt_payload(pcalc.find_rolle_point(fam, _fn_arg(args.f), args.a, args.b, tol=tol))
 
 
 def _maxprinciple(args, tol, fam):
-    rep = max_principle_check(fam, _fn_arg(args.f), args.a, args.b, tol=tol)
+    rep = pcalc.max_principle_check(fam, _fn_arg(args.f), args.a, args.b, tol=tol)
     return {"c": rep.c, "f_at_c": rep.f_at_c, "derivative": rep.derivative.value,
             "derivative_error": rep.derivative.error_estimate,
             "vanishes": rep.vanishes, "interior": rep.interior,
@@ -263,9 +258,9 @@ def _hypothesis(args, tol, fam):
 
 
 def _riccati(args, tol, fam):
-    problem = RiccatiProblem(family=fam, q=_fn_arg(args.q), u0=args.u0,
-                             T=args.T, grid_n=args.n, tol=tol)
-    sol = solve_riccati(problem, override=args.override, start=args.start)
+    problem = pcalc.RiccatiProblem(family=fam, q=_fn_arg(args.q), u0=args.u0,
+                                   T=args.T, grid_n=args.n, tol=tol)
+    sol = pcalc.solve_riccati(problem, override=args.override, start=args.start)
     cert = _fields(sol.certificate, "feasible b k l1_norm q_inf margin")
     result = {"certificate": cert,
               **_fields(sol, "iterations final_delta residual max_iterate_norm override"),
@@ -276,14 +271,14 @@ def _riccati(args, tol, fam):
 
 
 def _weierstrass(args, tol):
-    params = WeierstrassParams(a=args.a, b=args.b, alpha=args.alpha)
-    steps = divergence_report(params, args.x, m_max=args.m, tol=tol)
+    params = pcalc.WeierstrassParams(a=args.a, b=args.b, alpha=args.alpha)
+    steps = pcalc.divergence_report(params, args.x, m_max=args.m, tol=tol)
     columns = ["m", "alpha_m", "t_m", "h_m", "quotient", "lower_bound"]
     rows = [[s.m, s.alpha_m, float(s.t_m), s.h_m, s.quotient, s.lower_bound] for s in steps]
     result = {"steps": [{**_fields(s, "m alpha_m t_m"), "t_m_float": float(s.t_m),
                          **_fields(s, "h_m quotient lower_bound")} for s in steps]}
     diag = {"tol": tol, "growth": args.a ** (1.0 / args.alpha) * args.b,
-            "threshold": 1.0 + 1.5 * math.pi, "condition": check_growth_condition(params)}
+            "threshold": 1.0 + 1.5 * math.pi, "condition": pcalc.check_growth_condition(params)}
     return result, {"diagnostics": diag, "columns": columns, "rows": rows}
 
 
@@ -293,7 +288,7 @@ def _polygon(args, tol, fam):
         grid = tuple(x for x, _ in vertices)
     else:
         grid = _float_list(args.grid, "--grid")
-    ests = polygonal_derivative_scan(vertices, fam, grid, side=args.side, tol=tol)
+    ests = pcalc.polygonal_derivative_scan(vertices, fam, grid, side=args.side, tol=tol)
     points = [{"t": t, **_fields(e, "value error_estimate converged")}
               for t, e in zip(grid, ests)]
     return {"points": points}, {"inputs": {"grid": list(grid)},
@@ -302,7 +297,7 @@ def _polygon(args, tol, fam):
 
 
 def _compare(args, tol, fam1, fam2):
-    rep = compare_definitions(fam1, fam2, _fn_arg(args.f), args.t, tol=tol)
+    rep = pcalc.compare_definitions(fam1, fam2, _fn_arg(args.f), args.t, tol=tol)
     return _fields(rep, "value_1 value_2 abs_diff ratio expected_ratio "
                         "converged_1 converged_2"), {}
 

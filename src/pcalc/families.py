@@ -43,8 +43,8 @@ __all__ = [
     "L1Report", "check_l1", "DEFAULT_EPSILONS",
 ]
 
-# the checked power and exp of the expression operator table, with its messages
-_pow, _exp = _OPS["^"].scalar, _OPS["exp"].scalar
+# the checked rules of the expression operator table, with its messages
+_pow, _exp, _sin, _cos = (_OPS[op].scalar for op in ("^", "exp", "sin", "cos"))
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ _KINDS: dict[str, _Kind] = {
         lambda t, a=a: np.exp(np.power(t, -a)))),
     "cosine": _Kind(Interval(0.0, math.pi / 2.0, closed_lo=True), lambda a: 0.0 < a <= 1.0,
                     "0 < alpha <= 1", lambda a, c0: (
-        lambda t, h, a=a: t + math.sin(h) * _pow(math.cos(t), 1.0 - a),
+        lambda t, h, a=a: t + _sin(h) * _pow(_cos(t), 1.0 - a),
         lambda t, a=a: _pow(math.cos(t), 1.0 - a),
         lambda t, a=a: np.power(np.cos(t), 1.0 - a))),
     # d/dh h^a vanishes at h=0 since a > 1

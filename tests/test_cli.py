@@ -279,6 +279,18 @@ class TestPolygon:
         assert code == 1
         assert ":2:" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,0\n1,y\n", "{path}:2: non-numeric vertex '1,y'"),
+        ("# one vertex\n0,0\n\n", "{path}: need at least two vertices"),
+    ])
+    def test_vertex_file_errors(self, capsys, tmp_path, text, message):
+        path = tmp_path / "verts.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, ["polygon", "--family", "power", "--alpha", "2",
+                                      "--vertices", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: " + message.format(path=path) + "\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["polygon", "--family", "power", "--alpha", "2",
                                     "--vertices", "/nonexistent/v.csv"])

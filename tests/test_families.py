@@ -164,7 +164,7 @@ class TestMessages:
             make_family("gfd", 0.5, beta=beta)
 
 
-_pow, _exp = _OPS["^"].scalar, _OPS["exp"].scalar
+_pow, _exp, _sin, _cos = (_OPS[op].scalar for op in ("^", "exp", "sin", "cos"))
 
 # each closed-form kind's domain, p, ph_zero and ph_zero's numpy form for
 # (alpha, c0), written out independently of make_family
@@ -186,7 +186,7 @@ REFERENCE = {
         lambda t: _exp(_pow(t, -a)),
         lambda t: np.exp(np.power(t, -a)))),
     "cosine": (Interval(0.0, math.pi / 2.0, closed_lo=True), lambda a, c0: (
-        lambda t, h: t + math.sin(h) * _pow(math.cos(t), 1.0 - a),
+        lambda t, h: t + _sin(h) * _pow(_cos(t), 1.0 - a),
         lambda t: _pow(math.cos(t), 1.0 - a),
         lambda t: np.power(np.cos(t), 1.0 - a))),
     "power": (Interval(-math.inf, math.inf), lambda a, c0: (
@@ -204,7 +204,7 @@ POINTS = st.one_of(st.floats(-1.0, 40.0), st.sampled_from(
 def _outcome(call):
     try:
         return "value", call()
-    except (PcalcError, ValueError) as exc:  # cosine's p takes math.cos of t unchecked
+    except PcalcError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -278,6 +278,11 @@ class TestDeformationValues:
         fam = make_family("cosine", 0.3)
         t = 0.9
         assert fam.ph_zero(t) == pytest.approx(math.cos(t) ** 0.7, rel=1e-14)
+
+    def test_cosine_p_raises_the_checked_rule_error(self):
+        # p does not check its domain; the checked cos rule names the point
+        with pytest.raises(EvaluationError, match=r"^domain error in cos\(inf\)$"):
+            make_family("cosine", 1.0).p(math.inf, 0.0)
 
     def test_power_multiplier_vanishes(self):
         fam = make_family("power", 2.0)
@@ -523,6 +528,15 @@ class TestWeightNorm:
             assert rep.levels == res.subdivisions
             assert rep.converged == (res.error_estimate <= tol)
             assert not rep.diverged
+
+    def test_quadrature_failure_is_no_verdict(self):
+        # the multiplier 2 + sin(1/t) oscillates without end at 0, so the
+        # panels run out at tol 1e-12: neither converged nor divergent
+        fam = make_family("custom", F="t + h*(2 + sin(1/t))")
+        rep = check_l1(fam, 0.0, 1.0, tol=1e-12)
+        assert math.isnan(rep.estimate)
+        assert (rep.interval, rep.converged, rep.levels, rep.diverged) == (
+            (0.0, 1.0), False, 0, False)
 
     def test_interior_interval(self):
         rep = check_l1(make_family("khalil", 0.5), 1.0, 4.0)

@@ -135,6 +135,15 @@ class TestForcedCase:
         with pytest.raises(DivergenceError, match="grew"):
             solve_riccati(prob, override=True)
 
+    def test_growing_updates_end_the_sweeps(self):
+        # q = 50 on [0, 2] is far past the certificate; overridden, the
+        # updates grow from the first sweeps on
+        prob = RiccatiProblem(family=make_family("khalil", 0.5), q="50", u0=3.0, T=2.0,
+                              grid_n=16)
+        with pytest.raises(DivergenceError, match=r"^updates grew for five consecutive "
+                                                  r"sweeps \(last \d\.\d+e\+\d+\)$"):
+            solve_riccati(prob, override=True)
+
 
 class TestResidual:
     def test_converged_solution_has_small_defect(self):

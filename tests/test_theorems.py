@@ -250,6 +250,12 @@ class TestCauchy:
         with pytest.raises(ParameterError):
             find_cauchy_mvt_point(KHALIL, parse("t"), parse("3"), 1.0, 2.0)
 
+    def test_g_derivative_vanishing_at_the_point(self):
+        # g = abs(t-1) + (t-1) is flat left of 1, where f' / g' has its root
+        with pytest.raises(ParameterError, match=r"^derivative of g vanishes near "
+                                                 r"c=0\.523077; denominator degenerate$"):
+            find_cauchy_mvt_point(KHALIL, "t", "abs(t-1)+(t-1)", 0.5, 2.0)
+
 
 class TestRolle:
     def test_frozen_point(self):

@@ -118,6 +118,7 @@ ERRORS = [  # exit 1 and exit 2, each with the message that wins
     ["integral", *K, "--f", "ln(t-2)", "--a", "0.5", "--b", "1"],
     ["integral", *K, "--f", "ln(t-2)", "--a", "0.5", "--b", "1", "--format", "csv"],
     ["integral", *K, "--f", "1/(t-0.5)", "--a", "0", "--b", "1"],
+    ["ftc", "--family", "nderiv", "--alpha", "0.5", "--f", "sin(t)", "--a", "0", "--b", "1e300"],
     # one case per domain rule of the expression operator table
     ["deriv", *K, "--f", "1/(t-1)", "--t", "1"],
     ["integral", *K, "--f", "(t-2)^0.5", "--a", "0.5", "--b", "1"],
