@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DifferentiationError, EvaluationError, PcalcError, UsageError
 from .expr import (EXPR_TYPES, Expr, _differentiate, _flagged_array, compile_array,
-                   compile_expr, differentiate, evaluate, parse)
+                   compile_expr, differentiate, parse)
 from .families import PFunction
 
 __all__ = ["DerivEstimate", "ComparisonReport",
@@ -190,8 +190,7 @@ class FormulaRoute:
     """ph_zero(t) * f'(t) for one f under one family, at a point or a grid.
 
     f' is derived at the first call past the multiplier checks; kinks=True
-    adds abs(u)' = (u/abs(u)) u', 0/0 where u = 0.  route(t) walks the tree
-    of f' the first time, then runs it compiled (the same floats).
+    adds abs(u)' = (u/abs(u)) u', 0/0 where u = 0; route(t) runs f' compiled.
     route.grid(ts), ts 1-d, gives (values, mask): values[i] is route(ts[i])
     to a few ulp where mask[i] is False, NaN where it is True, which is
     where f' or the product is not finite, the multiplier is 0 or raises
@@ -226,14 +225,10 @@ class FormulaRoute:
                 f"multiplier of {self.fam.label} vanishes at t={t!r}; "
                 "the product formula does not apply (use p_derivative_limit)"
             )
-        fp = self._derivative()
-        if not isinstance(fp, EXPR_TYPES):
-            d = fp(t)
-        elif self._fn is None:  # one point: walking the tree costs less than compiling it
-            self._fn, d = False, evaluate(fp, {"t": t})
-        else:
-            self._fn = self._fn or compile_expr(fp)
-            d = self._fn(t)
+        if self._fn is None:
+            fp = self._derivative()
+            self._fn = compile_expr(fp) if isinstance(fp, EXPR_TYPES) else fp
+        d = self._fn(t)
         if not math.isfinite(d):
             raise EvaluationError(f"f'({t!r}) is not finite")
         return mult * d

@@ -409,92 +409,85 @@ def _compile(e: Expr, slots: dict[str, int | None]) -> Callable[[Any], float]:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def compile_array(e: Expr, names: tuple[str, ...] = ("t",)) -> Callable[..., np.ndarray]:
-    """Compile e once into a numpy kernel over arrays of the variables `names`.
+def compile_array(e: Expr) -> Callable[[Any], np.ndarray]:
+    """Compile e once into a numpy kernel over an array of t.
 
-    compile_array(e, names)(*arrays) returns, element by element, what
-    compile_expr(e, names) gives at each point, or raises what a loop of
-    that closure over the points in index order would raise.  Every node
-    runs as a numpy ufunc; points where the closure could raise or differ
-    (a non-finite result of any operation, which covers every zero
-    divisor, any gamma node, an unbound variable) are flagged and
-    recomputed by the closure in ascending index order, so no NaN or inf
-    stands in for an error.  + - * /, negation, abs and sqrt are bit-identical to the
-    closure; ^, exp, ln and the trig functions may differ from math's in
-    the last ulp.  Arguments whose name e does not use are never read
-    (they may be None).
+    compile_array(e)(t) returns, element by element, what compile_expr(e)
+    gives at each point, or raises what a loop of that closure over the
+    points in index order would raise.  Every node runs as a numpy ufunc;
+    points where the closure could raise or differ (a non-finite result of
+    any operation, which covers every zero divisor, any gamma node, any
+    variable other than t) are flagged and recomputed by the closure in
+    ascending index order, so no NaN or inf stands in for an error.
+    + - * /, negation, abs and sqrt are bit-identical to the closure; ^,
+    exp, ln and the trig functions may differ from math's in the last
+    ulp.  Fix any other variable before compiling, by substituting a Num.
     """
-    scalar = compile_expr(e, names)
-    flagged = _flagged_array(e, names)
+    scalar = compile_expr(e)
+    flagged = _flagged_array(e)
 
-    def kernel(*args: Any) -> np.ndarray:
-        out, bad, cols = flagged(*args)
+    def kernel(t: Any) -> np.ndarray:
+        out, bad, flat = flagged(t)
         for i in np.flatnonzero(bad):
-            out[i] = scalar(*(a if col is None else float(col[i])
-                              for a, col in zip(args, cols)))
-        return out.reshape(np.broadcast_shapes(*(np.shape(a) for a in args)))
+            out[i] = scalar(float(flat[i]))
+        return out.reshape(np.shape(t))
 
     return kernel
 
 
-def _flagged_array(e: Expr, names: tuple[str, ...] = ("t",)) -> Callable[..., Any]:
+def _flagged_array(e: Expr) -> Callable[[Any], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """compile_array without the closure.  The kernel returns the flat
     values, the flat flags of the points compile_array would recompute by
-    the closure (their values mean nothing) and the flat columns."""
-    used = variables(e)
-    run = _compile_array(e, {name: i for i, name in enumerate(names)})
+    the closure (their values mean nothing) and the flat t."""
+    run = _compile_array(e)
 
-    def kernel(*args: Any) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
-        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-        cols = [np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
-                if name in used else None for name, a in zip(names, args)]
-        bad = np.zeros(math.prod(shape), dtype=bool)
+    def kernel(t: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        flat = np.asarray(t, dtype=float).ravel()
+        bad = np.zeros(flat.size, dtype=bool)
         with np.errstate(all="ignore"):
-            out = np.array(np.broadcast_to(run(cols, bad), bad.shape))
-        return out, bad, cols
+            out = np.array(np.broadcast_to(run(flat, bad), bad.shape))
+        return out, bad, flat
 
     return kernel
 
 
-def _flag_all(cols: list[np.ndarray | None], bad: np.ndarray) -> float:
+def _flag_all(t: np.ndarray, bad: np.ndarray) -> float:
     bad[:] = True  # the closure decides these points
     return 0.0
 
 
 def _ufunc_node(ufunc: Any, *args: Callable[..., Any]) -> Callable[..., Any]:
-    def node(cols: list[np.ndarray | None], bad: np.ndarray) -> Any:
-        r = ufunc(*(arg(cols, bad) for arg in args))
+    def node(t: np.ndarray, bad: np.ndarray) -> Any:
+        r = ufunc(*(arg(t, bad) for arg in args))
         bad |= ~np.isfinite(r)  # a zero divisor gives inf or nan
         return r
 
     return node
 
 
-def _compile_array(e: Expr, slots: dict[str, int]) -> Callable[..., Any]:
-    # every kernel takes the flat columns and the flag mask, returns an
-    # array (or a float for a constant) and flags the points it cannot vouch for
+def _compile_array(e: Expr) -> Callable[..., Any]:
+    # every kernel takes the flat t and the flag mask, returns an array
+    # (or a float for a constant) and flags the points it cannot vouch for
     if isinstance(e, Num):
         value = e.value
-        return (lambda cols, bad: value) if math.isfinite(value) else _flag_all
+        return (lambda t, bad: value) if math.isfinite(value) else _flag_all
     if isinstance(e, Var):
-        if e.name in slots:
-            i = slots[e.name]
-            return lambda cols, bad: cols[i]
+        if e.name == "t":
+            return lambda t, bad: t
         if e.name in CONSTANTS:
             value = CONSTANTS[e.name]
-            return lambda cols, bad: value
+            return lambda t, bad: value
         return _flag_all
     if isinstance(e, Neg):
-        arg = _compile_array(e.arg, slots)
-        return lambda cols, bad: np.negative(arg(cols, bad))
+        arg = _compile_array(e.arg)
+        return lambda t, bad: np.negative(arg(t, bad))
     if isinstance(e, BinOp):
-        return _ufunc_node(_OPS[e.op].ufunc, _compile_array(e.left, slots),
-                           _compile_array(e.right, slots))
+        return _ufunc_node(_OPS[e.op].ufunc, _compile_array(e.left), _compile_array(e.right))
     if isinstance(e, Call):
         ufunc = _OPS[e.func].ufunc
         if ufunc is None:  # gamma: numpy has none
             return _flag_all
-        return _ufunc_node(ufunc, _compile_array(e.arg, slots))
+        return _ufunc_node(ufunc, _compile_array(e.arg))
     raise TypeError(f"not an Expr node: {e!r}")
 
 

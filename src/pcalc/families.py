@@ -33,8 +33,8 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .expr import (_OPS, BinOp, Expr, Var, compile_array, compile_expr, differentiate, parse,
-                   variables)
+from .expr import (_OPS, BinOp, Expr, Num, Var, compile_array, compile_expr, differentiate,
+                   parse, substitute, variables)
 from .quadrature import integrate_graded
 
 __all__ = [
@@ -204,13 +204,14 @@ FAMILY_KINDS = (*_KINDS, "custom")
 
 
 def _expression_forms(pe: Expr, alpha: float | None) -> tuple:
-    """The forms of a p(t, h) expression in t, h and alpha: p compiled as it
-    stands, the multiplier as its symbolic h-derivative at h = 0."""
-    pc = compile_expr(pe, ("t", "h", "alpha"))  # alpha is read only if pe uses it
-
-    def p(t: float, h: float, pc: Callable[..., float] = pc) -> float:
-        return pc(t, h, alpha)
-
+    """The forms of a p(t, h) expression at a fixed alpha: p compiled in
+    (t, h), the multiplier as the symbolic h-derivative of p at h = 0,
+    compiled in t alone, scalar and array.  alpha and h = 0 are folded in
+    as constants after differentiating, never before: the derivative's
+    short cuts drop a product with a numeric 0, so folding first would turn
+    the -0.0 of (0-t)*alpha at alpha = 0 into 0.0."""
+    a = Var("alpha") if alpha is None else Num(float(alpha))  # None: pe has no alpha
+    p = compile_expr(substitute(pe, "alpha", a), ("t", "h"))
     try:
         dpe = differentiate(pe, "h")
     except DifferentiationError as exc:
@@ -220,16 +221,8 @@ def _expression_forms(pe: Expr, alpha: float | None) -> tuple:
             raise DifferentiationError(f"custom family multiplier unavailable: {msg}")
 
         return p, unavailable, None
-    dpc = compile_expr(dpe, ("t", "h", "alpha"))
-    dpa = compile_array(dpe, ("t", "h", "alpha"))
-
-    def ph0(t: float, dpc: Callable[..., float] = dpc) -> float:
-        return dpc(t, 0.0, alpha)
-
-    def ph0a(t: np.ndarray, dpa: Callable[..., np.ndarray] = dpa) -> np.ndarray:
-        return dpa(t, 0.0, alpha)
-
-    return p, ph0, ph0a
+    m = substitute(substitute(dpe, "h", Num(0.0)), "alpha", a)
+    return p, compile_expr(m), compile_array(m)
 
 
 def make_family(kind: str, alpha: float | None = None, beta: float | None = None,

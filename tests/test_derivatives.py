@@ -81,6 +81,14 @@ class TestLimitRoute:
         est = p_derivative_limit(KHALIL, "t^2", 4.0)
         assert est.value == pytest.approx(16.0, abs=1e-6)
 
+    def test_uninterpretable_argument(self):
+        with pytest.raises(UsageError, match=r"^cannot interpret 3\.0 as a function of t$"):
+            p_derivative_limit(KHALIL, 3.0, 1.0)
+
+    def test_overflowing_f_at_the_point(self):
+        with pytest.raises(EvaluationError, match=r"^f\(1\.0\) is not finite$"):
+            p_derivative_limit(KHALIL, "1e308*t*10", 1.0)
+
 
 def _tableau_at_zero(xs, ys):
     # the full Neville tableau, rebuilt from scratch
@@ -128,6 +136,10 @@ class TestFormulaRoute:
     def test_nonsmooth_expression_is_rejected(self):
         with pytest.raises(DifferentiationError):
             p_derivative_formula(KHALIL, parse("abs(t)"), 1.0)
+
+    def test_overflowing_derivative(self):
+        with pytest.raises(EvaluationError, match=r"^f'\(10\.0\) is not finite$"):
+            p_derivative_formula(KHALIL, "1e308*t^2", 10.0)
 
     def test_vanishing_multiplier_is_exceptional(self):
         power = make_family("power", 2.0)
@@ -234,6 +246,12 @@ class TestComparison:
         rep = compare_definitions(power, power, parse("sin(t)"), 0.5)
         assert math.isnan(rep.ratio)
         assert rep.abs_diff == pytest.approx(0.0, abs=1e-8)
+
+    def test_failing_multiplier_gives_no_expected_ratio(self):
+        # the multiplier of t + abs(h) raises: abs has no derivative at h = 0
+        kinked = make_family("custom", F="t + abs(h)")
+        rep = compare_definitions(kinked, KHALIL, "t", 1.0, side="right")
+        assert rep.expected_ratio is None
 
     def test_values_match_single_route(self):
         f = parse("t^3")

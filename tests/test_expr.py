@@ -92,6 +92,16 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("")
 
+    @pytest.mark.parametrize("src,message", [
+        # the em space is three bytes, so the byte offset is not the character offset
+        ("t\u2003$", "unexpected character '$' (byte offset 4)"),
+        ("sin(t, 2)", "function 'sin' takes exactly one argument (byte offset 5)"),
+    ])
+    def test_parse_error_messages(self, src, message):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert str(exc.value) == message
+
 
 class TestNestingLimit:
     @pytest.mark.parametrize("src,offset", [
@@ -144,7 +154,7 @@ class TestEvaluation:
         e = parse(src)
         for run in (lambda: evaluate(e, env),
                     lambda: compile_expr(e, tuple(env))(*env.values()),
-                    lambda: compile_array(e, tuple(env))(*map(np.array, env.values()))):
+                    lambda: compile_array(e)(np.array(env["t"]))):
             with pytest.raises(EvaluationError) as exc:
                 run()
             assert str(exc.value) == message
@@ -273,13 +283,11 @@ def _within_ulps(a, b, n):
 
 class TestCompiledArray:
     def _outcomes(self, e, t, h, with_h):
-        if with_h:
-            n = min(len(t), len(h))
-            cols, names = (t[:n], h[:n]), ("t", "h")
-        else:
-            cols, names = (t,), ("t",)
-        return (_kernel_outcome(compile_array(e, names), cols),
-                _loop_outcome(compile_expr(e, names), cols))
+        scalar = compile_expr(e)
+        if with_h:  # h is one constant, folded into the kernel's tree
+            scalar = lambda x, fn=compile_expr(e, ("t", "h")): fn(x, h[0])
+            e = substitute(e, "h", Num(h[0]))
+        return _kernel_outcome(compile_array(e), (t,)), _loop_outcome(scalar, (t,))
 
     @given(_EXACT, _POINTS, _POINTS, st.booleans())
     def test_exact_nodes_bit_for_bit(self, e, t, h, with_h):
@@ -309,8 +317,7 @@ class TestCompiledArray:
         assert compile_array(parse("t^2"))(np.empty(0)).shape == (0,)
 
     def test_shapes_and_unused_arguments(self):
-        kernel = compile_array(parse("t + 1"), ("t", "h", "alpha"))
-        out = kernel(np.arange(6.0).reshape(2, 3), 0.0, None)  # alpha is never read
+        out = compile_array(parse("t + 1"))(np.arange(6.0).reshape(2, 3))
         assert out.shape == (2, 3)
         assert out.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         assert compile_array(parse("pi"))(np.zeros(3)).tolist() == [math.pi] * 3
@@ -350,6 +357,11 @@ class TestManipulation:
     def test_differentiate_refuses_nonsmooth_nodes(self, src):
         with pytest.raises(DifferentiationError):
             differentiate(parse(src))
+
+    def test_constant_folding(self):
+        assert differentiate(parse("2*t + 3*t")) == Num(5.0)
+        # a fold that overflows keeps the node
+        assert to_source(differentiate(parse("1e308*t + 1e308*t"))) == "1e+308 + 1e+308"
 
     def test_variable_powers_differentiate(self):
         # d/dt t^h = h * t^(h-1) for constant-in-t exponent

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pcalc.errors import (
@@ -16,12 +16,27 @@ from pcalc.errors import (
     QuadratureError,
     UsageError,
 )
-from pcalc.expr import _OPS, compile_array, compile_expr, evaluate, parse
+from pcalc.expr import (
+    _OPS,
+    FUNCTIONS,
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Var,
+    compile_array,
+    compile_expr,
+    differentiate,
+    evaluate,
+    parse,
+    substitute,
+)
 from pcalc.families import (
     DEFAULT_EPSILONS,
     FAMILY_KINDS,
     Interval,
     PFunction,
+    _expression_forms,
     check_l1,
     check_offset_solvability,
     make_family,
@@ -242,12 +257,88 @@ class TestClosedForms:
             fam = make_family("nderiv", alpha, F=F)
         except ParameterError:
             return
-        fc = compile_expr(parse(F), ("t", "alpha"))
-        fa = compile_array(parse(F), ("t", "alpha"))
+        fe = substitute(parse(F), "alpha", Num(alpha))  # alpha fixed: kernels on t alone
+        fc = compile_expr(fe)
         ref = PFunction("nderiv", alpha, None, fam.F, Interval(0.0, math.inf), fam.label,
-                        lambda t, h: t + h * fc(t, alpha), lambda t: fc(t, alpha),
-                        lambda t: fa(t, alpha))
+                        lambda t, h: t + h * fc(t), fc, compile_array(fe))
         _identical(fam, ref, t, h, ts)
+
+
+def _bits(call):
+    try:
+        return "value", struct.pack("<d", call())
+    except PcalcError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _three_name_forms(pe, alpha):
+    """p and the multiplier of a p(t, h) expression with t, h and alpha all
+    bound at call time: the forms the folded trees must reproduce."""
+    pc = compile_expr(pe, ("t", "h", "alpha"))
+    try:
+        dpc = compile_expr(differentiate(pe, "h"), ("t", "h", "alpha"))
+    except DifferentiationError as exc:
+        message = f"custom family multiplier unavailable: {exc}"
+
+        def dpc(t, h, alpha):
+            raise DifferentiationError(message)
+
+    return lambda t, h: pc(t, h, alpha), lambda t: dpc(t, 0.0, alpha)
+
+
+_P_TREES = st.recursive(
+    st.one_of(st.one_of(st.floats(), st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0])).map(Num),
+              st.sampled_from(["t", "h", "alpha"]).map(Var)),
+    lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), kids)),
+    max_leaves=10)
+CUSTOM_P = ["t + h*(0-t)*alpha", "t + h*t^(1-alpha)", "t*exp(h*t^(-alpha))",
+            "t + sin(h)*cos(t)^(1-alpha)", "t + alpha*h^2 + h*ln(t)", "t + abs(h)",
+            "t + h*gamma(t)*alpha"]
+ALPHA_OR_ZERO = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 2.0]), st.floats())
+
+
+class TestExpressionForms:
+    """alpha and h = 0 are folded into the trees of custom and nderiv-F
+    families; every float and error must be what the expression gives
+    with t, h and alpha bound at call time."""
+
+    @given(_P_TREES, ALPHA_OR_ZERO, POINTS, st.floats(-2.0, 2.0))
+    @example(parse("t + h*(0-t)*alpha"), 0.0, 2.0, 0.5)  # ph0(2.0) is -0.0
+    def test_folded_forms_match_three_name_path(self, pe, alpha, t, h):
+        p, ph0, _ = _expression_forms(pe, alpha)
+        ref_p, ref_ph0 = _three_name_forms(pe, alpha)
+        assert _bits(lambda: p(t, h)) == _bits(lambda: ref_p(t, h))
+        assert _bits(lambda: ph0(t)) == _bits(lambda: ref_ph0(t))
+
+    @given(st.sampled_from([("custom", p) for p in CUSTOM_P] + [("nderiv", F) for F in NDERIV_F]),
+           ALPHA_OR_ZERO, POINTS, st.floats(-2.0, 2.0))
+    @example(("custom", "t + h*(0-t)*alpha"), 0.0, 2.0, 0.5)
+    def test_families_match_three_name_path(self, spec, alpha, t, h):
+        kind, src = spec
+        try:
+            fam = make_family(kind, alpha, F=src)
+        except ParameterError:  # alpha out of range, or the range probe
+            return
+        pe = fam.F if kind == "custom" else BinOp("+", Var("t"), BinOp("*", Var("h"), fam.F))
+        ref_p, ref_ph0 = _three_name_forms(pe, alpha)
+        assert _bits(lambda: fam.p(t, h)) == _bits(lambda: ref_p(t, h))
+        assert _bits(lambda: fam.ph_zero(t)) == _bits(lambda: (fam.require(t), ref_ph0(t))[1])
+
+    def test_folding_after_differentiating_keeps_negative_zero(self):
+        # folding alpha = 0 first would short-cut (0-t)*alpha to 0.0
+        fam = make_family("custom", 0.0, F="t + h*(0-t)*alpha")
+        assert struct.pack("<d", fam.ph_zero(2.0)) == struct.pack("<d", -0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_custom_array_multiplier_is_khalils(self, alpha):
+        # a scalar exponent lets numpy take the same power paths as khalil's closed form
+        t = np.exp(np.random.default_rng(0).uniform(-20.0, 20.0, 10_000))
+        custom = make_family("custom", alpha, F="t + h*t^(1-alpha)")
+        khalil = make_family("khalil", alpha)
+        assert custom.ph_zero_array(t).tobytes() == khalil.ph_zero_array(t).tobytes()
 
 
 class TestDeformationValues:

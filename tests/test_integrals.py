@@ -12,6 +12,7 @@ from pcalc.corpus import corpus_entry
 from pcalc.derivatives import p_derivative_formula
 from pcalc.errors import (
     DifferentiationError,
+    EvaluationError,
     NonIntegrableError,
     ParameterError,
     QuadratureError,
@@ -109,6 +110,10 @@ class TestFtcForward:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ParameterError):
             ftc_forward(KHALIL, parse("t"), 2.0, 2.0)
+
+    def test_overflowing_f_at_the_end(self):
+        with pytest.raises(EvaluationError, match=r"^f\(1\.0\) is not finite$"):
+            ftc_forward(KHALIL, "1e308*t*10", 0.0, 1.0)
 
 
 class TestFtcBackward:

@@ -28,6 +28,7 @@ from pcalc.cli import main  # noqa: E402
 K = ["--family", "khalil", "--alpha", "0.5"]
 POWER = ["--family", "power", "--alpha", "2"]
 NDERIV_F = ["--family", "nderiv", "--alpha", "0.5", "--F", "exp(t^(-alpha)) + t"]
+KHALIL_P = ["--family", "custom", "--p", "t + h*t^(1-alpha)", "--alpha", "0.5"]
 
 # one valid invocation per subcommand, in the order of `pcalc --help`
 VALID = {
@@ -64,6 +65,10 @@ EXTRA = [  # further successful runs: other branches of the handlers
     ["deriv", *K, "--f", "t^2", "--t", "4", "--output", "out.txt"],
     ["riccati", *K, "--q", "0", "--u0", "1", "--T", "0.05", "--n", "16",
      "--output", "out.txt"],
+    # khalil written as a custom p: alpha is folded into the multiplier's tree
+    ["riccati", *KHALIL_P, "--q", "t", "--u0", "1", "--T", "0.05", "--n", "16",
+     "--format", "json"],
+    ["mvt", *KHALIL_P, "--f", "t^2", "--a", "1", "--b", "2"],
 ]
 
 ERRORS = [  # exit 1 and exit 2, each with the message that wins
