@@ -241,6 +241,8 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
     if F is not None and kind not in ("nderiv", "custom"):
         raise ParameterError(f"F only applies to nderiv/custom families, not {kind!r}")
 
+    if alpha is not None and not math.isfinite(alpha):
+        raise ParameterError("alpha must be finite")
     if kind == "custom":
         if F is None:
             raise ParameterError("custom family requires F: the full p(t, h) expression")
@@ -252,8 +254,6 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
 
     if alpha is None:
         raise ParameterError(f"{kind} family requires alpha")
-    if not math.isfinite(alpha):
-        raise ParameterError("alpha must be finite")
     row = _KINDS[kind]
     if not row.accepts(alpha):
         raise ParameterError(f"{kind} family needs {row.needs}, got {alpha!r}")
@@ -334,6 +334,7 @@ def _check_range_sampling(fam: PFunction) -> None:
 # --- solvability of p(t, h) = t +- eps near h = 0 ---------------------------
 
 DEFAULT_EPSILONS = tuple(10.0 ** (-k) for k in range(2, 9))
+_DOUBLINGS = 64  # points of each doubling row h = +-1e-18 * 2^k
 
 
 @dataclass(frozen=True)
@@ -363,7 +364,6 @@ def check_offset_solvability(
     fam: PFunction,
     t: float,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
-    max_doublings: int = 64,
 ) -> SolvabilityReport:
     """Probe whether both one-sided offsets of t are reachable by p(t, .).
 
@@ -375,15 +375,33 @@ def check_offset_solvability(
     eps = tuple(float(e) for e in epsilons)
     if not eps:
         raise ParameterError("need at least one epsilon")
+    if not all(math.isfinite(e) for e in eps):
+        raise ParameterError("epsilons must be finite")
     if any(e <= 0.0 for e in eps):
         raise ParameterError("epsilons must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ParameterError("epsilons must be strictly decreasing")
 
+    def value(h: float) -> float | None:
+        try:
+            v = fam.p(t, h)
+        except EvaluationError:
+            return None
+        return v if math.isfinite(v) else None
+
+    # p(t, 0) and the doubling rows h = +-1e-18 * 2^k, each up to its first
+    # failure, do not depend on the target, so every target shares them
+    v0, rows = value(0.0), []
+    for sign in (1.0, -1.0) if v0 is not None else ():
+        row, h = [], 1e-18 * sign
+        while len(row) < _DOUBLINGS and (v := value(h)) is not None:
+            row.append((h, v))
+            h *= 2.0
+        rows.append(row)
     records = []
     for e in eps:
-        hp, gp = _solve_offset(fam, t, t + e, max_doublings)
-        hm, gm = _solve_offset(fam, t, t - e, max_doublings)
+        hp, gp = _solve_offset(value, v0, rows, t, t + e)
+        hm, gm = _solve_offset(value, v0, rows, t, t - e)
         records.append(EpsilonRecord(e, hp, hm, gp, gm))
     return SolvabilityReport(
         t=t,
@@ -404,29 +422,23 @@ def _shrinking(hs: list[float | None]) -> bool:
 
 
 def _solve_offset(
-    fam: PFunction, t: float, target: float, max_doublings: int
+    value: Callable[[float], float | None], v0: float | None,
+    rows: list[list[tuple[float, float]]], t: float, target: float,
 ) -> tuple[float | None, float | None]:
+    """The root of p(t, h) = target nearest 0 from the first sign change
+    of each doubling row, bisected, and its gap |p(t, h) - target|."""
     def resid(h: float) -> float | None:
-        try:
-            v = fam.p(t, h)
-        except EvaluationError:
-            return None
-        return v - target if math.isfinite(v) else None
+        v = value(h)
+        return None if v is None else v - target
 
-    r0 = resid(0.0)
-    if r0 is None:
-        return None, None
-    if r0 == 0.0:
+    if v0 is None or v0 - target == 0.0:
         return None, None  # degenerate target; h=0 is not an admissible root
 
     best: tuple[float, float] | None = None
-    for sign in (1.0, -1.0):
-        prev_h, prev_r = 0.0, r0
-        h = 1e-18 * sign
-        for _ in range(max_doublings):
-            r = resid(h)
-            if r is None:
-                break
+    for row in rows:
+        prev_h, prev_r = 0.0, v0 - target
+        for h, v in row:
+            r = v - target
             if r == 0.0 or (r > 0.0) != (prev_r > 0.0):
                 root = h if r == 0.0 else _bisect(resid, prev_h, h, prev_r, 128)[0]
                 rr = resid(root)
@@ -435,13 +447,11 @@ def _solve_offset(
                     best = (root, gap)
                 break
             prev_h, prev_r = h, r
-            h *= 2.0
 
     if best is None:
         return None, None
     root, gap = best
-    eps = abs(target - t)
-    if gap > 1e-3 * eps:
+    if gap > 1e-3 * abs(target - t):
         return None, None
     return root, gap
 

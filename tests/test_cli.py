@@ -660,6 +660,10 @@ class TestFuzz:
         (["riccati", *KHALIL, "--q", "0", "--u0", "1e300", "--T", "0.1", "--override"], 2),
         (["riccati", *KHALIL, "--q", "0", "--u0", "1", "--T", "0.05", "--start", "nan"], 1),
         (["hypothesis", *KHALIL, "--t", "1", "--epsilons", ","], 1),
+        (["hypothesis", *KHALIL, "--t", "1", "--epsilons", "1e-2,nan"], 1),
+        (["hypothesis", *KHALIL, "--t", "1", "--epsilons", "inf"], 1),
+        (["deriv", "--family", "custom", "--p", "t + h*t^(1-alpha)", "--alpha", "nan",
+          "--f", "t^2", "--t", "2"], 1),
         (["weierstrass", *WEIERSTRASS, "--x", "1/3", "--m", "300"], 1),
         (["weierstrass", *WEIERSTRASS, "--x", "1e5000"], 1),
         (["weierstrass", *WEIERSTRASS, "--x", "1e10000000"], 1),

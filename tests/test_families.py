@@ -34,6 +34,7 @@ from pcalc.expr import (
 from pcalc.families import (
     DEFAULT_EPSILONS,
     FAMILY_KINDS,
+    EpsilonRecord,
     Interval,
     PFunction,
     _expression_forms,
@@ -150,6 +151,8 @@ MESSAGES = [
     (("gfd", 1.8, -199.7, None), "gfd coefficient Gamma(beta)/Gamma(beta - alpha + 1) is "
      "out of float range at beta=-199.7, alpha=1.8"),  # Gamma(-200.5) underflows to 0
     (("custom", 0.5, None, None), "custom family requires F: the full p(t, h) expression"),
+    (("custom", math.nan, None, "t + h*t^(1-alpha)"), "alpha must be finite"),
+    (("custom", math.inf, None, "t + h"), "alpha must be finite"),
     (("custom", None, None, "t + alpha*h + x"),
      "custom p may only reference ['alpha', 'h', 't']; found ['x']"),
     (("custom", None, None, "t + alpha*h"), "custom p references alpha but no alpha was given"),
@@ -518,6 +521,68 @@ class TestMultiplierArray:
         assert ARRAY_FAMILIES[6].ph_zero_array(t).tolist() == [[0.0] * 3] * 2
 
 
+CUSTOM_P = ["t + sin(1000*h)*h", "t + h^2 - h", "t + abs(h)", "t + h*t^(1-alpha)"]
+OFFSET_FAMILIES = st.one_of(
+    st.tuples(st.sampled_from(["khalil", "katugampola", "gfd", "nderiv"]),
+              st.floats(0.05, 3.0), st.none()),
+    st.tuples(st.just("cosine"), ALPHAS["cosine"], st.none()),
+    st.tuples(st.just("power"), st.one_of(ALPHAS["power"], st.sampled_from([2.0, 3.0])),
+              st.none()),
+    st.tuples(st.just("nderiv"), st.floats(0.05, 3.0), st.sampled_from(NDERIV_F)),
+    st.tuples(st.just("custom"), st.floats(0.05, 3.0), st.sampled_from(CUSTOM_P)),
+)
+
+
+def _reference_solve(fam, t, target):
+    """The per-target offset solver, the oracle of the shared rows: the
+    target doubles h = +-1e-18 * 2^k from scratch, 64 times at most, and
+    bisects its first sign change on each side."""
+    def resid(h):
+        try:
+            v = fam.p(t, h)
+        except EvaluationError:
+            return None
+        return v - target if math.isfinite(v) else None
+
+    def bisect(lo, hi, rlo):
+        for _ in range(128):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            rm = resid(mid)
+            if rm == 0.0:
+                return mid
+            if rm is not None and (rm > 0.0) == (rlo > 0.0):
+                lo, rlo = mid, rm
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    r0 = resid(0.0)
+    if r0 is None or r0 == 0.0:
+        return None, None
+    best = None
+    for sign in (1.0, -1.0):
+        prev_h, prev_r = 0.0, r0
+        h = 1e-18 * sign
+        for _ in range(64):
+            r = resid(h)
+            if r is None:
+                break
+            if r == 0.0 or (r > 0.0) != (prev_r > 0.0):
+                root = h if r == 0.0 else bisect(prev_h, h, prev_r)
+                rr = resid(root)
+                gap = abs(rr) if rr is not None else math.inf
+                if best is None or abs(root) < abs(best[0]):
+                    best = (root, gap)
+                break
+            prev_h, prev_r = h, r
+            h *= 2.0
+    if best is None or best[1] > 1e-3 * abs(target - t):
+        return None, None
+    return best
+
+
 class TestOffsetSolvability:
     def test_khalil_solves_both_sides(self):
         rep = check_offset_solvability(make_family("khalil", 0.5), 1.0)
@@ -562,6 +627,47 @@ class TestOffsetSolvability:
             check_offset_solvability(fam, 1.0, epsilons=())
         with pytest.raises(ParameterError, match="epsilons must be positive"):
             check_offset_solvability(fam, 1.0, epsilons=(1e-2, 0.0))
+
+    @pytest.mark.parametrize("epsilons", [(math.nan,), (math.inf,), (1e-2, math.nan),
+                                          (-math.inf,), (math.inf, 1e-2)])
+    def test_epsilons_must_be_finite(self, epsilons):
+        # nan passes both the positivity and the ordering test, and inf the first
+        with pytest.raises(ParameterError, match="^epsilons must be finite$"):
+            check_offset_solvability(make_family("khalil", 0.5), 1.0, epsilons=epsilons)
+
+    def test_p_is_sampled_once_per_grid_point(self):
+        # the 14 targets share p(t, 0) and the doubling rows; solving each
+        # target from scratch takes 2,028 p calls
+        fam, calls = make_family("khalil", 0.5), []
+
+        def p(t, h):
+            calls.append(h)
+            return fam.p(t, h)
+
+        counted = PFunction(fam.kind, fam.alpha, fam.beta, fam.F, fam.domain, fam.label,
+                            p, fam._ph0)
+        rep = check_offset_solvability(counted, 1.0)
+        assert rep == check_offset_solvability(fam, 1.0)
+        assert len(calls) <= 800
+        assert calls.count(0.0) == 1
+
+    @given(OFFSET_FAMILIES, st.data(),
+           st.lists(st.floats(1e-12, 2.0), min_size=1, max_size=4, unique=True))
+    def test_matches_the_per_target_solver(self, args, data, epsilons):
+        # bit for bit the solver that doubled and bisected for each target
+        kind, alpha, F = args
+        fam = make_family(kind, alpha, beta=1.5 if kind == "gfd" else None, F=F)
+        lo, hi = max(fam.domain.lo, -3.0), min(fam.domain.hi, 10.0)
+        t = data.draw(st.floats(lo, hi, exclude_min=not fam.domain.closed_lo,
+                                exclude_max=True), label="t")
+        eps = sorted(epsilons, reverse=True)
+        records = []
+        for e in eps:
+            (hp, gp), (hm, gm) = _reference_solve(fam, t, t + e), _reference_solve(fam, t, t - e)
+            records.append(EpsilonRecord(e, hp, hm, gp, gm))
+        got = check_offset_solvability(fam, t, eps).records
+        assert got == tuple(records)
+        assert repr(got) == repr(tuple(records))
 
 
 class TestWeightNorm:

@@ -69,6 +69,12 @@ EXTRA = [  # further successful runs: other branches of the handlers
     ["riccati", *KHALIL_P, "--q", "t", "--u0", "1", "--T", "0.05", "--n", "16",
      "--format", "json"],
     ["mvt", *KHALIL_P, "--f", "t^2", "--a", "1", "--b", "2"],
+    # offset roots from the shared doubling rows: a p that is not monotone in h,
+    # roots on both signs of h, a point near the domain edge, a side with no root
+    ["hypothesis", "--family", "custom", "--p", "t + sin(1000*h)*h", "--t", "1"],
+    ["hypothesis", "--family", "power", "--alpha", "3", "--t", "0.5"],
+    ["hypothesis", "--family", "cosine", "--alpha", "0.5", "--t", "1.5"],
+    ["hypothesis", "--family", "katugampola", "--alpha", "0.5", "--t", "1", "--epsilons", "10,1"],
 ]
 
 ERRORS = [  # exit 1 and exit 2, each with the message that wins
@@ -102,6 +108,12 @@ ERRORS = [  # exit 1 and exit 2, each with the message that wins
     ["polygon", *K, "--vertices", "v.csv", "--grid", "1.0"],
     ["hypothesis", *K, "--t", "1", "--epsilons", "a,b"],
     ["hypothesis", *K, "--t", "1", "--epsilons", "0.01,0.1"],
+    ["hypothesis", *K, "--t", "1", "--epsilons", "nan"],
+    ["hypothesis", *K, "--t", "1", "--epsilons", "inf"],
+    ["hypothesis", *K, "--t", "1", "--epsilons", "1e-2,nan"],
+    ["hypothesis", "--family", "custom", "--p", "t + h*t^(1-alpha)", "--alpha", "nan", "--t", "2"],
+    ["deriv", "--family", "custom", "--p", "t + h*t^(1-alpha)", "--alpha", "nan", "--f", "t^2",
+     "--t", "2"],
     ["riccati", *K, "--q", "(", "--u0", "nan", "--T", "0.05"],
     ["riccati", *K, "--q", "0", "--u0", "nan", "--T", "0.05"],
     ["riccati", *K, "--q", "0", "--u0", "1", "--T", "0.05", "--start", "nan"],
