@@ -13,6 +13,11 @@ consequence of `factor := unary ...`: in "-t^2" the unary minus captures
 "t" first, so the string parses as (-t)^2.  Write "-(t^2)" for the other
 reading.
 
+One regex pass tokenizes, and one precedence-climbing loop (Pratt, 1973)
+parses expr, term and factor, in time linear in the input.  A ParseError
+carries the UTF-8 byte offset of the offending token, worked out only
+when the error is raised.
+
 Nesting is limited to MAX_DEPTH levels.  Each pair of parentheses, each
 function call, each unary minus, each "^" and each operator of a
 "+ - * /" chain opens one level; deeper input is a ParseError at the
@@ -36,7 +41,7 @@ import operator
 import re
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Union
+from typing import Any, NamedTuple, NoReturn, Union
 
 import numpy as np
 
@@ -108,167 +113,122 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokenizer and parser
 # ---------------------------------------------------------------------------
 
+# every position matches a token, an unexpected character or the end, so
+# one finditer pass tokenizes.  \Z takes trailing space in one match;
+# without it finditer would rescan that space from every position
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S)"
+    r"|(?P<end>\Z)"
     r")"
 )
 
+# binary operator -> (binding power, right-associative)
+_BINARY = {"+": (1, False), "-": (1, False), "*": (2, False), "/": (2, False),
+           "^": (3, True)}
 
-def _byte_offset(source: str, char_pos: int) -> int:
-    return len(source[:char_pos].encode("utf-8"))
-
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            # skip leading space before reporting
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = n - len(stripped)
-            raise ParseError(
-                f"unexpected character {stripped[0]!r}", _byte_offset(source, bad_pos)
-            )
-        kind = m.lastgroup
-        text = m.group(kind)
-        tokens.append((kind, text, _byte_offset(source, m.start(kind))))
-        pos = m.end()
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
 
 class _Parser:
-    """Recursive descent; each grammar rule returns (node, nesting levels)."""
+    """Precedence climbing; each rule returns (node, nesting levels)."""
 
     def __init__(self, source: str, allowed_vars: frozenset[str]) -> None:
         self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
         self.allowed = allowed_vars
         self.open = 0  # descents in progress; bounds the parser's own recursion
+        self.i = 0
+        # (kind, text, character position), ending in the ("end", "", len) token;
+        # tokenized eagerly, so an unexpected character wins over a parse error
+        self.tokens: list[tuple[str, str, int]] = []
+        for m in _TOKEN_RE.finditer(source):
+            kind = m.lastgroup
+            if kind == "bad":
+                self._fail(f"unexpected character {m[kind]!r}", m.start(kind))
+            self.tokens.append((kind, m[kind], m.start(kind)))
+            if kind == "end":
+                break
 
-    def _peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _fail(self, message: str, pos: int) -> NoReturn:
+        # offsets count bytes of the UTF-8 source, worked out only when raising
+        src = self.source
+        raise ParseError(message, pos if src.isascii() else len(src[:pos].encode("utf-8")))
 
-    def _next(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input",
-                             len(self.source.encode("utf-8")))
-        self.pos += 1
-        return tok
-
-    def _expect_op(self, op: str) -> None:
-        tok = self._peek()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            off = tok[2] if tok else len(self.source.encode("utf-8"))
-            got = repr(tok[1]) if tok else "end of input"
-            raise ParseError(f"expected {op!r}, got {got}", off)
-        self.pos += 1
-
-    def _at_op(self, *ops: str) -> tuple[str, int] | None:
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] in ops:
-            return tok[1], tok[2]
-        return None
-
-    def _level(self, depth: int, off: int) -> int:
+    def _level(self, depth: int, pos: int) -> int:
         if depth >= MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+            self._fail(f"expression nested deeper than {MAX_DEPTH} levels", pos)
         return depth + 1
 
-    def _enter(self, off: int) -> None:
+    def _enter(self, pos: int) -> None:
         # every descent adds a level to its result, so the limit is checked
         # on the way down as well, which keeps the parser's own stack shallow
-        self._level(self.open, off)
+        self._level(self.open, pos)
         self.open += 1
 
-    def _leave(self, depth: int, off: int) -> int:
+    def _leave(self, depth: int, pos: int) -> int:
         self.open -= 1
-        return self._level(depth, off)
+        return self._level(depth, pos)
 
     def parse(self) -> Expr:
-        if not self.tokens:
-            raise ParseError("empty expression", 0)
-        e, _ = self.expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        if self.tokens[0][0] == "end":
+            self._fail("empty expression", 0)
+        e, _ = self.binary(1)
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            self._fail(f"unexpected trailing input {text!r}", pos)
         return e
 
-    def expr(self) -> tuple[Expr, int]:
-        e, depth = self.term()
-        while (at := self._at_op("+", "-")) is not None:
-            self.pos += 1
-            right, rdepth = self.term()
-            e, depth = BinOp(at[0], e, right), self._level(max(depth, rdepth), at[1])
-        return e, depth
-
-    def term(self) -> tuple[Expr, int]:
-        e, depth = self.factor()
-        while (at := self._at_op("*", "/")) is not None:
-            self.pos += 1
-            right, rdepth = self.factor()
-            e, depth = BinOp(at[0], e, right), self._level(max(depth, rdepth), at[1])
-        return e, depth
-
-    def factor(self) -> tuple[Expr, int]:
+    def binary(self, min_power: int) -> tuple[Expr, int]:
         e, depth = self.unary()
-        if (at := self._at_op("^")) is not None:
-            self.pos += 1
-            self._enter(at[1])
-            right, rdepth = self.factor()  # right associative
-            e, depth = BinOp("^", e, right), max(self._level(depth, at[1]),
-                                                 self._leave(rdepth, at[1]))
-        return e, depth
+        while True:
+            _, op, pos = self.tokens[self.i]
+            power, right = _BINARY.get(op, (0, False))
+            if power < min_power:
+                return e, depth
+            self.i += 1
+            if right:  # "^" opens a level like a parenthesis
+                self._enter(pos)
+                rhs, rdepth = self.binary(power)
+                self.open -= 1
+            else:
+                rhs, rdepth = self.binary(power + 1)
+            e, depth = BinOp(op, e, rhs), self._level(max(depth, rdepth), pos)
 
     def unary(self) -> tuple[Expr, int]:
-        if (at := self._at_op("-")) is not None:
-            self.pos += 1
-            self._enter(at[1])
-            arg, depth = self.unary()
-            return Neg(arg), self._leave(depth, at[1])
-        return self.atom()
-
-    def atom(self) -> tuple[Expr, int]:
-        kind, text, off = self._next()
+        kind, text, pos = self.tokens[self.i]
+        self.i += 1
+        call = kind == "ident" and self.tokens[self.i][1] == "("
         if kind == "num":
             return Num(float(text)), 0
-        if kind == "ident":
-            if self._at_op("(") is not None:
-                if text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {text!r}", off)
-                self.pos += 1
-                self._enter(off)
-                arg, depth = self.expr()
-                if (at := self._at_op(",")) is not None:
-                    raise ParseError(
-                        f"function {text!r} takes exactly one argument", at[1]
-                    )
-                self._expect_op(")")
-                return Call(text, arg), self._leave(depth, off)
+        if kind == "ident" and not call:
             if text in CONSTANTS or text in self.allowed:
                 return Var(text), 0
-            raise ParseError(f"unknown variable {text!r}", off)
-        if kind == "op" and text == "(":
-            self._enter(off)
-            e, depth = self.expr()
-            self._expect_op(")")
-            return e, self._leave(depth, off)
-        raise ParseError(f"unexpected token {text!r}", off)
+            self._fail(f"unknown variable {text!r}", pos)
+        if call:
+            if text not in FUNCTIONS:
+                self._fail(f"unknown function {text!r}", pos)
+            self.i += 1
+        elif kind == "end":
+            self._fail("unexpected end of input", pos)
+        elif text not in ("-", "("):
+            self._fail(f"unexpected token {text!r}", pos)
+        self._enter(pos)
+        if text == "-":
+            arg, depth = self.unary()
+            return Neg(arg), self._leave(depth, pos)
+        arg, depth = self.binary(1)
+        ckind, close, cpos = self.tokens[self.i]
+        if call and close == ",":
+            self._fail(f"function {text!r} takes exactly one argument", cpos)
+        if close != ")":
+            got = "end of input" if ckind == "end" else repr(close)
+            self._fail(f"expected ')', got {got}", cpos)
+        self.i += 1
+        return (Call(text, arg) if call else arg), self._leave(depth, pos)
 
 
 def parse(source: str, params: tuple[str, ...] = ()) -> Expr:
@@ -612,42 +572,48 @@ def differentiate(e: Expr, var: str = "t") -> Expr:
 def _differentiate(e: Expr, var: str, kinks: bool) -> Expr:
     # kinks=True differentiates abs(u) as (u/abs(u)) * u': the classical
     # derivative off the kink, 0/0 (an evaluation error) where u = 0
-    if var not in variables(e):
-        return _ZERO
+    d = _derivative(e, var, kinks)
+    return _ZERO if d is None else d
+
+
+def _derivative(e: Expr, var: str, kinks: bool) -> Expr | None:
+    # None for a subtree free of var, so no node is walked twice
     if isinstance(e, Var):
-        return _ONE  # variables(e) contains var, so e is Var(var)
+        return _ONE if e.name == var else None
     if isinstance(e, Neg):
-        return _neg(_differentiate(e.arg, var, kinks))
+        d = _derivative(e.arg, var, kinks)
+        return None if d is None else _neg(d)
     if isinstance(e, BinOp):
-        op = e.op
-        if op in "+-":
-            da = _differentiate(e.left, var, kinks)
-            db = _differentiate(e.right, var, kinks)
-            return _add(da, db) if op == "+" else _sub(da, db)
+        op, u, v = e.op, e.left, e.right
+        if op == "^":  # the exponent first: a refusal names the node it always has
+            dv, du = _derivative(v, var, kinks), _derivative(u, var, kinks)
+        else:
+            du, dv = _derivative(u, var, kinks), _derivative(v, var, kinks)
+        if du is None and dv is None:
+            return None
+        if op == "^":
+            if du is None:
+                # c^v -> c^v * ln(c) * v'
+                return _mul(_mul(e, Call("ln", u)), dv)
+            if dv is None:
+                # u^c -> c * u^(c-1) * u'
+                expm1 = _sub(v, _ONE) if not isinstance(v, Num) else Num(v.value - 1.0)
+                return _mul(_mul(v, _pow(u, expm1)), du)
+            # general u^v -> u^v * (v' ln u + v u'/u)
+            return _mul(e, _add(_mul(dv, Call("ln", u)), _mul(v, _div(du, u))))
+        du, dv = du or _ZERO, dv or _ZERO
+        if op == "+":
+            return _add(du, dv)
+        if op == "-":
+            return _sub(du, dv)
         if op == "*":
-            return _add(_mul(_differentiate(e.left, var, kinks), e.right),
-                        _mul(e.left, _differentiate(e.right, var, kinks)))
-        if op == "/":
-            num = _sub(_mul(_differentiate(e.left, var, kinks), e.right),
-                       _mul(e.left, _differentiate(e.right, var, kinks)))
-            return _div(num, _pow(e.right, Num(2.0)))
-        # power u^v
-        u, v = e.left, e.right
-        du_needed = var in variables(u)
-        dv_needed = var in variables(v)
-        if dv_needed and not du_needed:
-            # c^v -> c^v * ln(c) * v'
-            return _mul(_mul(e, Call("ln", u)), _differentiate(v, var, kinks))
-        if du_needed and not dv_needed:
-            # u^c -> c * u^(c-1) * u'
-            expm1 = _sub(v, _ONE) if not isinstance(v, Num) else Num(v.value - 1.0)
-            return _mul(_mul(v, _pow(u, expm1)), _differentiate(u, var, kinks))
-        # general u^v -> u^v * (v' ln u + v u'/u)
-        return _mul(e, _add(_mul(_differentiate(v, var, kinks), Call("ln", u)),
-                            _mul(v, _div(_differentiate(u, var, kinks), u))))
+            return _add(_mul(du, v), _mul(u, dv))
+        return _div(_sub(_mul(du, v), _mul(u, dv)), _pow(v, Num(2.0)))
     if isinstance(e, Call):
         u = e.arg
-        du = _differentiate(u, var, kinks)
+        du = _derivative(u, var, kinks)
+        if du is None:
+            return None
         name = e.func
         if name == "sin":
             outer = Call("cos", u)
@@ -670,7 +636,7 @@ def _differentiate(e: Expr, var: str, kinks: bool) -> Expr:
                 f"cannot differentiate through {name!r}; use the limit path"
             )
         return _mul(outer, du)
-    raise TypeError(f"not an Expr node: {e!r}")
+    return None  # a Num
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
+import re
 import struct
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pcalc.derivatives import p_derivative_formula
@@ -18,6 +20,13 @@ from pcalc.expr import (
     Neg,
     Num,
     Var,
+    _add,
+    _differentiate,
+    _div,
+    _mul,
+    _neg,
+    _pow,
+    _sub,
     compile_array,
     compile_expr,
     differentiate,
@@ -96,6 +105,10 @@ class TestParsing:
         # the em space is three bytes, so the byte offset is not the character offset
         ("t\u2003$", "unexpected character '$' (byte offset 4)"),
         ("sin(t, 2)", "function 'sin' takes exactly one argument (byte offset 5)"),
+        ("t\u2003+", "unexpected end of input (byte offset 5)"),
+        ("sin(t\u2003", "expected ')', got end of input (byte offset 8)"),
+        # \d takes any Unicode digit; ARABIC-INDIC DIGIT THREE is two bytes
+        ("\u0663+", "unexpected end of input (byte offset 3)"),
     ])
     def test_parse_error_messages(self, src, message):
         with pytest.raises(ParseError) as exc:
@@ -131,6 +144,227 @@ class TestNestingLimit:
         assert to_source(e) and to_source(d)
         # printed output stays within the limit: --t, not -(-t)
         assert parse(to_source(e)) == e
+
+
+# The recursive-descent parser expr.parse replaced, kept as the reference
+# that TestParserOracle holds the precedence-climbing parser to.
+
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),])"
+    r")"
+)
+
+
+def _ref_byte_offset(source, char_pos):
+    return len(source[:char_pos].encode("utf-8"))
+
+
+def _ref_tokenize(source):
+    tokens = []
+    pos = 0
+    n = len(source)
+    while pos < n:
+        m = _REF_TOKEN_RE.match(source, pos)
+        if m is None or m.end() == pos:
+            stripped = source[pos:].lstrip()
+            if not stripped:
+                break
+            bad_pos = n - len(stripped)
+            raise ParseError(
+                f"unexpected character {stripped[0]!r}", _ref_byte_offset(source, bad_pos)
+            )
+        kind = m.lastgroup
+        text = m.group(kind)
+        tokens.append((kind, text, _ref_byte_offset(source, m.start(kind))))
+        pos = m.end()
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, source, allowed_vars):
+        self.source = source
+        self.tokens = _ref_tokenize(source)
+        self.pos = 0
+        self.allowed = allowed_vars
+        self.open = 0
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _next(self):
+        tok = self._peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", len(self.source.encode("utf-8")))
+        self.pos += 1
+        return tok
+
+    def _expect_op(self, op):
+        tok = self._peek()
+        if tok is None or tok[0] != "op" or tok[1] != op:
+            off = tok[2] if tok else len(self.source.encode("utf-8"))
+            got = repr(tok[1]) if tok else "end of input"
+            raise ParseError(f"expected {op!r}, got {got}", off)
+        self.pos += 1
+
+    def _at_op(self, *ops):
+        tok = self._peek()
+        if tok is not None and tok[0] == "op" and tok[1] in ops:
+            return tok[1], tok[2]
+        return None
+
+    def _level(self, depth, off):
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+        return depth + 1
+
+    def _enter(self, off):
+        self._level(self.open, off)
+        self.open += 1
+
+    def _leave(self, depth, off):
+        self.open -= 1
+        return self._level(depth, off)
+
+    def parse(self):
+        if not self.tokens:
+            raise ParseError("empty expression", 0)
+        e, _ = self.expr()
+        tok = self._peek()
+        if tok is not None:
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        return e
+
+    def expr(self):
+        e, depth = self.term()
+        while (at := self._at_op("+", "-")) is not None:
+            self.pos += 1
+            right, rdepth = self.term()
+            e, depth = BinOp(at[0], e, right), self._level(max(depth, rdepth), at[1])
+        return e, depth
+
+    def term(self):
+        e, depth = self.factor()
+        while (at := self._at_op("*", "/")) is not None:
+            self.pos += 1
+            right, rdepth = self.factor()
+            e, depth = BinOp(at[0], e, right), self._level(max(depth, rdepth), at[1])
+        return e, depth
+
+    def factor(self):
+        e, depth = self.unary()
+        if (at := self._at_op("^")) is not None:
+            self.pos += 1
+            self._enter(at[1])
+            right, rdepth = self.factor()
+            e, depth = BinOp("^", e, right), max(self._level(depth, at[1]),
+                                                 self._leave(rdepth, at[1]))
+        return e, depth
+
+    def unary(self):
+        if (at := self._at_op("-")) is not None:
+            self.pos += 1
+            self._enter(at[1])
+            arg, depth = self.unary()
+            return Neg(arg), self._leave(depth, at[1])
+        return self.atom()
+
+    def atom(self):
+        kind, text, off = self._next()
+        if kind == "num":
+            return Num(float(text)), 0
+        if kind == "ident":
+            if self._at_op("(") is not None:
+                if text not in FUNCTIONS:
+                    raise ParseError(f"unknown function {text!r}", off)
+                self.pos += 1
+                self._enter(off)
+                arg, depth = self.expr()
+                if (at := self._at_op(",")) is not None:
+                    raise ParseError(f"function {text!r} takes exactly one argument", at[1])
+                self._expect_op(")")
+                return Call(text, arg), self._leave(depth, off)
+            if text in CONSTANTS or text in self.allowed:
+                return Var(text), 0
+            raise ParseError(f"unknown variable {text!r}", off)
+        if kind == "op" and text == "(":
+            self._enter(off)
+            e, depth = self.expr()
+            self._expect_op(")")
+            return e, self._leave(depth, off)
+        raise ParseError(f"unexpected token {text!r}", off)
+
+
+def _tree_outcome(run):
+    try:
+        e = run()
+    except Exception as exc:  # the type is part of the outcome
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return "tree", e, repr(e)
+
+
+# pieces whose concatenations reach every branch of the grammar and every
+# error: non-ASCII space, letter and digit for the byte offsets, numbers
+# with a bare point or exponent, a comma, an unknown name, stray characters
+_PIECES = ["t", "x", "h", "y", "alpha", "pi", "e", "E", "sin", "gamma", "foo", "2", "2.",
+           ".5", ".", "1e3", "1e", "\u0663", "\u00e9", "\u2003", " ", "\n", "(", ")", ",",
+           "+", "-", "*", "/", "^", "$"]
+_DEEP = [
+    lambda n: "(" * n + "t" + ")" * n,
+    lambda n: "-" * n + "t",
+    lambda n: "^".join(["t"] * n),
+    lambda n: "+".join(["t"] * n),
+    lambda n: "*".join(["t"] * n),
+    lambda n: "sin(" * n + "t" + ")" * n,
+    lambda n: "(" * n + "t" + ")" * n + "^2",
+    lambda n: "-(" * (n // 2) + "t^t" + ")" * (n // 2),
+]
+
+
+def _deep(make, n, at, piece):
+    # n levels of one kind of nesting, with one piece inserted anywhere
+    s = make(n)
+    at %= len(s) + 1
+    return s[:at] + piece + s[at:]
+
+
+_SOURCES = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=14).map("".join),
+    st.builds(_deep, st.sampled_from(_DEEP), st.integers(MAX_DEPTH - 5, MAX_DEPTH + 5),
+              st.integers(0, 10 ** 4), st.sampled_from(["", *_PIECES])),
+)
+
+
+class TestParserOracle:
+    @given(_SOURCES, st.sampled_from([(), ("y",)]))
+    @example("2. ", ())
+    @example("\n", ())
+    @example("t" + " " * 50, ())
+    @example("^".join(["t"] * (MAX_DEPTH + 2)), ())
+    def test_same_trees_errors_and_offsets(self, src, params):
+        ref = _tree_outcome(lambda: _RefParser(src, DEFAULT_VARIABLES | set(params)).parse())
+        assert _tree_outcome(lambda: parse(src, params)) == ref
+
+
+class TestLinearTime:
+    # a byte offset worked out per token makes the chain quadratic, and a
+    # token regex that cannot match at the end rescans long runs of space
+    @pytest.mark.parametrize("src,outcome", [
+        ("t+" * (256 * 1024) + "t", 2 * MAX_DEPTH + 1),  # a 512 KB chain
+        ("t" + " " * 200_000, None),
+        (" " * 200_000 + "$", 200_000),
+    ], ids=["chain-512K", "trailing-space-200K", "leading-space-200K"])
+    def test_long_input_within_2s(self, src, outcome):
+        start = time.perf_counter()
+        if outcome is None:
+            assert parse(src) == Var("t")
+        else:
+            with pytest.raises(ParseError) as exc:
+                parse(src)
+            assert exc.value.offset == outcome
+        assert time.perf_counter() - start < 2.0
 
 
 class TestEvaluation:
@@ -367,6 +601,76 @@ class TestManipulation:
         # d/dt t^h = h * t^(h-1) for constant-in-t exponent
         d = differentiate(parse("t^h"))
         assert evaluate(d, {"t": 2.0, "h": 3.0}) == pytest.approx(12.0)
+
+
+def _ref_differentiate(e, var, kinks):
+    # differentiate as it was before subtrees free of var came back as None:
+    # it asks variables() at every node
+    if var not in variables(e):
+        return Num(0.0)
+    if isinstance(e, Var):
+        return Num(1.0)
+    if isinstance(e, Neg):
+        return _neg(_ref_differentiate(e.arg, var, kinks))
+    if isinstance(e, BinOp):
+        op = e.op
+        if op in "+-":
+            da = _ref_differentiate(e.left, var, kinks)
+            db = _ref_differentiate(e.right, var, kinks)
+            return _add(da, db) if op == "+" else _sub(da, db)
+        if op == "*":
+            return _add(_mul(_ref_differentiate(e.left, var, kinks), e.right),
+                        _mul(e.left, _ref_differentiate(e.right, var, kinks)))
+        if op == "/":
+            num = _sub(_mul(_ref_differentiate(e.left, var, kinks), e.right),
+                       _mul(e.left, _ref_differentiate(e.right, var, kinks)))
+            return _div(num, _pow(e.right, Num(2.0)))
+        u, v = e.left, e.right
+        du_needed = var in variables(u)
+        dv_needed = var in variables(v)
+        if dv_needed and not du_needed:
+            return _mul(_mul(e, Call("ln", u)), _ref_differentiate(v, var, kinks))
+        if du_needed and not dv_needed:
+            expm1 = _sub(v, Num(1.0)) if not isinstance(v, Num) else Num(v.value - 1.0)
+            return _mul(_mul(v, _pow(u, expm1)), _ref_differentiate(u, var, kinks))
+        return _mul(e, _add(_mul(_ref_differentiate(v, var, kinks), Call("ln", u)),
+                            _mul(v, _div(_ref_differentiate(u, var, kinks), u))))
+    u = e.arg
+    du = _ref_differentiate(u, var, kinks)
+    name = e.func
+    if name == "sin":
+        outer = Call("cos", u)
+    elif name == "cos":
+        outer = _neg(Call("sin", u))
+    elif name == "tan":
+        outer = _div(Num(1.0), _pow(Call("cos", u), Num(2.0)))
+    elif name == "exp":
+        outer = e
+    elif name == "ln":
+        return _div(du, u)
+    elif name == "sqrt":
+        return _div(du, _mul(Num(2.0), e))
+    elif name == "abs" and kinks:
+        outer = _div(u, e)
+    else:
+        raise DifferentiationError(
+            f"cannot differentiate through {name!r}; use the limit path"
+        )
+    return _mul(outer, du)
+
+
+class TestDifferentiateOracle:
+    @given(_trees(st.one_of(
+        st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, 1.0, 2.0, -1.0])).map(Num),
+        st.sampled_from(["t", "h", "y", "pi", "e"]).map(Var))),
+        st.sampled_from(["t", "h"]))
+    @example(parse("gamma(t)^abs(t)"), "t")
+    @example(parse("abs(t)^gamma(t)"), "t")
+    def test_same_trees_and_refusals(self, e, var):
+        assert _tree_outcome(lambda: differentiate(e, var)) == \
+            _tree_outcome(lambda: _ref_differentiate(e, var, False))
+        assert _tree_outcome(lambda: _differentiate(e, var, True)) == \
+            _tree_outcome(lambda: _ref_differentiate(e, var, True))
 
 
 class TestPrinter:

@@ -75,6 +75,9 @@ EXTRA = [  # further successful runs: other branches of the handlers
     ["hypothesis", "--family", "power", "--alpha", "3", "--t", "0.5"],
     ["hypothesis", "--family", "cosine", "--alpha", "0.5", "--t", "1.5"],
     ["hypothesis", "--family", "katugampola", "--alpha", "0.5", "--t", "1", "--epsilons", "10,1"],
+    # trailing space, and a non-ASCII digit (the tokenizer's \d takes any Unicode digit)
+    ["deriv", *K, "--f", "t^2   ", "--t", "4"],
+    ["deriv", *K, "--f", "\u0663*t", "--t", "4"],
 ]
 
 ERRORS = [  # exit 1 and exit 2, each with the message that wins
@@ -84,6 +87,7 @@ ERRORS = [  # exit 1 and exit 2, each with the message that wins
     ["deriv", *K, "--f", "t +", "--t", "1"],
     ["deriv", *K, "--f", "corpus:nosuch", "--t", "1"],
     ["deriv", *K, "--f", "(" * 400 + "t" + ")" * 400, "--t", "1"],
+    ["deriv", *K, "--f", "sin(t\u2003", "--t", "1"],  # a byte offset past a 3-byte space
     ["deriv", "--family", "bogus", "--f", "t", "--t", "1"],
     ["deriv", "--family", "custom", "--f", "t", "--t", "1"],
     ["deriv", *K, "--p", "t+h", "--f", "t", "--t", "1"],
