@@ -155,8 +155,7 @@ class _Parser:
 
     def _fail(self, message: str, pos: int) -> NoReturn:
         # offsets count bytes of the UTF-8 source, worked out only when raising
-        src = self.source
-        raise ParseError(message, pos if src.isascii() else len(src[:pos].encode("utf-8")))
+        raise ParseError(message, len(self.source[:pos].encode("utf-8")))
 
     def _level(self, depth: int, pos: int) -> int:
         if depth >= MAX_DEPTH:
@@ -572,6 +571,8 @@ def differentiate(e: Expr, var: str = "t") -> Expr:
 def _differentiate(e: Expr, var: str, kinks: bool) -> Expr:
     # kinks=True differentiates abs(u) as (u/abs(u)) * u': the classical
     # derivative off the kink, 0/0 (an evaluation error) where u = 0
+    if var in CONSTANTS:  # pi and e are never the variable
+        return _ZERO
     d = _derivative(e, var, kinks)
     return _ZERO if d is None else d
 
