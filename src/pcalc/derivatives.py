@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DifferentiationError, EvaluationError, PcalcError, UsageError
-from .expr import (EXPR_TYPES, Expr, _differentiate, _flagged_array, compile_array,
-                   compile_expr, differentiate, parse)
+from .expr import (EXPR_TYPES, Expr, _differentiate, compile_array, compile_expr,
+                   differentiate, parse, resolve)
 from .families import PFunction
 
 __all__ = ["DerivEstimate", "ComparisonReport",
@@ -71,14 +71,13 @@ def as_scalar_fn(f: Expr | str | Callable[[float], float]) -> tuple[Callable[[fl
 def as_array_fn(f: Expr | str | Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
     """as_scalar_fn for 1-d arrays of t: the values of f at every point.
 
-    Expressions come back as compile_array kernels; a plain callable is
-    called once per point, in index order.
+    Expressions run their compile_array kernel; resolve gives the points
+    it marks, and every point of a plain callable, to the scalar form in
+    index order.
     """
-    e = parse(f) if isinstance(f, str) else f
-    if isinstance(e, EXPR_TYPES):
-        return compile_array(e)
-    fn, _ = as_scalar_fn(e)
-    return lambda t: np.fromiter((fn(float(x)) for x in t), dtype=float, count=len(t))
+    fn, e = as_scalar_fn(f)
+    marked = compile_array(e) if e is not None else lambda t: np.full(len(t), math.nan)
+    return lambda t: resolve(marked(t), t, fn)
 
 
 def extrapolate_quotient(quotient: Callable[[float], float | None], sign: float, h0: float,
@@ -191,11 +190,11 @@ class FormulaRoute:
 
     f' is derived at the first call past the multiplier checks; kinks=True
     adds abs(u)' = (u/abs(u)) u', 0/0 where u = 0; route(t) runs f' compiled.
-    route.grid(ts), ts 1-d, gives (values, mask): values[i] is route(ts[i])
-    to a few ulp where mask[i] is False, NaN where it is True, which is
-    where f' or the product is not finite, the multiplier is 0 or raises
-    (then everywhere), or the array kernel would defer to the scalar
-    closure.  Callers run masked points on a scalar route in index order.
+    route.grid(ts), ts 1-d, gives one array: route(ts[i]) to a few ulp
+    where it is finite, NaN or inf where the scalar route decides, which
+    is where f' or the product is not finite, the multiplier is 0 or
+    raises (then everywhere), or the array kernel of f' marks the point.
+    Callers resolve those points on a scalar route in index order.
     """
 
     def __init__(self, fam: PFunction, f: Expr | str | Callable[[float], float],
@@ -233,20 +232,16 @@ class FormulaRoute:
             raise EvaluationError(f"f'({t!r}) is not finite")
         return mult * d
 
-    def grid(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def grid(self, ts: np.ndarray) -> np.ndarray:
         try:
             fp, mult = self._derivative(), self.fam.ph_zero_array(ts)
         except PcalcError:
             fp = None
         if not isinstance(fp, EXPR_TYPES):
-            return np.full(len(ts), math.nan), np.ones(len(ts), dtype=bool)
-        self._kernel = self._kernel or _flagged_array(fp)
-        d, bad, _ = self._kernel(ts)
+            return np.full(len(ts), math.nan)
+        self._kernel = self._kernel or compile_array(fp)
         with np.errstate(all="ignore"):
-            values = mult * d
-        mask = bad | (mult == 0.0) | ~np.isfinite(values)
-        values[mask] = math.nan
-        return values, mask
+            return np.where(mult == 0.0, math.nan, mult * self._kernel(ts))
 
 
 def p_derivative_formula(fam: PFunction, f: Expr | str | Callable[[float], float], t: float,

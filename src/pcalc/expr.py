@@ -49,7 +49,7 @@ from .errors import DifferentiationError, EvaluationError, ParseError, UsageErro
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call", "Env",
-    "parse", "evaluate", "compile_expr", "compile_array", "differentiate",
+    "parse", "evaluate", "compile_expr", "compile_array", "resolve", "differentiate",
     "substitute", "to_source", "variables", "DEFAULT_VARIABLES", "CONSTANTS",
     "FUNCTIONS", "EXPR_TYPES", "MAX_DEPTH",
 ]
@@ -371,43 +371,40 @@ def _compile(e: Expr, slots: dict[str, int | None]) -> Callable[[Any], float]:
 def compile_array(e: Expr) -> Callable[[Any], np.ndarray]:
     """Compile e once into a numpy kernel over an array of t.
 
-    compile_array(e)(t) returns, element by element, what compile_expr(e)
-    gives at each point, or raises what a loop of that closure over the
-    points in index order would raise.  Every node runs as a numpy ufunc;
-    points where the closure could raise or differ (a non-finite result of
-    any operation, which covers every zero divisor, any gamma node, any
-    variable other than t) are flagged and recomputed by the closure in
-    ascending index order, so no NaN or inf stands in for an error.
-    + - * /, negation, abs and sqrt are bit-identical to the closure; ^,
-    exp, ln and the trig functions may differ from math's in the last
-    ulp.  Fix any other variable before compiling, by substituting a Num.
+    compile_array(e)(t) never raises.  It returns values of t's shape:
+    what compile_expr(e) gives at each point, or NaN where the closure
+    could raise or differ (a non-finite result of any operation, which
+    covers every zero divisor, any gamma node, any variable other than t,
+    a non-finite constant).  resolve(values, t, compile_expr(e)) gives
+    those points to the closure.  + - * /, negation, abs and sqrt are
+    bit-identical to the closure; ^, exp, ln and the trig functions may
+    differ from math's in the last ulp.  Fix any other variable before
+    compiling, by substituting a Num.
     """
-    scalar = compile_expr(e)
-    flagged = _flagged_array(e)
-
-    def kernel(t: Any) -> np.ndarray:
-        out, bad, flat = flagged(t)
-        for i in np.flatnonzero(bad):
-            out[i] = scalar(float(flat[i]))
-        return out.reshape(np.shape(t))
-
-    return kernel
-
-
-def _flagged_array(e: Expr) -> Callable[[Any], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """compile_array without the closure.  The kernel returns the flat
-    values, the flat flags of the points compile_array would recompute by
-    the closure (their values mean nothing) and the flat t."""
     run = _compile_array(e)
 
-    def kernel(t: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        flat = np.asarray(t, dtype=float).ravel()
-        bad = np.zeros(flat.size, dtype=bool)
+    def kernel(t: Any) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        bad = np.zeros(t.size, dtype=bool)
         with np.errstate(all="ignore"):
-            out = np.array(np.broadcast_to(run(flat, bad), bad.shape))
-        return out, bad, flat
+            out = np.where(bad, math.nan, run(t.ravel(), bad))
+        return out.reshape(t.shape)
 
     return kernel
+
+
+def resolve(values: np.ndarray, t: Any, scalar: Callable[[float], float]) -> np.ndarray:
+    """Replace every non-finite entry of values by scalar at its point of
+    t, in ascending index order and in place; return values.
+
+    The array forms mark with NaN or inf the points they cannot vouch for,
+    so the first failing point raises exactly what a loop of scalar over
+    the points raises.
+    """
+    t = np.asarray(t, dtype=float)
+    for i in np.flatnonzero(~np.isfinite(values)):
+        values.flat[i] = scalar(float(t.flat[i]))
+    return values
 
 
 def _flag_all(t: np.ndarray, bad: np.ndarray) -> float:
@@ -650,54 +647,35 @@ def _fmt_num(v: float) -> str:
     return repr(v)
 
 
-_LEVEL_ADD = 1
-_LEVEL_MUL = 2
-_LEVEL_UNARY = 3
+_LEVEL_UNARY = 3  # a unary minus binds like "^"; a BinOp binds at its _BINARY power
 _LEVEL_ATOM = 4
 
 
-def _node_level(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        if e.op in "+-":
-            return _LEVEL_ADD
-        if e.op in "*/":
-            return _LEVEL_MUL
-        return _LEVEL_UNARY  # ^ produced by factor
-    if isinstance(e, Neg):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
-
 def _print(e: Expr, min_level: int) -> str:
+    level = _LEVEL_ATOM
     if isinstance(e, Num):
         s = _fmt_num(e.value)
     elif isinstance(e, Var):
         s = e.name
     elif isinstance(e, Call):
-        s = f"{e.func}({_print(e.arg, _LEVEL_ADD)})"
+        s = f"{e.func}({_print(e.arg, 1)})"
     elif isinstance(e, Neg):
         # the operand of unary minus must reparse as a unary, so anything
         # below unary level gets parenthesized; a nested Neg prints as --t
-        inner = e.arg
+        level, inner = _LEVEL_UNARY, e.arg
         if isinstance(inner, (Num, Var, Call, Neg)) and not (
             isinstance(inner, Num) and inner.value < 0
         ):
             s = "-" + _print(inner, _LEVEL_UNARY)
         else:
-            s = f"-({_print(inner, _LEVEL_ADD)})"
-    else:  # BinOp
-        op = e.op
-        if op in "+-":
-            s = f"{_print(e.left, _LEVEL_ADD)} {op} {_print(e.right, _LEVEL_MUL)}"
-        elif op in "*/":
-            s = f"{_print(e.left, _LEVEL_MUL)}{op}{_print(e.right, _LEVEL_UNARY)}"
-        else:  # ^ right-associative; base must be strictly tighter
-            s = f"{_print(e.left, _LEVEL_ATOM)}^{_print(e.right, _LEVEL_UNARY)}"
-    if _node_level(e) < min_level:
-        return f"({s})"
-    return s
+            s = f"-({_print(inner, 1)})"
+    else:  # BinOp: the operand on the associative side may bind at the operator's power
+        level, right = _BINARY[e.op]
+        op = f" {e.op} " if level == 1 else e.op
+        s = f"{_print(e.left, level + right)}{op}{_print(e.right, level + (not right))}"
+    return f"({s})" if level < min_level else s
 
 
 def to_source(e: Expr) -> str:
     """Render e to a string that reparses to an equal tree."""
-    return _print(e, _LEVEL_ADD)
+    return _print(e, 1)

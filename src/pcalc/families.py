@@ -34,7 +34,7 @@ from .errors import (
     QuadratureError,
 )
 from .expr import (_OPS, BinOp, Expr, Num, Var, compile_array, compile_expr, differentiate,
-                   parse, substitute, variables)
+                   parse, resolve, substitute, variables)
 from .quadrature import integrate_graded
 
 __all__ = [
@@ -86,9 +86,10 @@ class PFunction:
 
     p and ph_zero are methods over the callables given at construction;
     ph_zero checks the domain first.  ph0a is the multiplier's numpy form,
-    the closed form over a whole array; without one, ph_zero_array falls
-    back to ph0 point by point.  Instances are immutable by convention;
-    construct them with make_family.
+    the closed form over a whole array.  It must not raise: a non-finite
+    value marks a point that ph_zero decides.  Without one, ph_zero_array
+    falls back to ph_zero point by point.  Instances are immutable by
+    convention; construct them with make_family.
     """
 
     __slots__ = ("kind", "alpha", "beta", "F", "domain", "label", "_p", "_ph0", "_ph0a")
@@ -116,25 +117,21 @@ class PFunction:
         return self._ph0(t)
 
     def ph_zero_array(self, t: np.ndarray) -> np.ndarray:
-        """ph_zero at every point of t, as [ph_zero(x) for x in t] gives it.
-
-        The domain check and the closed form run on the whole array, up to
-        the first point outside the domain; points where the closed form
-        is not finite are redone by the scalar multiplier in index order,
-        and the first point outside the domain raises through require, so
-        the first failing point raises the scalar error.
-        """
+        """ph_zero at every point of t, as [ph_zero(x) for x in t] gives it:
+        the marked array, resolved by ph_zero, so the first failing point
+        raises the scalar error."""
         t = np.asarray(t, dtype=float)
+        return resolve(self._ph_zero_marked(t), t, self.ph_zero)
+
+    def _ph_zero_marked(self, t: np.ndarray) -> np.ndarray:
+        # the domain check and the closed form on the whole array, up to the
+        # first point outside the domain; NaN after it
         flat = t.ravel()
         outside = np.flatnonzero(~self.domain.contains_array(flat))
         stop = int(outside[0]) if outside.size else flat.size
-        out = np.empty(flat.size)
+        out = np.full(flat.size, math.nan)
         with np.errstate(all="ignore"):
             out[:stop] = self._ph0a(flat[:stop])
-        for i in np.flatnonzero(~np.isfinite(out[:stop])):
-            out[i] = self._ph0(float(flat[i]))
-        if stop < flat.size:
-            self.require(float(flat[stop]))
         return out.reshape(t.shape)
 
     def require(self, t: float) -> None:

@@ -16,8 +16,9 @@ read the iterate through one cubic stencil in tau, so the panel's sum of
 q - u^2 is a quadratic form A_p - U_p' M_p U_p in four stencil values,
 and a Picard sweep is a gather and two small einsums.  Set-up samples
 ph_zero and q through their array kernels (PFunction.ph_zero_array,
-expr.compile_array), which give the scalar values and raise the scalar
-errors at the same point.
+expr.compile_array); expr.resolve gives the points they mark to the
+scalar forms in index order, so the first failing point raises the
+scalar error.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import (
     InfeasibleCertificateError,
     NonIntegrableError,
     ParameterError,
-    PcalcError,
 )
 from .families import PFunction, check_l1
 from .quadrature import _NODES, _WEIGHTS_K, endpoint_exponent
@@ -309,15 +309,11 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
         )
 
     ts = np.geomspace(T * 1e-6, T, 128)
-    try:
-        vs = fam.ph_zero_array(ts)
-    except PcalcError:  # a bad value before the failing point is reported first
-        vs = (fam.ph_zero(float(t)) for t in ts)
-    for t, v in zip(ts, vs):
+    # lazy, so a bad value before a failing point is reported first
+    for t, v in zip(ts.tolist(), fam._ph_zero_marked(ts).tolist()):
+        v = v if math.isfinite(v) else fam.ph_zero(t)
         if not (math.isfinite(v) and v > 0.0):
-            raise ParameterError(
-                f"solver needs ph_zero > 0 on (0, T]; found {float(v)!r} at t={float(t):g}"
-            )
+            raise ParameterError(f"solver needs ph_zero > 0 on (0, T]; found {v!r} at t={t:g}")
 
     machine = _TauMachine(fam, T)
     if not machine.tau_total / n > 0.0:

@@ -6,9 +6,10 @@ below tolerance, otherwise bisect the leftmost sign change; when the
 residual touches zero without crossing (a kink minimum), fall back to a
 golden-section squeeze of |residual| around the grid minimum.  The grid
 is one array call of the product formula (FormulaRoute.grid, which takes
-abs(u)' = (u/abs(u)) u' off the kinks); the points it masks run the
-scalar route in ascending index order, the formula where it applies and
-the limit route elsewhere, as do bisection and golden refinement.
+abs(u)' = (u/abs(u)) u' off the kinks); expr.resolve gives the points it
+leaves non-finite to the scalar route in ascending index order, the
+formula where it applies and the limit route elsewhere, as do bisection
+and golden refinement.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .derivatives import DerivEstimate, FormulaRoute, as_array_fn, as_scalar_fn, p_derivative_limit
 from .errors import (DifferentiationError, EvaluationError, ParameterError, RootSearchError,
                      UsageError)
-from .expr import Expr
+from .expr import Expr, resolve
 from .families import PFunction, _bisect
 
 __all__ = ["MvtResult", "MonotonicityReport", "MaxPrincipleReport",
@@ -82,21 +83,11 @@ def _golden_min(phi: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi), lo, hi
 
 
-def _on_grid(residual: Callable[[float], float], cs: np.ndarray,
-             grid: Callable[[np.ndarray], tuple]) -> np.ndarray:
-    # grid(cs) gives (values, mask) in one array call; residual fills the
-    # masked points in index order, so the first failure raises
-    rs, mask = grid(cs)
-    for i in np.flatnonzero(mask):
-        rs[i] = residual(float(cs[i]))
-    return rs
-
-
 def _scan_for_root(residual: Callable[[float], float], a: float, b: float, tol: float,
-                   grid: Callable[[np.ndarray], tuple]) -> tuple[float, tuple[float, float]]:
+                   grid: Callable[[np.ndarray], np.ndarray]) -> tuple[float, tuple[float, float]]:
     """Locate c in (a, b) with residual(c) ~ 0; see module docstring."""
     cs = a + (b - a) * np.arange(1, _GRID_N + 1) / (_GRID_N + 1)
-    rs = _on_grid(residual, cs, grid)
+    rs = resolve(grid(cs), cs, residual)
 
     if float(np.max(np.abs(rs))) < tol:
         return 0.5 * (a + b), (a, b)
@@ -138,12 +129,12 @@ def find_mvt_point(fam: PFunction, f: Expr | str | Callable[[float], float],
     def residual(c: float) -> float:
         return dp(c) - slope * fam.ph_zero(c)
 
-    def grid(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, mask = route.grid(cs)
-        if mask.all():  # no formula here, or a multiplier that raises
-            return values, mask
+    def grid(cs: np.ndarray) -> np.ndarray:
+        values = route.grid(cs)
+        if np.isnan(values).all():  # no formula here, or a multiplier that raises
+            return values
         with np.errstate(all="ignore"):
-            return values - slope * fam.ph_zero_array(cs), mask
+            return values - slope * fam.ph_zero_array(cs)
 
     c, bracket = _scan_for_root(residual, a, b, tol, grid)
     return MvtResult(c, fam.ph_zero(c), abs(residual(c)), bracket)
@@ -172,18 +163,16 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
     dp_f, route_f = _scan_derivative(fam, ffn, fe, tol / 10.0)
     dp_g, route_g = _scan_derivative(fam, gfn, ge, tol / 10.0)
     cj = a + (b - a) * np.arange(1, 65) / 65.0
-    values, mask = route_g.grid(cj)
-    for j, c in enumerate(cj.tolist()):  # masked points in index order, as in the scan
-        if abs(dp_g(c) if mask[j] else values[j]) <= 1e-12:
+    for c, v in zip(cj.tolist(), route_g.grid(cj).tolist()):  # lazy, in index order
+        if abs(v if math.isfinite(v) else dp_g(c)) <= 1e-12:
             raise ParameterError(f"derivative of g vanishes near c={c:g}; denominator degenerate")
 
     def residual(c: float) -> float:
         return df * dp_g(c) - dg * dp_f(c)
 
-    def grid(cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        (vg, mg), (vf, mf) = route_g.grid(cs), route_f.grid(cs)
+    def grid(cs: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            return df * vg - dg * vf, mg | mf
+            return df * route_g.grid(cs) - dg * route_f.grid(cs)
 
     c, bracket = _scan_for_root(residual, a, b, tol, grid)
     return MvtResult(c, dp_g(c), abs(residual(c)), bracket)

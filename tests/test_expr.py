@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcalc.derivatives import p_derivative_formula
@@ -23,6 +23,7 @@ from pcalc.expr import (
     _add,
     _differentiate,
     _div,
+    _fmt_num,
     _mul,
     _neg,
     _pow,
@@ -32,6 +33,7 @@ from pcalc.expr import (
     differentiate,
     evaluate,
     parse,
+    resolve,
     substitute,
     to_source,
     variables,
@@ -41,6 +43,12 @@ from pcalc.families import make_family
 
 def ev(src, **env):
     return evaluate(parse(src, params=tuple(env)), env)
+
+
+def _resolving(e):
+    """compile_array's kernel with the points it marks resolved by the closure."""
+    kernel, scalar = compile_array(e), compile_expr(e)
+    return lambda t: resolve(kernel(t), t, scalar)
 
 
 class TestParsing:
@@ -402,7 +410,7 @@ class TestEvaluation:
         e = parse(src)
         for run in (lambda: evaluate(e, env),
                     lambda: compile_expr(e, tuple(env))(*env.values()),
-                    lambda: compile_array(e)(np.array(env["t"]))):
+                    lambda: _resolving(e)(np.array(env["t"]))):
             with pytest.raises(EvaluationError) as exc:
                 run()
             assert str(exc.value) == message
@@ -422,7 +430,7 @@ class TestMalformedNodes:
     @pytest.mark.parametrize("walk", [
         lambda e: evaluate(e, {"t": 3.0}),
         lambda e: compile_expr(e)(3.0),
-        lambda e: compile_array(e)(np.array([3.0])),
+        lambda e: _resolving(e)(np.array([3.0])),
         differentiate,
         to_source,
         lambda e: p_derivative_formula(make_family("khalil", 0.5), e, 3.0),
@@ -529,13 +537,48 @@ def _within_ulps(a, b, n):
     return abs(a - b) <= n * math.ulp(max(abs(a), abs(b)))
 
 
+def _bits(outcome):
+    if outcome[0] == "raised":
+        return outcome
+    return "values", [struct.pack("<d", v) for v in outcome[1]]
+
+
+_SPECIAL_T = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, -1.0, -2.5, math.inf, -math.inf, math.nan]))
+# 0-d, 1-d (empty too) and 2-d arrays of t
+_T_ARRAYS = st.one_of(
+    _SPECIAL_T.map(np.array),
+    st.lists(_SPECIAL_T, max_size=6).map(np.array),
+    st.lists(_SPECIAL_T, min_size=6, max_size=6).map(lambda v: np.array(v).reshape(2, 3)))
+
+
 class TestCompiledArray:
+    @given(_EXACT, _T_ARRAYS)
+    @example(parse("gamma(t)"), np.array([1.0, 0.0, -1.0]))
+    @example(parse("t*h"), np.array(2.0))
+    @example(parse("t + 1/0"), np.array([[1.0], [0.0]]))
+    @example(BinOp("*", Var("t"), Num(math.inf)), np.array([0.0, 1.0]))
+    @example(BinOp("+", Num(math.nan), Var("t")), np.array(math.inf))
+    def test_bare_kernel_never_raises(self, e, t):
+        # the kernel marks with NaN what the closure decides; resolve then
+        # gives the closure's values, or its error at the first failing point
+        values = compile_array(e)(t)
+        assert values.shape == t.shape
+        scalar, flat = compile_expr(e), t.ravel().tolist()
+        ref = _bits(_loop_outcome(scalar, (flat,)))
+        assert _bits(_kernel_outcome(_resolving(e), (flat,))) == ref
+        try:
+            got = _bits(("values", resolve(values, t, scalar).ravel().tolist()))
+        except EvaluationError as exc:
+            got = "raised", ref[1], str(exc)
+        assert got == ref
+
     def _outcomes(self, e, t, h, with_h):
         scalar = compile_expr(e)
         if with_h:  # h is one constant, folded into the kernel's tree
             scalar = lambda x, fn=compile_expr(e, ("t", "h")): fn(x, h[0])
             e = substitute(e, "h", Num(h[0]))
-        return _kernel_outcome(compile_array(e), (t,)), _loop_outcome(scalar, (t,))
+        return _kernel_outcome(_resolving(e), (t,)), _loop_outcome(scalar, (t,))
 
     @given(_EXACT, _POINTS, _POINTS, st.booleans())
     def test_exact_nodes_bit_for_bit(self, e, t, h, with_h):
@@ -557,7 +600,7 @@ class TestCompiledArray:
             assert all(_within_ulps(a, b, 4) for a, b in zip(got[1], ref[1]))
 
     def test_first_failing_point_raises(self):
-        kernel = compile_array(parse("ln(t) + 1/(t - 2)"))
+        kernel = _resolving(parse("ln(t) + 1/(t - 2)"))
         with pytest.raises(EvaluationError, match=r"^division by zero$"):
             kernel(np.array([1.0, 2.0, 0.0]))
         with pytest.raises(EvaluationError, match=r"domain error in ln\(0\.0\)"):
@@ -689,7 +732,51 @@ class TestDifferentiateOracle:
             _tree_outcome(lambda: _ref_differentiate(e, var, True))
 
 
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4
+
+
+def _ref_print(e, min_level):
+    """The printer as it was written before it read the parser's operator
+    table: a level per node type and a case per operator."""
+    if isinstance(e, BinOp):
+        level = _LEVEL_ADD if e.op in "+-" else _LEVEL_MUL if e.op in "*/" else _LEVEL_UNARY
+    else:
+        level = _LEVEL_UNARY if isinstance(e, Neg) else _LEVEL_ATOM
+    if isinstance(e, Num):
+        s = _fmt_num(e.value)
+    elif isinstance(e, Var):
+        s = e.name
+    elif isinstance(e, Call):
+        s = f"{e.func}({_ref_print(e.arg, _LEVEL_ADD)})"
+    elif isinstance(e, Neg):
+        inner = e.arg
+        if isinstance(inner, (Num, Var, Call, Neg)) and not (
+            isinstance(inner, Num) and inner.value < 0
+        ):
+            s = "-" + _ref_print(inner, _LEVEL_UNARY)
+        else:
+            s = f"-({_ref_print(inner, _LEVEL_ADD)})"
+    elif e.op in "+-":
+        s = f"{_ref_print(e.left, _LEVEL_ADD)} {e.op} {_ref_print(e.right, _LEVEL_MUL)}"
+    elif e.op in "*/":
+        s = f"{_ref_print(e.left, _LEVEL_MUL)}{e.op}{_ref_print(e.right, _LEVEL_UNARY)}"
+    else:
+        s = f"{_ref_print(e.left, _LEVEL_ATOM)}^{_ref_print(e.right, _LEVEL_UNARY)}"
+    return f"({s})" if level < min_level else s
+
+
 class TestPrinter:
+    @given(_trees(st.one_of(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 1e20, -1e-7, -2.5])).map(Num),
+        st.sampled_from(sorted(DEFAULT_VARIABLES | set(CONSTANTS))).map(Var))))
+    @example(parse("2^3^t^(-2)^--t"))
+    @example(Neg(Neg(Neg(Num(-0.0)))))
+    @example(BinOp("^", Neg(Num(1e20)), BinOp("-", Num(-1e-7), Neg(Var("t")))))
+    @settings(max_examples=500)
+    def test_matches_the_level_printer(self, e):
+        assert to_source(e) == _ref_print(e, _LEVEL_ADD)
+
     @pytest.mark.parametrize("src", [
         "t + h*t^(1 - alpha)",
         "t*exp(h*t^(-alpha))",

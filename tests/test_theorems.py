@@ -13,10 +13,9 @@ from pcalc.corpus import corpus_entry, corpus_list
 from pcalc.derivatives import FormulaRoute, p_derivative_formula
 from pcalc.errors import (DifferentiationError, EvaluationError, ParameterError, PcalcError,
                           RootSearchError)
-from pcalc.expr import BinOp, Call, Neg, _differentiate, differentiate, evaluate, parse
+from pcalc.expr import BinOp, Call, Neg, _differentiate, differentiate, evaluate, parse, resolve
 from pcalc.families import make_family
 from pcalc.theorems import (
-    _on_grid,
     _scan_derivative,
     check_monotonicity_conditions,
     find_cauchy_mvt_point,
@@ -121,8 +120,8 @@ class TestKinkPath:
         # the scan grid of [0, 1025] is the integers 1..1024, so u = t - 512
         # is exactly 0 at one node: 0/0 there, masked onto the limit route
         route = FormulaRoute(KHALIL, parse("abs(t-512)"), kinks=True)
-        _, mask = route.grid(np.arange(1.0, 1025.0))
-        assert np.flatnonzero(mask).tolist() == [511]
+        values = route.grid(np.arange(1.0, 1025.0))
+        assert np.flatnonzero(~np.isfinite(values)).tolist() == [511]
         r = find_mvt_point(KHALIL, "abs(t-512)", 0.0, 1025.0)
         assert 512.0 in limit_calls
         assert len(limit_calls) <= 10
@@ -200,8 +199,8 @@ class TestFormulaGrid:
             pts.append(fam.domain.lo - 1.0)
         ts = np.array(pts)
         route = FormulaRoute(fam, entry.f, kinks=True)
-        values, mask = route.grid(ts)
-        assert np.isnan(values[mask]).all()
+        values = route.grid(ts)
+        mask = ~np.isfinite(values)
 
         fprime = _differentiate(entry.f, "t", True)
         exact = kind in ("exact", "power") and _exact(fprime)
@@ -215,11 +214,11 @@ class TestFormulaGrid:
                 assert abs(values[i] - want) <= 4.0 * cond * math.ulp(want), (t, values[i], want)
 
         # masked points run the scalar route in ascending index order, so
-        # the filled grid is the scalar loop, first failing point included
-        assert _outcome(lambda: _on_grid(route, ts, route.grid)[mask]) == \
+        # the resolved grid is the scalar loop, first failing point included
+        assert _outcome(lambda: resolve(route.grid(ts), ts, route)[mask]) == \
             _outcome(lambda: np.array([route(t) for t in ts.tolist()])[mask])
         dp, _ = _scan_derivative(fam, lambda t: evaluate(entry.f, {"t": t}), entry.f, 1e-9)
-        assert _outcome(lambda: _on_grid(dp, ts, route.grid)[mask]) == \
+        assert _outcome(lambda: resolve(route.grid(ts), ts, dp)[mask]) == \
             _outcome(lambda: np.array([dp(t) for t in ts.tolist()])[mask])
 
 
@@ -227,8 +226,8 @@ class TestFormulaGrid:
         # 1/(1 + 1/t) is a finite 0 in numpy at t = 0, where the scalar
         # closure divides by zero: the kernel flags it, so the grid masks it
         route = FormulaRoute(make_family("custom", F="t + h"), None, fprime="1/(1 + 1/t)")
-        values, mask = route.grid(np.array([1.0, 0.0, 2.0]))
-        assert mask.tolist() == [False, True, False]
+        values = route.grid(np.array([1.0, 0.0, 2.0]))
+        assert np.isnan(values).tolist() == [False, True, False]
         assert values[2] == route(2.0)
         with pytest.raises(EvaluationError, match="division by zero"):
             route(0.0)
@@ -271,7 +270,7 @@ class TestRolle:
 
 
 def _masked(cs):  # a grid that leaves every point to the scalar residual
-    return np.empty(len(cs)), np.ones(len(cs), dtype=bool)
+    return np.full(len(cs), math.nan)
 
 
 class TestScan:

@@ -1,0 +1,109 @@
+"""Time perfbench passes of two pcalc trees, alternating, in one process.
+
+    python3 tools/ab_passes.py --parent DIR --change DIR [--passes N] [--seed S]
+
+Each DIR is a pcalc checkout; its ``src/pcalc`` is imported under its own
+name space.  One tree is imported in full (every submodule, and every
+export bound in the package, since ``pcalc.__getattr__`` imports through
+``sys.modules``), then its ``sys.modules`` entries are moved aside before
+the other is imported.  The ``calculus``, ``scan`` and ``riccati``
+workloads of the change's ``perfbench/`` are built against each tree with
+the same seed.  Whole passes then alternate, the parent first on even
+pairs, and the script prints per workload the median pass time of each
+side, the median of the per-pair change/parent ratios and the pairs the
+change won.  Operations that raise are counted, not judged.
+
+Both sides share one process, so drift on the host falls on both alike;
+whole-process runs of the same tree can differ by up to 1.5x on a shared
+host.  This is a quick check while working.  ``BENCHMARK.json``, run by
+``tools/bench_pairs.py``, still judges a change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import statistics
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = ("calculus", "scan", "riccati")
+
+
+def load_pcalc(root: Path):
+    """Import pcalc from root/src in full and take it out of sys.modules."""
+    src = str(root.resolve() / "src")
+    sys.path.insert(0, src)
+    importlib.invalidate_caches()
+    try:
+        pcalc = importlib.import_module("pcalc")
+        for name in pcalc._EXPORTS:
+            importlib.import_module(f"pcalc.{name}")
+        for name in pcalc.__all__:
+            getattr(pcalc, name)
+    finally:
+        sys.path.remove(src)
+    where = Path(pcalc.__file__).resolve()
+    if Path(src) not in where.parents:
+        raise SystemExit(f"pcalc imported from {where}, not from {src}")
+    for name in [n for n in sys.modules if n == "pcalc" or n.startswith("pcalc.")]:
+        del sys.modules[name]
+    return pcalc
+
+
+def one_pass(wl) -> tuple[float, int]:
+    """Seconds the operations of one pass took, and how many raised."""
+    clock = time.perf_counter
+    busy, raised = 0.0, 0
+    for slot in wl.slots:
+        start = clock()
+        try:
+            slot.call()
+        except Exception:  # an expected error is an outcome like any other
+            raised += 1
+        busy += clock() - start
+    return busy, raised
+
+
+def compare(builds: dict, passes: int) -> dict:
+    times: dict[str, list[float]] = {side: [] for side in builds}
+    raised = dict.fromkeys(builds, 0)
+    for wl in builds.values():
+        wl.warm_up()
+    for k in range(passes):
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            dt, bad = one_pass(builds[side])
+            times[side].append(dt)
+            raised[side] += bad
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    return {"parent_ms": 1e3 * statistics.median(times["parent"]),
+            "change_ms": 1e3 * statistics.median(times["change"]),
+            "ratio": statistics.median(ratios),
+            "won": sum(r < 1.0 for r in ratios), "raised": raised}
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--passes", type=int, default=20)
+    ap.add_argument("--seed", type=int, default=7)
+    args = ap.parse_args(argv)
+    trees = {"parent": load_pcalc(args.parent), "change": load_pcalc(args.change)}
+    sys.path.insert(0, str(args.change.resolve() / "perfbench"))
+    from workloads import WORKLOADS as BUILDERS
+
+    print(f"{args.passes} alternating passes per side, seed {args.seed}")
+    print(f"{'workload':10} {'parent ms':>10} {'change ms':>10} {'ratio':>7} {'won':>7}  raised")
+    for name in WORKLOADS:
+        builds = {side: BUILDERS[name](P, args.seed) for side, P in trees.items()}
+        r = compare(builds, args.passes)
+        print(f"{name:10} {r['parent_ms']:10.2f} {r['change_ms']:10.2f} {r['ratio']:7.3f} "
+              f"{r['won']:>3}/{args.passes:<3}  parent {r['raised']['parent']}, "
+              f"change {r['raised']['change']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

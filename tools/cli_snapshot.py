@@ -161,6 +161,20 @@ ENV_CASES = [  # (PCALC_TOL, argv)
     ("1", ["weierstrass", "--a", "41", "--b", "0.9", "--alpha", "2", "--x", "0"]),
 ]
 
+# one argv per place where a scalar form resolves the points an array form
+# marks: the first grid point past the cosine domain, a multiplier that
+# fails on part of the grid, the lazy Riccati positivity check, and gamma,
+# which every array kernel leaves to the scalar closure
+RESOLVED = [
+    ["mvt", "--family", "cosine", "--alpha", "0.5", "--f", "t^2", "--a", "1", "--b", "2"],
+    ["mvt", "--family", "custom", "--p", "t+h*sqrt(t-1.5)", "--f", "t^2", "--a", "1",
+     "--b", "2"],
+    ["riccati", "--family", "custom", "--p", "t-h*sqrt(t)", "--q", "0", "--u0", "0.1",
+     "--T", "0.05"],
+    ["maxprinciple", *K, "--f", "gamma(t)", "--a", "0.5", "--b", "3"],
+    ["rolle", *K, "--f", "gamma(t)*(t-1)*(t-2)", "--a", "1", "--b", "2"],
+]
+
 
 def cases():
     for argv in VALID.values():
@@ -173,6 +187,8 @@ def cases():
     for argv in EXTRA + ERRORS:
         yield None, argv
     yield from ENV_CASES
+    for argv in RESOLVED:
+        yield None, argv
 
 
 def run(env_tol, argv):
