@@ -75,7 +75,11 @@ def as_array_fn(f: Expr | str | Callable[[float], float]) -> Callable[[np.ndarra
     it marks, and every point of a plain callable, to the scalar form in
     index order.
     """
-    fn, e = as_scalar_fn(f)
+    return array_fn(*as_scalar_fn(f))
+
+
+def array_fn(fn: Callable[[float], float], e: Expr | None) -> Callable[[np.ndarray], np.ndarray]:
+    """as_array_fn of what as_scalar_fn returned, without compiling e again."""
     marked = compile_array(e) if e is not None else lambda t: np.full(len(t), math.nan)
     return lambda t: resolve(marked(t), t, fn)
 
@@ -194,7 +198,8 @@ class FormulaRoute:
     where it is finite, NaN or inf where the scalar route decides, which
     is where f' or the product is not finite, the multiplier is 0 or
     raises (then everywhere), or the array kernel of f' marks the point.
-    Callers resolve those points on a scalar route in index order.
+    Callers resolve those points on a scalar route in index order, and
+    pass mult = fam.ph_zero_array(ts) when they have sampled it already.
     """
 
     def __init__(self, fam: PFunction, f: Expr | str | Callable[[float], float],
@@ -232,9 +237,10 @@ class FormulaRoute:
             raise EvaluationError(f"f'({t!r}) is not finite")
         return mult * d
 
-    def grid(self, ts: np.ndarray) -> np.ndarray:
+    def grid(self, ts: np.ndarray, mult: np.ndarray | None = None) -> np.ndarray:
         try:
-            fp, mult = self._derivative(), self.fam.ph_zero_array(ts)
+            fp = self._derivative()
+            mult = self.fam.ph_zero_array(ts) if mult is None else mult
         except PcalcError:
             fp = None
         if not isinstance(fp, EXPR_TYPES):

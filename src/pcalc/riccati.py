@@ -11,11 +11,14 @@ tau(t) = integral of 1/ph_zero (_TauMachine), where the problem is an
 ordinary du/dtau = q - u^2.  The running integral is summed per grid
 panel at the 15 Kronrod nodes, whose weights fold in 1/ph_zero; past the
 first interval each node reads tau from its own panel's weight samples
-(the spectral integration matrix; Greengard 1991).  All nodes of a panel
-read the iterate through one cubic stencil in tau, so the panel's sum of
-q - u^2 is a quadratic form A_p - U_p' M_p U_p in four stencil values,
-and a Picard sweep is a gather and two small einsums.  Set-up samples
-ph_zero and q through their array kernels (PFunction.ph_zero_array,
+(the spectral integration matrix; Greengard 1991).  That matrix and the
+tau table's coefficient map are fixed; each process solves them once, on
+first use (_gk15_tables), so a solve's set-up only samples and
+multiplies what depends on the problem.  All nodes of a panel read the
+iterate through one cubic stencil in tau, so the panel's sum of q - u^2
+is a quadratic form A_p - U_p' M_p U_p in four stencil values, and a
+Picard sweep is a gather and two small einsums.  Set-up samples ph_zero
+and q through their array kernels (PFunction.ph_zero_array,
 expr.compile_array); expr.resolve gives the points they mark to the
 scalar forms in index order, so the first failing point raises the
 scalar error.
@@ -23,35 +26,39 @@ scalar error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .derivatives import as_array_fn
-from .errors import (
-    DivergenceError,
-    InfeasibleCertificateError,
-    NonIntegrableError,
-    ParameterError,
-)
+from .errors import (DivergenceError, InfeasibleCertificateError, NonIntegrableError,
+                     ParameterError)
 from .families import PFunction, check_l1
 from .quadrature import _NODES, _WEIGHTS_K, endpoint_exponent
 
-__all__ = [
-    "RiccatiProblem", "ContractionCertificate", "RiccatiSolution",
-    "contraction_precheck", "solve_riccati", "riccati_residual",
-]
+__all__ = ["RiccatiProblem", "ContractionCertificate", "RiccatiSolution",
+           "contraction_precheck", "solve_riccati", "riccati_residual"]
 
 _MAX_SWEEPS = 200
 _REF_CELLS = 512
 _NEWTON_STEPS = 64
 _NODES_A, _WEIGHTS_K_A = np.array(_NODES), np.array(_WEIGHTS_K)  # the GK15 rule as arrays
-_VANDER = np.vander(_NODES_A, 15, increasing=True)
-_POWERS = np.arange(1, 16)
 _LAGRANGE = ((1, 2, 3, -6.0), (0, 2, 3, 2.0), (0, 1, 3, -2.0), (0, 1, 2, 6.0))
-# row k: the integrals of r^0 .. r^14 from -1 to GK15 node k
-_NODE_INTEGRALS = (_NODES_A[:, None] ** _POWERS - (-1.0) ** _POWERS) / _POWERS
+
+
+@functools.cache
+def _gk15_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Maps of a cell's 15 Kronrod samples, solved on first use, not at import
+    (LAPACK costs RSS): samples @ G are the power coefficients, constant
+    first, of the integral from r = -1 of the samples' interpolant, and
+    samples @ S_T that integral at each node."""
+    vander, powers = np.vander(_NODES_A, 15, increasing=True), np.arange(1, 16)
+    G = np.linalg.solve(vander.T, np.eye(15)) / powers
+    node_integrals = (_NODES_A[:, None] ** powers - (-1.0) ** powers) / powers  # row k: node k
+    return (np.column_stack([-(G @ (-1.0) ** powers), G]),
+            np.linalg.solve(vander.T, node_integrals.T))
 
 
 @dataclass(frozen=True)
@@ -110,9 +117,9 @@ class RiccatiSolution:
         """Cubic readout of u at an arbitrary time in [0, T]."""
         if self._machine is None:
             raise ParameterError("solution carries no mesh; cannot interpolate")
-        dtau = self.tau[1] - self.tau[0]
-        idx, w, _ = _stencil_rows(self._machine.tau_of(t), dtau, len(self.u) - 1)
-        return float(np.asarray(self.u)[idx[0]] @ w[0])
+        s, dtau = self._machine.tau_of(t), self.tau[1] - self.tau[0]
+        i0, _, w = _value_weights(s, dtau, len(self.u) - 1)
+        return float(np.asarray(self.u)[i0[0]:i0[0] + 4] @ w[0])
 
 
 def _weight(fam: PFunction, m: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,10 +151,12 @@ class _TauMachine:
     W(y).  Each cell samples W at the 15 Kronrod nodes: taus accumulates
     the GK15 cell sums, and _coef holds, one row per power of the cell's
     coordinate r in [-1, 1], the integral from r = -1 of the polynomial
-    through those samples (GK15 integrates it exactly, so the table is
-    continuous).  tau_of and t_of_tau gather a point's coefficients once;
-    t_of_tau inverts by Newton steps on the W interpolant in a shrinking
-    bracket, bisecting when a step leaves it.  The solver inverts its grid
+    through those samples: one product with the cached map G (GK15
+    integrates that polynomial exactly, so the table is continuous).
+    tau_of and t_of_tau gather a point's coefficients once; t_of_tau
+    inverts by Newton steps on the W interpolant, started from the cell's
+    linear guess, in a shrinking bracket, bisecting when a step leaves it
+    (3-4 passes over the solver's targets).  The solver inverts its grid
     and tau-midpoints in one call; its panels read tau from their own
     samples, so tau_of serves only the first interval and interpolate.
     """
@@ -155,21 +164,15 @@ class _TauMachine:
     __slots__ = ("fam", "T", "m", "ys", "taus", "tau_total", "_coef")
 
     def __init__(self, fam: PFunction, T: float) -> None:
-        self.fam = fam
-        self.T = T
+        self.fam, self.T = fam, T
         gamma = endpoint_exponent(lambda x: 1.0 / fam.ph_zero(x), 0.0, T, "left")
         self.m = 1.0 if gamma is None else min(2.0 / (1.0 - gamma), 64.0)
-        ys = T ** (1.0 / self.m) * np.arange(_REF_CELLS + 1) / _REF_CELLS
+        ys = self.ys = T ** (1.0 / self.m) * np.arange(_REF_CELLS + 1) / _REF_CELLS
         mid, half = 0.5 * (ys[:-1] + ys[1:]), 0.5 * (ys[1:] - ys[:-1])
         _, vals = _weight(fam, self.m, mid[:, None] + half[:, None] * _NODES_A)
-        self.ys = ys
         self.taus = np.concatenate([[0.0], np.cumsum(half * (vals @ _WEIGHTS_K_A))])
         self.tau_total = float(self.taus[-1])
-        # an LU solve keeps the interpolant accurate between the nodes
-        coef = np.zeros((_REF_CELLS, 16))
-        coef[:, 1:] = np.linalg.solve(_VANDER, vals.T).T / _POWERS
-        coef[:, 0] = -(coef[:, 1:] @ (-1.0) ** _POWERS)
-        self._coef = (half[:, None] * coef).T  # one row per power
+        self._coef = (half[:, None] * (vals @ _gk15_tables()[0])).T  # one row per power
 
     def tau_of(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -185,7 +188,9 @@ class _TauMachine:
         j = np.clip(np.searchsorted(self.taus, s) - 1, 0, len(self.taus) - 2)
         goal = s - self.taus[j]
         inside = (s > 0.0) & (s < self.tau_total)  # the others are set below
-        lo, hi, r = -np.ones_like(s), np.ones_like(s), np.zeros_like(s)
+        width = self.taus[j + 1] - self.taus[j]  # Newton starts from the cell's linear guess
+        r = np.divide(2.0 * goal, width, out=np.ones_like(s), where=width > 0.0) - 1.0
+        lo, hi, r = -np.ones_like(s), np.ones_like(s), np.clip(r, -1.0, 1.0)
         C = self._coef[:, j]
         for _ in range(_NEWTON_STEPS):
             f, d = _horner(C, r)
@@ -201,21 +206,24 @@ class _TauMachine:
         return np.where(inside, t, np.where(s <= 0.0, 0.0, self.T))
 
 
-def _stencil_rows(s: np.ndarray, dtau: float,
-                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cubic Lagrange stencils reading a grid function uniform in tau at s.
-
-    Returns grid indices, value weights and derivative weights; the
-    derivative weights are per unit of s / dtau.
-    """
+def _value_weights(s: np.ndarray, dtau: float, n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Cubic Lagrange stencils reading a grid function uniform in tau at s:
+    each one's first grid index, distances to its four nodes in units of
+    dtau, and value weights (basis j: other nodes a, b, c, prod(j - k))."""
     pos = s / dtau
     i0 = np.clip(np.floor(pos).astype(int) - 1, 0, n - 3)
     xi = pos - i0
-    d = (xi, xi - 1.0, xi - 2.0, xi - 3.0)  # distances to the stencil's four nodes
-    w, dw = np.empty((len(s), 4)), np.empty((len(s), 4))
-    for j, (a, b, c, den) in enumerate(_LAGRANGE):  # basis j: other nodes a, b, c, prod(j - k)
-        w[:, j] = d[a] * d[b] * d[c] / den
-        dw[:, j] = (d[b] * d[c] + d[a] * d[c] + d[a] * d[b]) / den
+    d = (xi, xi - 1.0, xi - 2.0, xi - 3.0)
+    return i0, d, np.column_stack([d[a] * d[b] * d[c] / den for a, b, c, den in _LAGRANGE])
+
+
+def _stencil_rows(s: np.ndarray, dtau: float,
+                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid indices, value weights and derivative weights (per unit of
+    s / dtau) of the stencils _value_weights places at s."""
+    i0, d, w = _value_weights(s, dtau, n)
+    dw = np.column_stack([(d[b] * d[c] + d[a] * d[c] + d[a] * d[b]) / den
+                          for a, b, c, den in _LAGRANGE])
     return i0[:, None] + np.arange(4), w, dw
 
 
@@ -242,12 +250,11 @@ def _build_discretization(qa, machine: _TauMachine, n: int) -> _Discretization:
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     X, W = _weight(machine.fam, machine.m, mid[:, None] + half[:, None] * _NODES_A)
     WT = _WEIGHTS_K_A * half[:, None] * W
-    # tau at the nodes from each panel's samples, S solved here (at import LAPACK costs RSS);
-    # the first interval, where W may be a fractional power of y (m is fitted), reads the table
-    S_T = np.linalg.solve(_VANDER.T, _NODE_INTEGRALS.T)
-    local = targets[2:2 * n:2, None] + half[nsub0:, None] * (W[nsub0:] @ S_T)
+    # tau at the nodes from each panel's samples; the first interval, where
+    # W may be a fractional power of y (m is fitted), reads the table
+    local = targets[2:2 * n:2, None] + half[nsub0:, None] * (W[nsub0:] @ _gk15_tables()[1])
     tau_at = np.concatenate([machine.tau_of(X[:nsub0].ravel()), local.ravel()])
-    Lw = _stencil_rows(tau_at, float(targets[2]), n)[1].reshape(*W.shape, 4)
+    Lw = _value_weights(tau_at, float(targets[2]), n)[2].reshape(*W.shape, 4)
     # every node of grid panel p reads U through the stencil starting at clip(p - 1, 0, n - 3)
     panels = np.concatenate([[0], nsub0 + np.arange(n - 1)])
     A = np.add.reduceat(np.sum(WT * qa(X.ravel()).reshape(W.shape), axis=1), panels)
@@ -270,10 +277,8 @@ def contraction_precheck(fam: PFunction, q, T: float, u0: float,
 def _certificate(fam: PFunction, qa, T: float, u0: float, tol: float) -> ContractionCertificate:
     rep = check_l1(fam, 0.0, T, tol=min(tol, 1e-9))
     if rep.diverged or not rep.converged:
-        raise NonIntegrableError(
-            f"the L1 check of 1/ph_zero on [0, {T:g}] did not converge; "
-            "no contraction setup exists"
-        )
+        raise NonIntegrableError(f"the L1 check of 1/ph_zero on [0, {T:g}] did not converge; "
+                                 "no contraction setup exists")
     l1 = rep.estimate
     qs = np.abs(qa(np.linspace(0.0, T, 2049)))
     q_inf = float(qs[0] if math.isnan(qs[0]) else np.nanmax(qs))  # as max() over the points
@@ -305,8 +310,7 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
     if not cert.feasible and not override:
         raise InfeasibleCertificateError(
             f"contraction certificate infeasible (k={cert.k:.6g}, "
-            f"margin={cert.margin:.3g}); pass override=True to iterate anyway"
-        )
+            f"margin={cert.margin:.3g}); pass override=True to iterate anyway")
 
     ts = np.geomspace(T * 1e-6, T, 128)
     # lazy, so a bad value before a failing point is reported first
@@ -339,13 +343,10 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
             if delta <= tol:
                 break
             if growth >= 5:
-                raise DivergenceError(
-                    f"updates grew for five consecutive sweeps (last {delta:g})"
-                )
+                raise DivergenceError(f"updates grew for five consecutive sweeps (last {delta:g})")
         else:
             raise DivergenceError(
-                f"no convergence within {_MAX_SWEEPS} sweeps; last update {updates[-1]:g}"
-            )
+                f"no convergence within {_MAX_SWEEPS} sweeps; last update {updates[-1]:g}")
 
     # interior residual of the converged grid function, 4th-order in tau
     i = np.arange(2, n - 1)
@@ -376,8 +377,7 @@ def riccati_residual(fam: PFunction, sol: RiccatiSolution, q) -> float:
     """
     qa = as_array_fn(q)
     u = np.asarray(sol.u)
-    n = len(u) - 1
-    dtau = sol.tau[1] - sol.tau[0]
+    n, dtau = len(u) - 1, sol.tau[1] - sol.tau[0]
     s = (np.arange(n) + 0.5) * dtau
     idx, w, dw = _stencil_rows(s, dtau, n)
     val = np.einsum("ij,ij->i", w, u[idx])

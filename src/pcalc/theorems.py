@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import DerivEstimate, FormulaRoute, as_array_fn, as_scalar_fn, p_derivative_limit
-from .errors import (DifferentiationError, EvaluationError, ParameterError, RootSearchError,
-                     UsageError)
+from .derivatives import DerivEstimate, FormulaRoute, array_fn, as_scalar_fn, p_derivative_limit
+from .errors import (DifferentiationError, EvaluationError, ParameterError, PcalcError,
+                     RootSearchError, UsageError)
 from .expr import Expr, resolve
 from .families import PFunction, _bisect
 
@@ -70,6 +70,18 @@ def _scan_derivative(fam: PFunction, fn: Callable[[float], float], e: Expr | Non
         return p_derivative_limit(fam, fn, c, side="both", tol=tol).value
 
     return dp, route
+
+
+def _multiplier_grid(fam: PFunction, cs: np.ndarray,
+                     combine: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """combine(mult) with the multiplier sampled once over cs; all NaN, which
+    leaves every point to the scalar residual, where the multiplier raises."""
+    try:
+        mult = fam.ph_zero_array(cs)
+    except PcalcError:
+        return np.full(len(cs), math.nan)
+    with np.errstate(all="ignore"):
+        return combine(mult)
 
 
 def _golden_min(phi: Callable[[float], float], lo: float, hi: float,
@@ -130,11 +142,7 @@ def find_mvt_point(fam: PFunction, f: Expr | str | Callable[[float], float],
         return dp(c) - slope * fam.ph_zero(c)
 
     def grid(cs: np.ndarray) -> np.ndarray:
-        values = route.grid(cs)
-        if np.isnan(values).all():  # no formula here, or a multiplier that raises
-            return values
-        with np.errstate(all="ignore"):
-            return values - slope * fam.ph_zero_array(cs)
+        return _multiplier_grid(fam, cs, lambda mult: route.grid(cs, mult) - slope * mult)
 
     c, bracket = _scan_for_root(residual, a, b, tol, grid)
     return MvtResult(c, fam.ph_zero(c), abs(residual(c)), bracket)
@@ -171,8 +179,8 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
         return df * dp_g(c) - dg * dp_f(c)
 
     def grid(cs: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return df * route_g.grid(cs) - dg * route_f.grid(cs)
+        return _multiplier_grid(
+            fam, cs, lambda mult: df * route_g.grid(cs, mult) - dg * route_f.grid(cs, mult))
 
     c, bracket = _scan_for_root(residual, a, b, tol, grid)
     return MvtResult(c, dp_g(c), abs(residual(c)), bracket)
@@ -262,7 +270,7 @@ def max_principle_check(fam: PFunction, f: Expr | str | Callable[[float], float]
     _need_interval(a, b)
     fn, e = as_scalar_fn(f)
     cs = np.linspace(a, b, 2048)
-    vals = as_array_fn(fn if e is None else e)(cs)
+    vals = array_fn(fn, e)(cs)
     i0 = int(np.argmax(vals))
     interior = 0 < i0 < len(cs) - 1
     lo, hi = float(cs[max(i0 - 1, 0)]), float(cs[min(i0 + 1, len(cs) - 1)])

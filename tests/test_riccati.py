@@ -14,14 +14,15 @@ from pcalc.errors import (
 )
 from pcalc.families import PFunction, make_family
 from pcalc.riccati import (
-    _NODE_INTEGRALS,
     _NODES_A,
-    _VANDER,
     _WEIGHTS_K_A,
     RiccatiProblem,
     _build_discretization,
+    _gk15_tables,
+    _horner,
     _stencil_rows,
     _TauMachine,
+    _value_weights,
     _weight,
     contraction_precheck,
     riccati_residual,
@@ -163,6 +164,16 @@ class TestResidual:
         assert sol.residual < 1e-4
 
 
+# one family of each kind the tau table grades differently, with a horizon inside its domain
+PANEL_CASES = [
+    (KHALIL, 0.05),
+    (make_family("gfd", 0.6, beta=1.4), 0.3),
+    (make_family("cosine", 0.7), 1.2),
+    (make_family("custom", F="t + h*sqrt(t)*(1 + t)"), 0.2),
+]
+PANEL_IDS = [fam.kind for fam, _ in PANEL_CASES]
+
+
 class TestTauTable:
     def test_closed_form_and_round_trip(self):
         # khalil(0.5): tau(t) = integral of t^(-1/2) = 2 sqrt(t)
@@ -171,6 +182,41 @@ class TestTauTable:
         x = T * np.linspace(1e-6, 1.0 - 1e-6, 997) ** 1.3  # off the cell edges
         assert np.max(np.abs(machine.tau_of(x) - 2.0 * np.sqrt(x))) < 1e-13
         assert np.max(np.abs(machine.t_of_tau(machine.tau_of(x)) - x)) < 1e-13 * T
+
+    @pytest.mark.parametrize("fam,T", PANEL_CASES, ids=PANEL_IDS)
+    def test_table_matches_per_cell_lu_coefficients(self, fam, T):
+        # the cached G against an LU solve of each cell's Vandermonde system
+        machine = _TauMachine(fam, T)
+        ys = machine.ys
+        mid, half = 0.5 * (ys[:-1] + ys[1:]), 0.5 * (ys[1:] - ys[:-1])
+        _, vals = _weight(fam, machine.m, mid[:, None] + half[:, None] * _NODES_A)
+        powers = np.arange(1, 16)
+        ref = np.zeros((len(mid), 16))
+        ref[:, 1:] = np.linalg.solve(np.vander(_NODES_A, 15, increasing=True), vals.T).T / powers
+        ref[:, 0] = -(ref[:, 1:] @ (-1.0) ** powers)
+        gap = np.sum(np.abs(machine._coef - (half[:, None] * ref).T), axis=0)
+        # summed over the powers, the gap bounds the two cell polynomials' distance on [-1, 1]
+        assert np.max(gap) < 1e-14 * machine.tau_total
+
+    @pytest.mark.parametrize("fam,T", PANEL_CASES, ids=PANEL_IDS)
+    def test_inverse_round_trips_in_few_newton_passes(self, fam, T, monkeypatch):
+        machine = _TauMachine(fam, T)
+        passes = [0]
+
+        def counted(C, r):
+            passes[0] += 1
+            return _horner(C, r)
+
+        monkeypatch.setattr("pcalc.riccati._horner", counted)
+        for n in (16, 64, 512):  # the solver's grid and tau-midpoints in one call
+            s = machine.tau_total * np.arange(2 * n + 1) / (2 * n)
+            passes[0] = 0
+            t = machine.t_of_tau(s)
+            assert passes[0] <= 4  # Newton starts from each cell's linear guess
+            assert np.max(np.abs(machine.tau_of(t) - s)) < 1e-14 * machine.tau_total
+        # off the grid too, where a point in a steep first cell may take more passes
+        s = machine.tau_total * np.random.default_rng(5).uniform(0.0, 1.0, 997)
+        assert np.max(np.abs(machine.tau_of(machine.t_of_tau(s)) - s)) < 1e-14 * machine.tau_total
 
     def test_ph_zero_call_budget(self, monkeypatch):
         calls = [0]
@@ -184,16 +230,6 @@ class TestTauTable:
         sol = solve_riccati(sqrt_decay_problem(grid_n=512))
         riccati_residual(KHALIL, sol, "0")
         assert calls[0] < 50_000
-
-
-# one family of each kind the tau table grades differently, with a horizon inside its domain
-PANEL_CASES = [
-    (KHALIL, 0.05),
-    (make_family("gfd", 0.6, beta=1.4), 0.3),
-    (make_family("cosine", 0.7), 1.2),
-    (make_family("custom", F="t + h*sqrt(t)*(1 + t)"), 0.2),
-]
-PANEL_IDS = [fam.kind for fam, _ in PANEL_CASES]
 
 
 def _grid_panels(machine, n):
@@ -238,9 +274,9 @@ class TestPanelForms:
 
         def spy(s, dtau, n):
             seen.append(s)
-            return _stencil_rows(s, dtau, n)
+            return _value_weights(s, dtau, n)
 
-        monkeypatch.setattr("pcalc.riccati._stencil_rows", spy)
+        monkeypatch.setattr("pcalc.riccati._value_weights", spy)
         n = 64
         machine = _TauMachine(fam, T)
         disc = _build_discretization(as_array_fn("0"), machine, n)
@@ -255,7 +291,7 @@ class TestPanelForms:
 
     def test_integration_matrix_is_exact_on_monomials(self):
         # S @ samples integrates the interpolant from -1 to each node, as the panels build it
-        S = np.linalg.solve(_VANDER.T, _NODE_INTEGRALS.T).T
+        S = _gk15_tables()[1].T
         for d in range(15):
             exact = (_NODES_A ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
             assert np.max(np.abs(S @ _NODES_A ** d - exact)) < 1e-14

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcalc.derivatives
 import pcalc.expr
 import pcalc.theorems
 from pcalc.corpus import corpus_entry, corpus_list
@@ -14,7 +15,7 @@ from pcalc.derivatives import FormulaRoute, p_derivative_formula
 from pcalc.errors import (DifferentiationError, EvaluationError, ParameterError, PcalcError,
                           RootSearchError)
 from pcalc.expr import BinOp, Call, Neg, _differentiate, differentiate, evaluate, parse, resolve
-from pcalc.families import make_family
+from pcalc.families import PFunction, make_family
 from pcalc.theorems import (
     _scan_derivative,
     check_monotonicity_conditions,
@@ -85,6 +86,38 @@ class TestWorkBudget:
         r = find_mvt_point(make_family("khalil", 0.6), "abs(t-1.3)", 1.0, 2.0)
         assert r.c == pytest.approx(1.3, abs=1e-6)
         assert calls[0] <= 2
+
+    @pytest.mark.parametrize("search", ["mvt", "cauchy"])
+    def test_multiplier_is_sampled_once_per_grid(self, search, monkeypatch):
+        # the formula grids and the mvt slope term share one ph_zero_array per grid
+        grids = []
+        original = PFunction.ph_zero_array
+
+        def counted(self, t):
+            grids.append(len(t))
+            return original(self, t)
+
+        monkeypatch.setattr(PFunction, "ph_zero_array", counted)
+        if search == "mvt":
+            r = find_mvt_point(KHALIL, "t^2", 1.0, 2.0)
+            assert grids == [1024]
+        else:
+            r = find_cauchy_mvt_point(KHALIL, "t", "sqrt(t)", 1.0, 2.0)
+            assert grids == [64, 1024]  # the check that g' keeps off zero, then the scan
+        assert r.c == pytest.approx(1.5 if search == "mvt" else 1.457106781186548, abs=1e-9)
+
+    def test_max_principle_compiles_f_once(self, monkeypatch):
+        calls = [0]
+        original = pcalc.derivatives.compile_expr
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pcalc.derivatives, "compile_expr", counted)
+        rep = max_principle_check(KHALIL, "-((t-1.3)^2)", 1.0, 2.0)
+        assert rep.c == pytest.approx(1.3, abs=1e-6)
+        assert calls[0] == 1
 
 
 class TestKinkPath:

@@ -11,7 +11,10 @@ workloads of the change's ``perfbench/`` are built against each tree with
 the same seed.  Whole passes then alternate, the parent first on even
 pairs, and the script prints per workload the median pass time of each
 side, the median of the per-pair change/parent ratios and the pairs the
-change won.  Operations that raise are counted, not judged.
+change won; under it, the median per-pair ratio of each slot kind of the
+workload (``riccati_n64`` ... ``riccati_n512``, say), which tells fixed
+per-operation cost from cost that grows with the input.  Operations that
+raise are counted, not judged.
 
 Both sides share one process, so drift on the host falls on both alike;
 whole-process runs of the same tree can differ by up to 1.5x on a shared
@@ -52,22 +55,23 @@ def load_pcalc(root: Path):
     return pcalc
 
 
-def one_pass(wl) -> tuple[float, int]:
-    """Seconds the operations of one pass took, and how many raised."""
+def one_pass(wl) -> tuple[dict[str, float], int]:
+    """Seconds the operations of one pass took per slot kind, and how many raised."""
     clock = time.perf_counter
-    busy, raised = 0.0, 0
+    busy: dict[str, float] = {}
+    raised = 0
     for slot in wl.slots:
         start = clock()
         try:
             slot.call()
         except Exception:  # an expected error is an outcome like any other
             raised += 1
-        busy += clock() - start
+        busy[slot.kind] = busy.get(slot.kind, 0.0) + clock() - start
     return busy, raised
 
 
 def compare(builds: dict, passes: int) -> dict:
-    times: dict[str, list[float]] = {side: [] for side in builds}
+    times: dict[str, list[dict[str, float]]] = {side: [] for side in builds}
     raised = dict.fromkeys(builds, 0)
     for wl in builds.values():
         wl.warm_up()
@@ -76,11 +80,15 @@ def compare(builds: dict, passes: int) -> dict:
             dt, bad = one_pass(builds[side])
             times[side].append(dt)
             raised[side] += bad
-    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
-    return {"parent_ms": 1e3 * statistics.median(times["parent"]),
-            "change_ms": 1e3 * statistics.median(times["change"]),
+    totals = {side: [sum(t.values()) for t in times[side]] for side in builds}
+    ratios = [c / p for p, c in zip(totals["parent"], totals["change"])]
+    pairs = list(zip(times["parent"], times["change"]))
+    return {"parent_ms": 1e3 * statistics.median(totals["parent"]),
+            "change_ms": 1e3 * statistics.median(totals["change"]),
             "ratio": statistics.median(ratios),
-            "won": sum(r < 1.0 for r in ratios), "raised": raised}
+            "won": sum(r < 1.0 for r in ratios), "raised": raised,
+            "kinds": {kind: statistics.median(c[kind] / p[kind] for p, c in pairs)
+                      for kind in times["parent"][0]}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -102,6 +110,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:10} {r['parent_ms']:10.2f} {r['change_ms']:10.2f} {r['ratio']:7.3f} "
               f"{r['won']:>3}/{args.passes:<3}  parent {r['raised']['parent']}, "
               f"change {r['raised']['change']}")
+        for kind, ratio in r["kinds"].items():
+            print(f"  {kind:30} {ratio:7.3f}")
     return 0
 
 
