@@ -30,12 +30,13 @@ identifiers pi and e are predefined constants.  Any other identifier must
 be one of the allowed variable names {t, x, h, alpha, beta} or a caller
 declared parameter; unknown names are rejected at parse time.
 
-The domain rules live in one operator table (_OPS) that evaluate,
-compile_expr and compile_array all read; a BinOp or Call not in it is a UsageError.
+The domain rules live in one operator table (_OPS), which evaluate and
+the generated code both call; a BinOp or Call not in it is a UsageError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -58,6 +59,13 @@ __all__ = [
 @dataclass(frozen=True)
 class Num:
     value: float
+
+    # the sign of zero is part of the value: t*-0.0 is not t*0.0
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Num) and _signed(self.value) == _signed(other.value)
+
+    def __hash__(self) -> int:
+        return hash(_signed(self.value))
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,7 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 EXPR_TYPES = (Num, Var, Neg, BinOp, Call)
 Env = Mapping[str, float]
 MAX_DEPTH = 100
+_signed = lambda v: (v, math.copysign(1.0, v))  # Num's key: 0.0 and -0.0 differ
 
 DEFAULT_VARIABLES = frozenset({"t", "x", "h", "alpha", "beta"})
 CONSTANTS: dict[str, float] = {"pi": math.pi, "e": math.e}
@@ -305,7 +314,7 @@ def evaluate(e: Expr, env: Env) -> float:
             return float(env[e.name])
         if e.name in CONSTANTS:
             return CONSTANTS[e.name]
-        raise EvaluationError(f"unbound variable {e.name!r}")
+        _unbound(e.name)
     if isinstance(e, Neg):
         return -evaluate(e.arg, env)
     if isinstance(e, BinOp):
@@ -320,77 +329,22 @@ def compile_expr(e: Expr, names: tuple[str, ...] = ("t",)) -> Callable[..., floa
 
     compile_expr(e, names)(*values) returns the same float, bit for bit,
     as evaluate(e, dict(zip(names, values))), and raises the same
-    EvaluationError at the same point of the evaluation order; only the
-    per-call dispatch on node types is gone.  Operator rules and constants
-    are looked up once, at compile time.
+    EvaluationError at the same point of the evaluation order.
     """
-    if len(names) == 1:
-        return _compile(e, {names[0]: None})  # nodes receive the value itself
-    run = _compile(e, {name: i for i, name in enumerate(names)})
-    return lambda *values: run(values)
-
-
-def _compile(e: Expr, slots: dict[str, int | None]) -> Callable[[Any], float]:
-    # every closure takes the tuple of values (slots give the positions),
-    # or the bare value when there is one variable (slot None), and
-    # mirrors the matching branch of evaluate
-    if isinstance(e, Num):
-        value = e.value
-        return lambda v: value
-    if isinstance(e, Var):
-        name = e.name
-        if name in slots:
-            i = slots[name]
-            if i is None:
-                return float
-            return lambda v: float(v[i])
-        if name in CONSTANTS:
-            value = CONSTANTS[name]
-            return lambda v: value
-        message = f"unbound variable {name!r}"
-
-        def unbound(v: Any) -> float:
-            raise EvaluationError(message)
-
-        return unbound
-    if isinstance(e, Neg):
-        arg = _compile(e.arg, slots)
-        return lambda v: -arg(v)
-    if isinstance(e, BinOp):
-        left = _compile(e.left, slots)
-        right = _compile(e.right, slots)
-        op = _OPS[e.op].scalar
-        return lambda v: op(left(v), right(v))
-    if isinstance(e, Call):
-        arg = _compile(e.arg, slots)
-        fn = _OPS[e.func].scalar
-        return lambda v: fn(arg(v))
-    raise TypeError(f"not an Expr node: {e!r}")
+    return _generate(e, tuple(names), False)
 
 
 def compile_array(e: Expr) -> Callable[[Any], np.ndarray]:
     """Compile e once into a numpy kernel over an array of t.
 
     compile_array(e)(t) never raises.  It returns values of t's shape:
-    what compile_expr(e) gives at each point, or NaN where the closure
-    could raise or differ (a non-finite result of any operation, which
-    covers every zero divisor, any gamma node, any variable other than t,
-    a non-finite constant).  resolve(values, t, compile_expr(e)) gives
-    those points to the closure.  + - * /, negation, abs and sqrt are
-    bit-identical to the closure; ^, exp, ln and the trig functions may
-    differ from math's in the last ulp.  Fix any other variable before
-    compiling, by substituting a Num.
+    compile_expr(e) at each point, or NaN where that could raise or differ
+    (any operation's non-finite result, gamma, a variable other than t, a
+    non-finite constant), for resolve to redo.  + - * /, negation, abs and
+    sqrt are bit-identical; ^, exp, ln and the trig functions may differ
+    from math's in the last ulp.  Substitute a Num for any other variable.
     """
-    run = _compile_array(e)
-
-    def kernel(t: Any) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        bad = np.zeros(t.size, dtype=bool)
-        with np.errstate(all="ignore"):
-            out = np.where(bad, math.nan, run(t.ravel(), bad))
-        return out.reshape(t.shape)
-
-    return kernel
+    return _generate(e, ("t",), True)
 
 
 def resolve(values: np.ndarray, t: Any, scalar: Callable[[float], float]) -> np.ndarray:
@@ -407,44 +361,90 @@ def resolve(values: np.ndarray, t: Any, scalar: Callable[[float], float]) -> np.
     return values
 
 
-def _flag_all(t: np.ndarray, bad: np.ndarray) -> float:
-    bad[:] = True  # the closure decides these points
-    return 0.0
+def _unbound(name: str) -> NoReturn:
+    raise EvaluationError(f"unbound variable {name!r}")
 
 
-def _ufunc_node(ufunc: Any, *args: Callable[..., Any]) -> Callable[..., Any]:
-    def node(t: np.ndarray, bad: np.ndarray) -> Any:
-        r = ufunc(*(arg(t, bad) for arg in args))
-        bad |= ~np.isfinite(r)  # a zero divisor gives inf or nan
-        return r
-
-    return node
+class _Unvouched(Exception):
+    """An array kernel meets a node whose every point the scalar path decides."""
 
 
-def _compile_array(e: Expr) -> Callable[..., Any]:
-    # every kernel takes the flat t and the flag mask, returns an array
-    # (or a float for a constant) and flags the points it cannot vouch for
-    if isinstance(e, Num):
-        value = e.value
-        return (lambda t, bad: value) if math.isfinite(value) else _flag_all
-    if isinstance(e, Var):
-        if e.name == "t":
-            return lambda t, bad: t
-        if e.name in CONSTANTS:
-            value = CONSTANTS[e.name]
-            return lambda t, bad: value
-        return _flag_all
-    if isinstance(e, Neg):
-        arg = _compile_array(e.arg)
-        return lambda t, bad: np.negative(arg(t, bad))
-    if isinstance(e, BinOp):
-        return _ufunc_node(_OPS[e.op].ufunc, _compile_array(e.left), _compile_array(e.right))
-    if isinstance(e, Call):
-        ufunc = _OPS[e.func].ufunc
-        if ufunc is None:  # gamma: numpy has none
-            return _flag_all
-        return _ufunc_node(ufunc, _compile_array(e.arg))
-    raise TypeError(f"not an Expr node: {e!r}")
+_INLINE = {"+": "+", "-": "-", "*": "*"}  # the operators written into the source
+
+
+@functools.lru_cache(maxsize=512)
+def _generate(e: Expr, names: tuple[str, ...], array: bool) -> Callable[..., Any]:
+    """Write e as straight-line Python, one statement per operation in
+    evaluate's order: + - * and negation inline, the _OPS rule (scalar,
+    or ufunc for the array target) for the rest.  Constants, rules and
+    the unbound-variable raiser are bound by value in the namespace, so
+    nan, inf and -0.0 stay exact and no text of the tree reaches the
+    source.  Only the array target folds a subtree free of t, with the
+    same ufuncs; scalar errors stay at call time, in their order."""
+    slots = {name: i for i, name in enumerate(names)}
+    ns: dict[str, Any] = {"np": np, "nan": math.nan, "float": float}
+    lines: list[str] = []
+    flags: list[str] = []  # the array target's operations, whose non-finite points it marks
+    converted: dict[int, str] = {}  # slot -> the local holding float(argument)
+
+    def bind(value: Any) -> str:
+        ns[f"k{len(ns)}"] = value
+        return f"k{len(ns) - 1}"
+
+    def emit(text: str) -> str:
+        lines.append(f"r{len(lines)} = {text}")
+        return f"r{len(lines) - 1}"
+
+    def node(e: Expr) -> str:  # a local, or a constant bound in ns
+        if isinstance(e, Var) and e.name in slots:
+            i = slots[e.name]
+            if not array and i not in converted:
+                converted[i] = emit(f"float(a{i})")
+            return "x" if array else converted[i]
+        if isinstance(e, (Num, Var)):
+            value = e.value if isinstance(e, Num) else CONSTANTS.get(e.name)
+            if array and (value is None or not math.isfinite(value)):
+                raise _Unvouched
+            return emit(f"{bind(functools.partial(_unbound, e.name))}()") if value is None \
+                else bind(value)
+        if isinstance(e, Neg):
+            arg = node(e.arg)
+            return bind(np.negative(ns[arg])) if array and arg in ns else emit(f"-{arg}")
+        if not isinstance(e, (BinOp, Call)):
+            raise TypeError(f"not an Expr node: {e!r}")
+        op, kids = (e.op, (e.left, e.right)) if isinstance(e, BinOp) else (e.func, (e.arg,))
+        args, rule = [node(kid) for kid in kids], _OPS[op]
+        if array and rule.ufunc is None:  # gamma: numpy has none
+            raise _Unvouched
+        if array and all(arg in ns for arg in args):
+            value = rule.ufunc(*(ns[arg] for arg in args))
+            if not np.isfinite(value):
+                raise _Unvouched
+            return bind(value)
+        local = emit(f"{args[0]} {_INLINE[op]} {args[1]}" if op in _INLINE else
+                     f"{bind(rule.ufunc if array else rule.scalar)}({', '.join(args)})")
+        if array:
+            flags.append(local)
+        return local
+
+    with np.errstate(all="ignore"):
+        try:
+            result = node(e)
+        except _Unvouched:  # every point is the scalar path's
+            lines, flags, result = [], [], "nan"
+    if not array:
+        head = f"def f({', '.join(f'a{i}' for i in range(len(names)))}):"
+        body = [*lines, f"return {result}"]
+    else:  # a flagged result is the kernel's own array; t and constants are copied
+        head = "def f(t):"
+        body = ["t = np.asarray(t, dtype=float)", "x = t.ravel()",
+                *(["with np.errstate(all='ignore'):"] if lines else []),
+                *(f"    {line}" for line in lines),
+                *(f"ok {'&' if i else ''}= np.isfinite({r})" for i, r in enumerate(flags)),
+                *([f"{result}[~ok] = nan", f"return {result}.reshape(t.shape)"] if flags
+                  else [f"return np.full(x.size, {result}, dtype=float).reshape(t.shape)"])]
+    exec("\n    ".join([head, *body]), ns)
+    return ns["f"]
 
 
 def variables(e: Expr) -> frozenset[str]:

@@ -3,8 +3,10 @@
 A family bundles the map p(t, h), the multiplier ph_zero(t) (the
 h-derivative of p at h = 0) and the valid t-interval.  Each closed-form
 kind (khalil, katugampola, gfd, nderiv, cosine, power) is one row of the
-_KINDS table; "custom" takes a full p(t, h) expression and differentiates
-it symbolically in h, and nderiv with an expression F is t + h*F on that path.
+_KINDS table, with p and the multiplier as expressions; "custom" takes a
+full p(t, h) expression and differentiates it symbolically in h, and
+nderiv with an expression F is t + h*F on that path.  Every kind compiles
+its trees with expr.compile_expr and expr.compile_array.
 
 Two numerical checks live here as well:
 
@@ -33,7 +35,7 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .expr import (_OPS, BinOp, Expr, Num, Var, compile_array, compile_expr, differentiate,
+from .expr import (BinOp, Expr, Num, Var, compile_array, compile_expr, differentiate,
                    parse, resolve, substitute, variables)
 from .quadrature import integrate_graded
 
@@ -42,9 +44,6 @@ __all__ = [
     "EpsilonRecord", "SolvabilityReport", "check_offset_solvability",
     "L1Report", "check_l1", "DEFAULT_EPSILONS",
 ]
-
-# the checked rules of the expression operator table, with its messages
-_pow, _exp, _sin, _cos = (_OPS[op].scalar for op in ("^", "exp", "sin", "cos"))
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,12 @@ class PFunction:
     """One deformation family: p, the multiplier ph_zero, a domain.
 
     p and ph_zero are methods over the callables given at construction;
-    ph_zero checks the domain first.  ph0a is the multiplier's numpy form,
-    the closed form over a whole array.  It must not raise: a non-finite
-    value marks a point that ph_zero decides.  Without one, ph_zero_array
-    falls back to ph_zero point by point.  Instances are immutable by
-    convention; construct them with make_family.
+    ph_zero checks the domain first.  ph0a is the multiplier's numpy form
+    over a whole array, its compile_array kernel.  It must not raise: a
+    non-finite value marks a point that ph_zero decides.  It is missing
+    only for an unavailable custom multiplier, where ph_zero_array falls
+    back to ph_zero, which raises.  Instances are immutable by convention;
+    construct them with make_family.
     """
 
     __slots__ = ("kind", "alpha", "beta", "F", "domain", "label", "_p", "_ph0", "_ph0a")
@@ -156,69 +156,64 @@ def _coerce_expr(source: Expr | str, allowed: frozenset[str], what: str) -> Expr
 
 class _Kind(NamedTuple):
     """A closed-form kind: its t-domain, the alpha range it accepts (as a
-    test and as text) and the factory of its forms (p, ph0, ph0a) for
-    (alpha, c0), where c0 is the gfd coefficient and 1.0 for other kinds."""
+    test and as text), and p(t, h) and the multiplier ph_zero(t) as
+    expressions in t, h, alpha and c0, the gfd coefficient (1 elsewhere).
+    The multiplier is written out, not derived: deriving katugampola's
+    would give t*exp(0)*t^-alpha, which is not t^(1-alpha) bit for bit."""
 
     domain: Interval
     accepts: Callable[[float], bool]
     needs: str
-    forms: Callable[[float, float], tuple]
+    p: Expr
+    mult: Expr
 
 
 _POSITIVE_T = Interval(0.0, math.inf)
 _positive = lambda a: a > 0.0  # alpha > 0 suffices; values >= 1 are permitted and used
 
 
+def _row(domain: Interval, accepts: Callable[[float], bool], needs: str, p: str,
+         mult: str) -> _Kind:
+    return _Kind(domain, accepts, needs, parse(p, ("c0",)), parse(mult, ("c0",)))
+
+
 _KINDS: dict[str, _Kind] = {
-    "khalil": _Kind(_POSITIVE_T, _positive, "alpha > 0", lambda a, c0: (
-        lambda t, h, a=a: t + h * _pow(t, 1.0 - a),
-        lambda t, a=a: _pow(t, 1.0 - a),
-        lambda t, a=a: np.power(t, 1.0 - a))),
-    "katugampola": _Kind(_POSITIVE_T, _positive, "alpha > 0", lambda a, c0: (
-        lambda t, h, a=a: t * _exp(h * _pow(t, -a)),
-        lambda t, a=a: _pow(t, 1.0 - a),
-        lambda t, a=a: np.power(t, 1.0 - a))),
-    "gfd": _Kind(_POSITIVE_T, _positive, "alpha > 0", lambda a, c0: (
-        lambda t, h, a=a, c0=c0: t + c0 * h * _pow(t, 1.0 - a),
-        lambda t, a=a, c0=c0: c0 * _pow(t, 1.0 - a),
-        lambda t, a=a, c0=c0: c0 * np.power(t, 1.0 - a))),
-    "nderiv": _Kind(_POSITIVE_T, _positive, "alpha > 0", lambda a, c0: (
-        lambda t, h, a=a: t + h * _exp(_pow(t, -a)),
-        lambda t, a=a: _exp(_pow(t, -a)),
-        lambda t, a=a: np.exp(np.power(t, -a)))),
-    "cosine": _Kind(Interval(0.0, math.pi / 2.0, closed_lo=True), lambda a: 0.0 < a <= 1.0,
-                    "0 < alpha <= 1", lambda a, c0: (
-        lambda t, h, a=a: t + _sin(h) * _pow(_cos(t), 1.0 - a),
-        lambda t, a=a: _pow(math.cos(t), 1.0 - a),
-        lambda t, a=a: np.power(np.cos(t), 1.0 - a))),
-    # d/dh h^a vanishes at h=0 since a > 1
-    "power": _Kind(Interval(-math.inf, math.inf), lambda a: a > 1.0, "alpha > 1", lambda a, c0: (
-        lambda t, h, a=a: t + _pow(h, a),
-        lambda t: 0.0,
-        np.zeros_like)),
+    "khalil": _row(_POSITIVE_T, _positive, "alpha > 0", "t + h*t^(1-alpha)", "t^(1-alpha)"),
+    "katugampola": _row(_POSITIVE_T, _positive, "alpha > 0", "t*exp(h*t^-alpha)",
+                        "t^(1-alpha)"),
+    "gfd": _row(_POSITIVE_T, _positive, "alpha > 0", "t + c0*h*t^(1-alpha)",
+                "c0*t^(1-alpha)"),
+    "nderiv": _row(_POSITIVE_T, _positive, "alpha > 0", "t + h*exp(t^-alpha)",
+                   "exp(t^-alpha)"),
+    "cosine": _row(Interval(0.0, math.pi / 2.0, closed_lo=True), lambda a: 0.0 < a <= 1.0,
+                   "0 < alpha <= 1", "t + sin(h)*cos(t)^(1-alpha)", "cos(t)^(1-alpha)"),
+    # d/dh h^alpha vanishes at h=0 since alpha > 1
+    "power": _row(Interval(-math.inf, math.inf), lambda a: a > 1.0, "alpha > 1",
+                  "t + h^alpha", "0"),
 }
 FAMILY_KINDS = (*_KINDS, "custom")
 
 
-def _expression_forms(pe: Expr, alpha: float | None) -> tuple:
+def _expression_forms(pe: Expr, alpha: float | None, m: Expr | None = None) -> tuple:
     """The forms of a p(t, h) expression at a fixed alpha: p compiled in
-    (t, h), the multiplier as the symbolic h-derivative of p at h = 0,
-    compiled in t alone, scalar and array.  alpha and h = 0 are folded in
-    as constants after differentiating, never before: the derivative's
-    short cuts drop a product with a numeric 0, so folding first would turn
-    the -0.0 of (0-t)*alpha at alpha = 0 into 0.0."""
+    (t, h), the multiplier m compiled in t alone, scalar and array.  m is
+    by default the symbolic h-derivative of p at h = 0.  alpha and h = 0
+    are folded in as constants after differentiating, never before: the
+    derivative's short cuts drop a product with a numeric 0, so folding
+    first would turn the -0.0 of (0-t)*alpha at alpha = 0 into 0.0."""
     a = Var("alpha") if alpha is None else Num(float(alpha))  # None: pe has no alpha
     p = compile_expr(substitute(pe, "alpha", a), ("t", "h"))
-    try:
-        dpe = differentiate(pe, "h")
-    except DifferentiationError as exc:
-        msg = str(exc)
+    if m is None:
+        try:
+            m = substitute(differentiate(pe, "h"), "h", Num(0.0))
+        except DifferentiationError as exc:
+            msg = str(exc)
 
-        def unavailable(t: float, msg: str = msg) -> float:
-            raise DifferentiationError(f"custom family multiplier unavailable: {msg}")
+            def unavailable(t: float, msg: str = msg) -> float:
+                raise DifferentiationError(f"custom family multiplier unavailable: {msg}")
 
-        return p, unavailable, None
-    m = substitute(substitute(dpe, "h", Num(0.0)), "alpha", a)
+            return p, unavailable, None
+    m = substitute(m, "alpha", a)
     return p, compile_expr(m), compile_array(m)
 
 
@@ -276,7 +271,9 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
             ) from None
         label += f", beta={beta:g}"
     if F is None:
-        fe, forms = None, row.forms(alpha, c0)
+        c = Num(c0)
+        fe, forms = None, _expression_forms(substitute(row.p, "c0", c), alpha,
+                                            substitute(row.mult, "c0", c))
     else:  # nderiv: p = t + h*F, whose h-derivative folds to the F node itself
         fe = _coerce_expr(F, frozenset({"t", "alpha"}), "nderiv F")
         forms = _expression_forms(BinOp("+", Var("t"), BinOp("*", Var("h"), fe)), alpha)

@@ -21,6 +21,7 @@ from pcalc.expr import (
     Num,
     Var,
     _add,
+    _generate,
     _differentiate,
     _div,
     _fmt_num,
@@ -612,6 +613,80 @@ class TestCompiledArray:
         assert out.shape == (2, 3)
         assert out.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         assert compile_array(parse("pi"))(np.zeros(3)).tolist() == [math.pi] * 3
+
+
+_NESTED = [
+    "(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+    "-" * MAX_DEPTH + "t",
+    "^".join(["t"] * (MAX_DEPTH + 1)),
+    "*".join(["t"] * (MAX_DEPTH + 1)),
+    "sin(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+]
+_ODD_NAMES = ["a0", "a1", "k0", "k3", "r0", "x", "ok", "np", "nan", "float", "f", "t)",
+              "__import__('os').getpid()", "1 +", ""]
+
+
+def _balanced(depth, i=0):
+    # a full binary tree, 2^depth leaves, depth + 1 levels
+    if depth == 0:
+        return Var("t") if i % 3 else Num(0.5 + i % 7)
+    kids = _balanced(depth - 1, 2 * i), _balanced(depth - 1, 2 * i + 1)
+    if i % 5 == 4:
+        return Call("sin", BinOp("+", *kids))
+    return BinOp("+-*"[i % 3], *kids)
+
+
+class TestGenerated:
+    """What the generated functions add: a cache keyed on the tree, and
+    source written from the generator's own names only."""
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_cache_keeps_the_sign_of_zero(self, first, second):
+        assert Num(0.0) != Num(-0.0)
+        assert Num(-0.0) == Num(-0.0) and hash(Num(-0.0)) == hash(Num(-0.0))
+        _generate.cache_clear()
+        for zero in (first, second):
+            e = BinOp("*", Var("t"), Num(zero))
+            want = struct.pack("<d", evaluate(e, {"t": 1.0}))
+            assert struct.pack("<d", compile_expr(e)(1.0)) == want
+            assert compile_array(e)(np.array([1.0])).tobytes() == want
+
+    def test_equal_trees_share_one_function(self):
+        assert compile_expr(parse("t^2 + 1")) is compile_expr(parse("t^2 + 1"))
+        assert compile_expr(parse("t^2 + 1")) is not compile_expr(parse("t^2 + 1"), ("t", "h"))
+        assert compile_array(parse("t^2 + 1")) is not compile_expr(parse("t^2 + 1"))
+
+    def test_variable_names_never_reach_the_source(self):
+        e = Var("__import__('os').getpid()")
+        with pytest.raises(EvaluationError, match=r"^unbound variable \"__import__\('os'\)"):
+            compile_expr(e)(1.0)
+        assert np.isnan(compile_array(e)(np.arange(3.0))).all()
+        assert np.isnan(compile_array(BinOp("+", Var("t"), e))(np.arange(3.0))).all()
+
+    @pytest.mark.parametrize("odd", _ODD_NAMES)
+    def test_odd_names_are_only_slots(self, odd):
+        e = BinOp("-", Var(odd), BinOp("*", Num(2.0), Var("t")))
+        assert compile_expr(e, (odd, "t"))(7.0, 3.0) == 1.0
+        assert compile_expr(e, ("t", odd))(3.0, 7.0) == 1.0
+        with pytest.raises(EvaluationError, match="unbound variable"):
+            compile_expr(e)(3.0)
+
+    @pytest.mark.parametrize("src", _NESTED)
+    def test_at_the_limit_both_targets_work(self, src):
+        e = parse(src)
+        for tree in (e, differentiate(e)):
+            want = evaluate(tree, {"t": 0.5})
+            assert struct.pack("<d", compile_expr(tree)(0.5)) == struct.pack("<d", want)
+            got = _resolving(tree)(np.array([0.5, 0.5]))
+            assert all(_within_ulps(v, want, 4) for v in got)
+
+    def test_thousands_of_nodes(self):
+        e = _balanced(12)  # 8191 nodes, 13 levels
+        ts = [0.3, 0.7, 1.9, -1.1]
+        ref = [evaluate(e, {"t": t}) for t in ts]
+        assert [struct.pack("<d", compile_expr(e)(t)) for t in ts] == \
+            [struct.pack("<d", v) for v in ref]
+        assert _resolving(e)(np.array(ts)) == pytest.approx(ref, rel=1e-9)
 
 
 class TestManipulation:

@@ -192,7 +192,8 @@ class TestMessages:
 _pow, _exp, _sin, _cos = (_OPS[op].scalar for op in ("^", "exp", "sin", "cos"))
 
 # each closed-form kind's domain, p, ph_zero and ph_zero's numpy form for
-# (alpha, c0), written out independently of make_family
+# (alpha, c0), written out independently of make_family: the hand-written
+# closures the kinds had before their rows became expressions
 REFERENCE = {
     "khalil": (Interval(0.0, math.inf), lambda a, c0: (
         lambda t, h: t + h * _pow(t, 1.0 - a),
@@ -240,6 +241,7 @@ def _identical(fam, ref, t, h, ts):
         assert got[0] == want[0]
         if got[0] == "value":
             assert np.array_equal(got[1], want[1], equal_nan=True)
+            assert np.array_equal(np.copysign(1.0, got[1]), np.copysign(1.0, want[1]))
         else:
             assert got[1] == want[1]
 
@@ -259,6 +261,28 @@ class TestClosedForms:
         assert fam.domain == domain
         ref = PFunction(kind, alpha, beta, None, domain, fam.label, *forms(alpha, c0))
         _identical(fam, ref, t, h, ts)
+
+    @pytest.mark.parametrize("kind, alpha, beta, t, h", [
+        ("gfd", 0.6, 1.4, 1.5, 0.3),  # (c0*h)*x and c0*(h*x) round apart here
+        ("gfd", 0.6, 1.4, 3.0, 0.1),
+        ("khalil", 0.5, None, -1.0, 0.1),  # p has no domain check: "domain error in -1.0^0.5"
+        ("katugampola", 0.5, None, -1.0, 0.1),
+        ("cosine", 0.5, None, 2.0, 0.1),  # cos(2)^0.5
+        ("nderiv", 0.5, None, 1e-300, 0.1),  # exp overflows
+        ("power", 2.5, None, 1.0, -0.5),  # (-0.5)^2.5
+    ])
+    def test_rows_on_fixed_points(self, kind, alpha, beta, t, h):
+        fam = make_family(kind, alpha, beta=beta)
+        c0 = 1.0 if beta is None else math.gamma(beta) / math.gamma(beta - alpha + 1.0)
+        domain, forms = REFERENCE[kind]
+        ref = PFunction(kind, alpha, beta, None, domain, fam.label, *forms(alpha, c0))
+        _identical(fam, ref, t, h, [t, 0.5, t])
+
+    def test_row_errors_are_the_expression_messages(self):
+        with pytest.raises(EvaluationError, match=r"^domain error in -1\.0\^0\.5$"):
+            make_family("khalil", 0.5).p(-1.0, 0.1)
+        with pytest.raises(EvaluationError, match=r"^overflow in exp\("):
+            make_family("nderiv", 0.5).ph_zero(1e-300)
 
     @given(st.sampled_from(NDERIV_F), st.floats(1e-3, 4.0), POINTS, st.floats(-2.0, 2.0),
            st.lists(POINTS, min_size=1, max_size=8))

@@ -175,6 +175,28 @@ RESOLVED = [
     ["rolle", *K, "--f", "gamma(t)*(t-1)*(t-2)", "--a", "1", "--b", "2"],
 ]
 
+GFD = ["--family", "gfd", "--alpha", "0.6", "--beta", "1.4"]
+NDERIV = ["--family", "nderiv", "--alpha", "0.5"]
+# every closed-form kind through its array multiplier: feasible Riccati
+# solves, the nderiv multiplier's overflow exits, and the scans
+ROWS = [
+    ["riccati", "--family", "katugampola", "--alpha", "0.7", "--q", "t", "--u0", "0.5",
+     "--T", "0.2", "--n", "32"],
+    ["riccati", *GFD, "--q", "t", "--u0", "0.5", "--T", "0.2", "--n", "32"],
+    ["riccati", "--family", "cosine", "--alpha", "0.5", "--q", "t", "--u0", "0.5",
+     "--T", "0.2", "--n", "32"],
+    ["riccati", *NDERIV, "--q", "0", "--u0", "0.1", "--T", "0.3"],
+    ["integral", "--family", "nderiv", "--alpha", "0.9", "--f", "1", "--a", "0", "--b", "0.05"],
+    ["ibp", "--family", "nderiv", "--alpha", "0.9", "--f", "t", "--g", "t^2", "--a", "0",
+     "--b", "0.05"],
+    ["mvt", *NDERIV, "--f", "t^2", "--a", "1", "--b", "2"],
+    ["rolle", *NDERIV, "--f", "sin(pi*t)", "--a", "1", "--b", "2"],
+    ["mvt", *GFD, "--f", "t^2", "--a", "1", "--b", "2"],
+    ["rolle", *GFD, "--f", "sin(pi*t)", "--a", "1", "--b", "2"],
+    ["mvt", *POWER, "--f", "t^2", "--a", "1", "--b", "2"],
+    ["rolle", *POWER, "--f", "sin(pi*t)", "--a", "1", "--b", "2"],
+]
+
 
 def cases():
     for argv in VALID.values():
@@ -187,7 +209,7 @@ def cases():
     for argv in EXTRA + ERRORS:
         yield None, argv
     yield from ENV_CASES
-    for argv in RESOLVED:
+    for argv in RESOLVED + ROWS:
         yield None, argv
 
 
