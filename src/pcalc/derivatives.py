@@ -197,9 +197,9 @@ class FormulaRoute:
     route.grid(ts), ts 1-d, gives one array: route(ts[i]) to a few ulp
     where it is finite, NaN or inf where the scalar route decides, which
     is where f' or the product is not finite, the multiplier is 0 or
-    raises (then everywhere), or the array kernel of f' marks the point.
-    Callers resolve those points on a scalar route in index order, and
-    pass mult = fam.ph_zero_array(ts) when they have sampled it already.
+    marked by fam.ph_zero_array, or the array kernel of f' marks the point.
+    It never raises.  Callers resolve those points on a scalar route in
+    index order, and pass mult = fam.ph_zero_array(ts) when they have it.
     """
 
     def __init__(self, fam: PFunction, f: Expr | str | Callable[[float], float],
@@ -240,11 +240,11 @@ class FormulaRoute:
     def grid(self, ts: np.ndarray, mult: np.ndarray | None = None) -> np.ndarray:
         try:
             fp = self._derivative()
-            mult = self.fam.ph_zero_array(ts) if mult is None else mult
         except PcalcError:
             fp = None
         if not isinstance(fp, EXPR_TYPES):
             return np.full(len(ts), math.nan)
+        mult = self.fam.ph_zero_array(ts) if mult is None else mult
         self._kernel = self._kernel or compile_array(fp)
         with np.errstate(all="ignore"):
             return np.where(mult == 0.0, math.nan, mult * self._kernel(ts))

@@ -379,8 +379,8 @@ def _generate(e: Expr, names: tuple[str, ...], array: bool) -> Callable[..., Any
     or ufunc for the array target) for the rest.  Constants, rules and
     the unbound-variable raiser are bound by value in the namespace, so
     nan, inf and -0.0 stay exact and no text of the tree reaches the
-    source.  Only the array target folds a subtree free of t, with the
-    same ufuncs; scalar errors stay at call time, in their order."""
+    source.  The array target folds any subtree free of t (same ufuncs),
+    the scalar one only + - * and negation, which never raise."""
     slots = {name: i for i, name in enumerate(names)}
     ns: dict[str, Any] = {"np": np, "nan": math.nan, "float": float}
     lines: list[str] = []
@@ -409,16 +409,17 @@ def _generate(e: Expr, names: tuple[str, ...], array: bool) -> Callable[..., Any
                 else bind(value)
         if isinstance(e, Neg):
             arg = node(e.arg)
-            return bind(np.negative(ns[arg])) if array and arg in ns else emit(f"-{arg}")
+            return bind(np.negative(ns[arg]) if array else -ns[arg]) if arg in ns \
+                else emit(f"-{arg}")
         if not isinstance(e, (BinOp, Call)):
             raise TypeError(f"not an Expr node: {e!r}")
         op, kids = (e.op, (e.left, e.right)) if isinstance(e, BinOp) else (e.func, (e.arg,))
         args, rule = [node(kid) for kid in kids], _OPS[op]
         if array and rule.ufunc is None:  # gamma: numpy has none
             raise _Unvouched
-        if array and all(arg in ns for arg in args):
-            value = rule.ufunc(*(ns[arg] for arg in args))
-            if not np.isfinite(value):
+        if (array or op in _INLINE) and all(arg in ns for arg in args):
+            value = (rule.ufunc if array else rule.scalar)(*(ns[arg] for arg in args))
+            if array and not np.isfinite(value):
                 raise _Unvouched
             return bind(value)
         local = emit(f"{args[0]} {_INLINE[op]} {args[1]}" if op in _INLINE else

@@ -36,7 +36,7 @@ from .errors import (
     QuadratureError,
 )
 from .expr import (BinOp, Expr, Num, Var, compile_array, compile_expr, differentiate,
-                   parse, resolve, substitute, variables)
+                   parse, substitute, variables)
 from .quadrature import integrate_graded
 
 __all__ = [
@@ -65,9 +65,9 @@ class Interval:
         return True
 
     def contains_array(self, t: np.ndarray) -> np.ndarray:
-        """contains, element by element."""
-        return (np.isfinite(t) & ((t > self.lo) | ((t == self.lo) & self.closed_lo))
-                & ((t < self.hi) | ((t == self.hi) & self.closed_hi)))
+        """contains, element by element; an infinite end is open either way."""
+        lo = t >= self.lo if self.closed_lo and math.isfinite(self.lo) else t > self.lo
+        return lo & (t <= self.hi if self.closed_hi and math.isfinite(self.hi) else t < self.hi)
 
     def contains_closure(self, t: float) -> bool:
         return math.isfinite(t) and self.lo <= t <= self.hi
@@ -87,9 +87,9 @@ class PFunction:
     ph_zero checks the domain first.  ph0a is the multiplier's numpy form
     over a whole array, its compile_array kernel.  It must not raise: a
     non-finite value marks a point that ph_zero decides.  It is missing
-    only for an unavailable custom multiplier, where ph_zero_array falls
-    back to ph_zero, which raises.  Instances are immutable by convention;
-    construct them with make_family.
+    only for an unavailable custom multiplier, whose every point is then
+    marked.  Instances are immutable by convention; construct them with
+    make_family.
     """
 
     __slots__ = ("kind", "alpha", "beta", "F", "domain", "label", "_p", "_ph0", "_ph0a")
@@ -117,22 +117,15 @@ class PFunction:
         return self._ph0(t)
 
     def ph_zero_array(self, t: np.ndarray) -> np.ndarray:
-        """ph_zero at every point of t, as [ph_zero(x) for x in t] gives it:
-        the marked array, resolved by ph_zero, so the first failing point
-        raises the scalar error."""
+        """ph_zero at every point of t, marked as compile_array marks: NaN
+        outside the domain and wherever the kernel cannot vouch for the
+        scalar value.  Never raises; resolve(m, t, self.ph_zero) gives
+        [ph_zero(x) for x in t], the first failing point raising."""
         t = np.asarray(t, dtype=float)
-        return resolve(self._ph_zero_marked(t), t, self.ph_zero)
-
-    def _ph_zero_marked(self, t: np.ndarray) -> np.ndarray:
-        # the domain check and the closed form on the whole array, up to the
-        # first point outside the domain; NaN after it
-        flat = t.ravel()
-        outside = np.flatnonzero(~self.domain.contains_array(flat))
-        stop = int(outside[0]) if outside.size else flat.size
-        out = np.full(flat.size, math.nan)
         with np.errstate(all="ignore"):
-            out[:stop] = self._ph0a(flat[:stop])
-        return out.reshape(t.shape)
+            out = self._ph0a(t)
+        out[~self.domain.contains_array(t)] = math.nan
+        return out
 
     def require(self, t: float) -> None:
         if not self.domain.contains(t):

@@ -18,10 +18,10 @@ multiplies what depends on the problem.  All nodes of a panel read the
 iterate through one cubic stencil in tau, so the panel's sum of q - u^2
 is a quadratic form A_p - U_p' M_p U_p in four stencil values, and a
 Picard sweep is a gather and two small einsums.  Set-up samples ph_zero
-and q through their array kernels (PFunction.ph_zero_array,
+and q through their marked array forms (PFunction.ph_zero_array,
 expr.compile_array); expr.resolve gives the points they mark to the
 scalar forms in index order, so the first failing point raises the
-scalar error.
+scalar error, and the positivity check reads the marks lazily.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 from .derivatives import as_array_fn
 from .errors import (DivergenceError, InfeasibleCertificateError, NonIntegrableError,
                      ParameterError)
+from .expr import resolve
 from .families import PFunction, check_l1
 from .quadrature import _NODES, _WEIGHTS_K, endpoint_exponent
 
@@ -125,8 +126,8 @@ class RiccatiSolution:
 def _weight(fam: PFunction, m: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """t = y^m and the weight W(y) = (dt/dy) / ph_zero(t); W is 0 where t underflows."""
     t = y ** m
-    ph = np.full(t.shape, math.inf)
-    ph[t > 0.0] = fam.ph_zero_array(t[t > 0.0])
+    ph, x = np.full(t.shape, math.inf), t[t > 0.0]
+    ph[t > 0.0] = resolve(fam.ph_zero_array(x), x, fam.ph_zero)
     with np.errstate(divide="ignore", over="ignore"):
         w = m * y ** (m - 1.0) / ph
     if not np.all(np.isfinite(w)):
@@ -314,7 +315,7 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
 
     ts = np.geomspace(T * 1e-6, T, 128)
     # lazy, so a bad value before a failing point is reported first
-    for t, v in zip(ts.tolist(), fam._ph_zero_marked(ts).tolist()):
+    for t, v in zip(ts.tolist(), fam.ph_zero_array(ts).tolist()):
         v = v if math.isfinite(v) else fam.ph_zero(t)
         if not (math.isfinite(v) and v > 0.0):
             raise ParameterError(f"solver needs ph_zero > 0 on (0, T]; found {v!r} at t={t:g}")

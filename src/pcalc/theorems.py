@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivatives import DerivEstimate, FormulaRoute, array_fn, as_scalar_fn, p_derivative_limit
-from .errors import (DifferentiationError, EvaluationError, ParameterError, PcalcError,
-                     RootSearchError, UsageError)
+from .errors import (DifferentiationError, EvaluationError, ParameterError, RootSearchError,
+                     UsageError)
 from .expr import Expr, resolve
 from .families import PFunction, _bisect
 
@@ -70,18 +70,6 @@ def _scan_derivative(fam: PFunction, fn: Callable[[float], float], e: Expr | Non
         return p_derivative_limit(fam, fn, c, side="both", tol=tol).value
 
     return dp, route
-
-
-def _multiplier_grid(fam: PFunction, cs: np.ndarray,
-                     combine: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """combine(mult) with the multiplier sampled once over cs; all NaN, which
-    leaves every point to the scalar residual, where the multiplier raises."""
-    try:
-        mult = fam.ph_zero_array(cs)
-    except PcalcError:
-        return np.full(len(cs), math.nan)
-    with np.errstate(all="ignore"):
-        return combine(mult)
 
 
 def _golden_min(phi: Callable[[float], float], lo: float, hi: float,
@@ -142,7 +130,9 @@ def find_mvt_point(fam: PFunction, f: Expr | str | Callable[[float], float],
         return dp(c) - slope * fam.ph_zero(c)
 
     def grid(cs: np.ndarray) -> np.ndarray:
-        return _multiplier_grid(fam, cs, lambda mult: route.grid(cs, mult) - slope * mult)
+        mult = fam.ph_zero_array(cs)
+        with np.errstate(all="ignore"):
+            return route.grid(cs, mult) - slope * mult
 
     c, bracket = _scan_for_root(residual, a, b, tol, grid)
     return MvtResult(c, fam.ph_zero(c), abs(residual(c)), bracket)
@@ -179,8 +169,9 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
         return df * dp_g(c) - dg * dp_f(c)
 
     def grid(cs: np.ndarray) -> np.ndarray:
-        return _multiplier_grid(
-            fam, cs, lambda mult: df * route_g.grid(cs, mult) - dg * route_f.grid(cs, mult))
+        mult = fam.ph_zero_array(cs)
+        with np.errstate(all="ignore"):
+            return df * route_g.grid(cs, mult) - dg * route_f.grid(cs, mult)
 
     c, bracket = _scan_for_root(residual, a, b, tol, grid)
     return MvtResult(c, dp_g(c), abs(residual(c)), bracket)

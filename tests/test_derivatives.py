@@ -34,6 +34,18 @@ class TestLimitRoute:
         est = p_derivative_limit(fam, parse("t^2"), 0.7)
         assert est.value == pytest.approx(1.224373589668446, abs=1e-7)
 
+    @pytest.mark.parametrize("f, want, first_left, first_right", [
+        # ln fails at p(1, -1e-2) = 0.99 and at p(1, -5e-3) = 0.995
+        ("ln(t - 0.995)", 200.0, -2.5e-3, 1e-2),
+        # f(p(1, 1e-2)) is inf, and the quotient at h = 5e-3 overflows
+        ("1e300*exp(3000*(t - 1))", 3e303, -1e-2, 2.5e-3),
+    ], ids=["f-raises", "f-not-finite"])
+    def test_levels_without_a_quotient_are_skipped(self, f, want, first_left, first_right):
+        est = p_derivative_limit(KHALIL, f, 1.0)
+        assert est.value == pytest.approx(want, rel=1e-9) and est.converged
+        assert [h for h in est.h_sequence if h < 0.0][0] == first_left
+        assert [h for h in est.h_sequence if h > 0.0][0] == first_right
+
     def test_estimate_invariants(self):
         est = p_derivative_limit(KHALIL, parse("sin(t)"), 1.3, tol=1e-8)
         assert len(est.h_sequence) == len(est.quotient_sequence)

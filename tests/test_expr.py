@@ -444,6 +444,13 @@ class TestMalformedNodes:
         assert str(exc.value) == what
 
 
+    @pytest.mark.parametrize("walk", [lambda e: evaluate(e, {"t": 3.0}), compile_expr,
+                                      compile_array], ids=["evaluate", "scalar", "array"])
+    def test_a_child_that_is_no_node_is_a_type_error(self, walk):
+        with pytest.raises(TypeError, match=r"^not an Expr node: 2\.0$"):
+            walk(BinOp("+", Var("t"), 2.0))
+
+
 def _trees(leaves):
     return st.recursive(leaves, lambda kids: st.one_of(
         kids.map(Neg),
@@ -651,6 +658,36 @@ class TestGenerated:
             assert struct.pack("<d", compile_expr(e)(1.0)) == want
             assert compile_array(e)(np.array([1.0])).tobytes() == want
 
+    def test_scalar_target_folds_constant_arithmetic(self):
+        # 1-0.25 is worked out at build: the function reads 0.75, not 1 and 0.25
+        e = parse("t^(1-0.25)")
+        f = compile_expr(e)
+        read = [f.__globals__.get(name) for name in f.__code__.co_names]
+        assert [v for v in read if isinstance(v, float)] == [0.75]
+        assert f(16.0) == evaluate(e, {"t": 16.0})
+
+    @pytest.mark.parametrize("src", ["1e308*10 + t", "1e308*10 - 1e308*10 + t", "-(1e308*10)*t"])
+    def test_scalar_folds_keep_non_finite_values(self, src):
+        e = parse(src)
+        for t in (1.0, -0.0):
+            assert struct.pack("<d", compile_expr(e)(t)) == struct.pack("<d", evaluate(e, {"t": t}))
+
+    @pytest.mark.parametrize("e, folded", [
+        (BinOp("*", Neg(Num(0.0)), Var("t")), [-0.0]),
+        (BinOp("+", BinOp("*", Num(-1.0), Num(0.0)), Var("t")), [-0.0]),
+        (BinOp("-", Neg(BinOp("-", Num(0.0), Num(0.0))), BinOp("*", Var("t"), Num(0.0))),
+         [-0.0, 0.0]),
+    ])
+    def test_folding_keeps_the_sign_of_zero(self, e, folded):
+        f = compile_expr(e)
+        read = [f.__globals__.get(name) for name in f.__code__.co_names]
+        assert sorted(struct.pack("<d", v) for v in read if isinstance(v, float)) == \
+            sorted(struct.pack("<d", v) for v in folded)
+        for t in (0.0, -0.0, 2.0):
+            want = struct.pack("<d", evaluate(e, {"t": t}))
+            assert struct.pack("<d", f(t)) == want
+            assert compile_array(e)(np.array([t])).tobytes() == want
+
     def test_equal_trees_share_one_function(self):
         assert compile_expr(parse("t^2 + 1")) is compile_expr(parse("t^2 + 1"))
         assert compile_expr(parse("t^2 + 1")) is not compile_expr(parse("t^2 + 1"), ("t", "h"))
@@ -723,6 +760,14 @@ class TestManipulation:
     def test_differentiate_refuses_nonsmooth_nodes(self, src):
         with pytest.raises(DifferentiationError):
             differentiate(parse(src))
+
+    def test_simplifier_short_cuts(self):
+        assert differentiate(parse("0/t")) == Num(0.0)  # (0*t - 0*1)/t^2: a zero numerator
+        assert differentiate(parse("t^1")) == Num(1.0)  # 1 * t^0 * 1: a zero exponent
+
+    def test_tan_differentiates(self):
+        d = differentiate(parse("tan(t)"))
+        assert evaluate(d, {"t": 0.3}) == pytest.approx(1.0 / math.cos(0.3) ** 2, rel=1e-15)
 
     def test_constant_folding(self):
         assert differentiate(parse("2*t + 3*t")) == Num(5.0)

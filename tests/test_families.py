@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 
@@ -29,6 +30,7 @@ from pcalc.expr import (
     differentiate,
     evaluate,
     parse,
+    resolve,
     substitute,
 )
 from pcalc.families import (
@@ -72,9 +74,20 @@ class TestConstruction:
             "khalil", "katugampola", "gfd", "nderiv", "cosine", "power", "custom",
         }
 
+    def test_repr_is_the_label(self):
+        assert repr(make_family("khalil", 0.5)) == "PFunction<khalil(alpha=0.5)>"
+
     def test_unknown_kind(self):
         with pytest.raises(UsageError):
             make_family("fractal", 0.5)
+
+    def test_range_probe_skips_points_where_p_fails(self):
+        # p(0.1, h) = 0.1 + h*ln(-0.4) raises at the first probe point, so
+        # the range probe checks only t = 1 and t = 10
+        fam = make_family("nderiv", 0.5, F="ln(t - 0.5)")
+        with pytest.raises(EvaluationError, match=r"^domain error in ln\("):
+            fam.p(0.1, 1e-3)
+        assert fam.p(1.0, 1e-3) == 1.0 + 1e-3 * math.log(0.5)
 
     @pytest.mark.parametrize("kind", ["khalil", "katugampola", "gfd", "nderiv", "cosine"])
     def test_alpha_required_and_positive(self, kind):
@@ -234,9 +247,15 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
 
 
+def _resolved(fam, ts):
+    """The marked multiplier resolved by the scalar one: [ph_zero(x) for x in ts]."""
+    ts = np.asarray(ts, dtype=float)
+    return resolve(fam.ph_zero_array(ts), ts, fam.ph_zero)
+
+
 def _identical(fam, ref, t, h, ts):
     for call in (lambda f: f.p(t, h), lambda f: f.ph_zero(t),
-                 lambda f: f.ph_zero_array(np.array(ts))):
+                 lambda f: _resolved(f, ts)):
         got, want = _outcome(lambda: call(fam)), _outcome(lambda: call(ref))
         assert got[0] == want[0]
         if got[0] == "value":
@@ -499,6 +518,15 @@ ARRAY_FAMILIES = (
 )
 
 
+_MARK_POINTS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, 1.5, math.pi / 2, -1.0, math.inf, -math.inf, math.nan]))
+# 0-d, 1-d (empty too) and 2-d arrays of t
+_MARK_ARRAYS = st.one_of(
+    _MARK_POINTS.map(np.array),
+    st.lists(_MARK_POINTS, max_size=6).map(np.array),
+    st.lists(_MARK_POINTS, min_size=6, max_size=6).map(lambda v: np.array(v).reshape(2, 3)))
+
+
 def _first_error(run, pts):
     """(type, index, message) of the first failing point of run, or None."""
     try:
@@ -523,7 +551,7 @@ class TestMultiplierArray:
             return [fam.ph_zero(x) for x in xs]
 
         def kernel(xs):
-            return fam.ph_zero_array(np.array(xs)).tolist()
+            return _resolved(fam, xs).tolist()
 
         err = _first_error(loop, pts)
         assert _first_error(kernel, pts) == err
@@ -537,19 +565,35 @@ class TestMultiplierArray:
     def test_first_failing_point_raises(self):
         khalil = ARRAY_FAMILIES[0]
         with pytest.raises(DomainError, match=r"^t=-1\.0 outside the khalil"):
-            khalil.ph_zero_array(np.array([1.0, 2.0, -1.0, 0.0]))
+            _resolved(khalil, [1.0, 2.0, -1.0, 0.0])
         sqrt = make_family("custom", F="t + h*sqrt(t - 1)")
         with pytest.raises(EvaluationError, match=r"sqrt\(-0\.5\)"):
-            sqrt.ph_zero_array(np.array([2.0, 0.5, math.inf]))
+            _resolved(sqrt, [2.0, 0.5, math.inf])
         with pytest.raises(DomainError, match="t=inf"):
-            sqrt.ph_zero_array(np.array([2.0, math.inf, 0.5]))
+            _resolved(sqrt, [2.0, math.inf, 0.5])
         with pytest.raises(DifferentiationError, match="multiplier unavailable"):
-            ARRAY_FAMILIES[-1].ph_zero_array(np.array([1.0]))
+            _resolved(ARRAY_FAMILIES[-1], [1.0])
 
     def test_shape_is_kept(self):
         t = np.linspace(0.5, 2.0, 6).reshape(2, 3)
-        assert ARRAY_FAMILIES[0].ph_zero_array(t).shape == (2, 3)
-        assert ARRAY_FAMILIES[6].ph_zero_array(t).tolist() == [[0.0] * 3] * 2
+        assert _resolved(ARRAY_FAMILIES[0], t).shape == (2, 3)
+        assert _resolved(ARRAY_FAMILIES[6], t).tolist() == [[0.0] * 3] * 2
+
+    @given(st.sampled_from(ARRAY_FAMILIES), _MARK_ARRAYS)
+    def test_marks_and_never_raises(self, fam, t):
+        got = fam.ph_zero_array(t)
+        assert got.shape == t.shape and got.dtype == np.float64
+        for x, v in zip(t.ravel().tolist(), got.ravel().tolist()):
+            if math.isfinite(v):  # a finite entry never hides a scalar error
+                assert math.isfinite(fam.ph_zero(x))
+
+    def test_domain_marks_are_contains(self):
+        ends = [-math.inf, -1.0, -0.0, 0.0, math.pi / 2, math.inf]
+        t = np.array([y for x in ends for y in (x, math.nextafter(x, -math.inf),
+                                                 math.nextafter(x, math.inf))] + [math.nan])
+        for lo, hi, closed_lo, closed_hi in itertools.product(ends, ends, *[(False, True)] * 2):
+            dom = Interval(lo, hi, closed_lo, closed_hi)
+            assert dom.contains_array(t).tolist() == [dom.contains(x) for x in t.tolist()], dom
 
 
 CUSTOM_P = ["t + sin(1000*h)*h", "t + h^2 - h", "t + abs(h)", "t + h*t^(1-alpha)"]

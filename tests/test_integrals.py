@@ -107,6 +107,19 @@ class TestFtcForward:
         res = ftc_forward(fam, parse("exp(exp(t))"), 1.0, 3.0, tol=1e-8)
         assert abs(res) < 1e-10 * math.exp(math.exp(3.0))
 
+    @pytest.mark.parametrize("F, f, t", [
+        ("t + sqrt(1 + h) - 1", "1", 200.0),  # p(200, -2) raises: sqrt(-1)
+        (None, "t", 1e-4),  # khalil p(1e-4, -1e-2) = 0 leaves (0, inf)
+        ("t + sin(h)", "1", 100 * math.pi),  # sin(h0) ~ 1e-15: p(t, h0) rounds to t
+        (None, "1e300*exp(3000*(t - 1))", 1.0),  # f is inf past 1.0064: the inner integral fails
+    ], ids=["p-raises", "p-leaves-domain", "p-returns-to-t", "integral-fails"])
+    def test_levels_without_a_quotient(self, F, f, t):
+        # such levels are skipped (or, where p(t, h) == t, count as 0) and
+        # the ladder goes on with the next h
+        fam = KHALIL if F is None else make_family("custom", F=F)
+        res = ftc_forward(fam, f, 0.0, t, tol=1e-8)
+        assert res <= 1e-9 * max(1.0, abs(pcalc.expr.evaluate(parse(f), {"t": t})))
+
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ParameterError):
             ftc_forward(KHALIL, parse("t"), 2.0, 2.0)

@@ -139,6 +139,12 @@ class TestEndpointExponent:
         assert endpoint_exponent(math.sin, 0.0, 1.0, "left") is None
         assert endpoint_exponent(lambda x: x ** 0.5, 0.0, 1.0, "left") is None
 
+    def test_overflowing_probe_is_not_integrable(self):
+        # 1e300 / x^2 is inf at the probe 1e-5 from the endpoint
+        with pytest.raises(NonIntegrableError,
+                           match="^integrand is not finite near the left endpoint$"):
+            endpoint_exponent(lambda x: 1e300 / x ** 2, 0.0, 1.0, "left")
+
     def test_right_side(self):
         gamma = endpoint_exponent(lambda x: (1.0 - x) ** -0.3, 0.0, 1.0, "right")
         assert gamma == pytest.approx(0.3, abs=0.05)

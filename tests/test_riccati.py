@@ -382,6 +382,11 @@ class TestValidation:
         with pytest.raises(ParameterError):
             sqrt_decay_problem(u0=math.nan)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(ParameterError, match="^tol must be positive$"):
+            sqrt_decay_problem(tol=tol)
+
     @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
     def test_non_finite_start(self, start, monkeypatch):
         # rejected like a non-finite u0, before the certificate is computed

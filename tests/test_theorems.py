@@ -12,8 +12,8 @@ import pcalc.expr
 import pcalc.theorems
 from pcalc.corpus import corpus_entry, corpus_list
 from pcalc.derivatives import FormulaRoute, p_derivative_formula
-from pcalc.errors import (DifferentiationError, EvaluationError, ParameterError, PcalcError,
-                          RootSearchError)
+from pcalc.errors import (DifferentiationError, DomainError, EvaluationError, ParameterError,
+                          PcalcError, RootSearchError)
 from pcalc.expr import BinOp, Call, Neg, _differentiate, differentiate, evaluate, parse, resolve
 from pcalc.families import PFunction, make_family
 from pcalc.theorems import (
@@ -105,6 +105,26 @@ class TestWorkBudget:
             r = find_cauchy_mvt_point(KHALIL, "t", "sqrt(t)", 1.0, 2.0)
             assert grids == [64, 1024]  # the check that g' keeps off zero, then the scan
         assert r.c == pytest.approx(1.5 if search == "mvt" else 1.457106781186548, abs=1e-9)
+
+    @pytest.mark.parametrize("search", ["mvt", "rolle"])
+    def test_scalar_route_runs_only_at_marked_points(self, search, monkeypatch):
+        # the cosine grid runs past pi/2, where the multiplier marks its points;
+        # the points before them stay on the array route
+        seen = []
+        original = FormulaRoute.__call__
+
+        def counted(self, t):
+            seen.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(FormulaRoute, "__call__", counted)
+        cosine = make_family("cosine", 0.5)
+        with pytest.raises(DomainError, match=r"^t=1\.5717073170731708 outside the cosine"):
+            if search == "mvt":
+                find_mvt_point(cosine, "t^2", 1.0, 2.0)
+            else:
+                find_rolle_point(cosine, "(t-1)*(t-2)", 1.0, 2.0)
+        assert seen == [1.5717073170731708]
 
     def test_max_principle_compiles_f_once(self, monkeypatch):
         calls = [0]
@@ -331,6 +351,11 @@ class TestScan:
         assert hi - lo <= 1e-10
         assert (lo, hi) != (0.0, 1.0)
 
+    def test_exact_zero_on_the_grid(self):
+        # the grid over [0, 1025] is the integers 1..1024, and 512 is the root
+        assert _scan_for_root(lambda c: c - 512.0, 0.0, 1025.0, 1e-8, _masked) == \
+            (512.0, (512.0, 512.0))
+
     def test_degenerate_case_brackets_the_whole_interval(self):
         # a residual below tol everywhere: the midpoint, with (a, b) as bracket
         assert _scan_for_root(lambda c: 0.0, 0.0, 1.0, 1e-8, _masked) == (0.5, (0.0, 1.0))
@@ -364,6 +389,12 @@ class TestMaxPrinciple:
         # p(t, h) = t + h^2 moves right for both signs of h
         power = make_family("power", 2.0)
         rep = check_monotonicity_conditions(power, 0.7)
+        assert not rep.left_decreasing
+        assert rep.right_increasing
+
+    def test_failing_displacement_fails_its_side(self):
+        # p(t, h) = t + h^2.5 is undefined for h < 0 (at t = 0, h^2.5 never rounds away)
+        rep = check_monotonicity_conditions(make_family("power", 2.5), 0.0)
         assert not rep.left_decreasing
         assert rep.right_increasing
 
@@ -409,3 +440,9 @@ class TestPolygonal:
     def test_scan_needs_vanishing_multiplier(self):
         with pytest.raises(ParameterError):
             polygonal_derivative_scan(self.VERTS, KHALIL, [1.0])
+
+    def test_scan_needs_t_fixed_at_h_zero(self):
+        # the multiplier vanishes, but p(t, 0) = t + 0.5
+        shifted = make_family("custom", F="t + 0.5 + h^2")
+        with pytest.raises(ParameterError, match=r"does not fix t=1\.0 at h=0$"):
+            polygonal_derivative_scan(self.VERTS, shifted, [1.0])

@@ -173,6 +173,16 @@ RESOLVED = [
      "--T", "0.05"],
     ["maxprinciple", *K, "--f", "gamma(t)", "--a", "0.5", "--b", "3"],
     ["rolle", *K, "--f", "gamma(t)*(t-1)*(t-2)", "--a", "1", "--b", "2"],
+    # the multiplier fails on part of a scan grid: nderiv's exp overflows near
+    # 0, and the cosine grid runs past pi/2
+    ["rolle", "--family", "nderiv", "--alpha", "0.5", "--f", "t*(0.001-t)", "--a", "1e-9",
+     "--b", "0.001"],
+    ["mvt", "--family", "nderiv", "--alpha", "0.5", "--f", "t^2", "--g", "t", "--a", "1e-9",
+     "--b", "0.001"],
+    ["rolle", "--family", "cosine", "--alpha", "0.5", "--f", "(t-1)*(t-2)", "--a", "1",
+     "--b", "2"],
+    ["mvt", "--family", "cosine", "--alpha", "0.5", "--f", "t^2", "--g", "t^3", "--a", "1",
+     "--b", "2"],
 ]
 
 GFD = ["--family", "gfd", "--alpha", "0.6", "--beta", "1.4"]
