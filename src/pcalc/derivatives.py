@@ -135,10 +135,10 @@ def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float],
     """Estimate the deformation derivative of f at t from its definition.
 
     Levels where f(p(t, h)) fails to evaluate are skipped; so are levels
-    whose numerator is nonzero yet below the rounding floor of f(t), since
-    those quotients carry no signal.  One-sided requests use only the
-    matching sign of h.  The default h0 is 1e-2 max(1, |t|), shrunk where
-    |ph_zero(t)| exceeds 100.
+    where p(t, h) rounds to t, or whose numerator is nonzero yet below the
+    rounding floor of f(t), since those quotients carry no signal.
+    One-sided requests use only the matching sign of h.  The default h0 is
+    1e-2 max(1, |t|), shrunk where |ph_zero(t)| exceeds 100.
     """
     if side not in _SIDES:
         raise UsageError(f"side must be one of {_SIDES}, got {side!r}")
@@ -162,10 +162,11 @@ def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float],
 
     def quotient(h: float) -> float | None:
         try:
-            fp = fn(fam.p(t, h))
+            x = fam.p(t, h)
+            fp = fn(x)
         except EvaluationError:
             return None
-        if not math.isfinite(fp):
+        if x == t or not math.isfinite(fp):  # p(t, h) rounds to t: no signal
             return None
         num = fp - f_t
         if num != 0.0 and abs(num) < noise_floor:

@@ -495,12 +495,10 @@ def _is_num(e: Expr, v: float | None = None) -> bool:
 
 
 def _fold(op: str, a: Expr, b: Expr) -> Expr:
-    # BinOp(op, a, b), or its value when both are numbers and it is finite
+    # BinOp(op, a, b), or its value when both are numbers and it is finite;
+    # only + - * meet two numbers (every divisor depends on the variable)
     if isinstance(a, Num) and isinstance(b, Num):
-        try:
-            value = _OPS[op].scalar(a.value, b.value)
-        except EvaluationError:  # a zero divisor stays in the tree
-            return BinOp(op, a, b)
+        value = _OPS[op].scalar(a.value, b.value)
         if math.isfinite(value):
             return Num(value)
     return BinOp(op, a, b)
@@ -535,8 +533,6 @@ def _mul(a: Expr, b: Expr) -> Expr:
 def _div(a: Expr, b: Expr) -> Expr:
     if _is_num(a, 0.0):
         return _ZERO
-    if _is_num(b, 1.0):
-        return a
     return _fold("/", a, b)
 
 

@@ -87,11 +87,9 @@ def ftc_forward(fam: PFunction, f: Expr | str | Callable[[float], float],
             pt = fam.p(t, h)
         except EvaluationError:
             return None
-        if not fam.domain.contains(pt):  # t is inside: fam.require(t) passed
+        if pt == t or not fam.domain.contains(pt):  # t is inside: fam.require(t) passed
             return None
         lo, hi = (t, pt) if pt >= t else (pt, t)
-        if lo == hi:
-            return 0.0
         try:
             seg, _, _, _ = integrate_graded(g, lo, hi, (tol / 100.0) * max(1.0, abs(f_t)) * abs(h))
         except QuadratureError:

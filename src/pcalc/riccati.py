@@ -88,7 +88,8 @@ class ContractionCertificate:
 
     feasible means some b with |u0| <= b satisfies both
     l1_norm <= b / (q_inf + b^2) (the ball maps into itself) and
-    k = 2 b l1_norm < 1 (the map contracts).
+    k = 2 b l1_norm < 1 (the map contracts).  margin = min(b / (q_inf + b^2),
+    1 / (2 b)) - l1_norm is largest exactly at b = max(|u0|, 1e-6, sqrt(q_inf)).
     """
 
     feasible: bool
@@ -266,11 +267,11 @@ def _build_discretization(qa, machine: _TauMachine, n: int) -> _Discretization:
 
 def contraction_precheck(fam: PFunction, q, T: float, u0: float,
                          tol: float = 1e-9) -> ContractionCertificate:
-    """Search ball radii for a self-map-plus-contraction certificate.
+    """The self-map-plus-contraction certificate at its exact best radius.
 
     The L1 norm of 1/ph_zero over [0, T] must be finite (its check must
-    converge); q is bounded by dense sampling.  The returned k is the
-    contraction factor at the best radius found, feasible or not.
+    converge); q is bounded by dense sampling.  k is the contraction
+    factor at b (see ContractionCertificate), feasible or not.
     """
     return _certificate(fam, as_array_fn(q), T, u0, tol)
 
@@ -283,13 +284,11 @@ def _certificate(fam: PFunction, qa, T: float, u0: float, tol: float) -> Contrac
     l1 = rep.estimate
     qs = np.abs(qa(np.linspace(0.0, T, 2049)))
     q_inf = float(qs[0] if math.isnan(qs[0]) else np.nanmax(qs))  # as max() over the points
-    with np.errstate(over="ignore", invalid="ignore"):  # past float range a ball has no margin
-        bs = np.geomspace(max(abs(u0), 1e-6), 10.0 * (abs(u0) + math.sqrt(q_inf + 1.0)), 200)
-        margins = np.minimum(bs / (q_inf + bs * bs), 1.0 / (2.0 * bs)) - l1
-    i = int(np.argmax(margins))
-    b = float(bs[i])
-    return ContractionCertificate(feasible=bool(margins[i] > 0.0), b=b, k=2.0 * b * l1,
-                                  l1_norm=l1, q_inf=q_inf, margin=float(margins[i]))
+    # sqrt last: a NaN q_inf leaves b alone; b / (...) first: NaN margin if q_inf is not finite
+    b = max(abs(u0), 1e-6, math.sqrt(q_inf))
+    margin = min(b / (q_inf + b * b), 1.0 / (2.0 * b)) - l1
+    return ContractionCertificate(feasible=margin > 0.0, b=b, k=2.0 * b * l1,
+                                  l1_norm=l1, q_inf=q_inf, margin=margin)
 
 
 def solve_riccati(problem: RiccatiProblem, *, override: bool = False,

@@ -401,6 +401,15 @@ class TestUsageFailures:
         assert "domain error" in doc["error"]["message"]
 
 
+    def test_subnormal_interval_exits_2(self, capsys):
+        # the endpoint probes underflow; this printed a ValueError traceback
+        code, _, err = run(capsys, ["integral", *KHALIL, "--f", "1",
+                                    "--a", "0", "--b", "1e-321"])
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"]["type"] == "QuadratureError"
+        assert "below float resolution" in doc["error"]["message"]
+
     def test_graded_quadrature_failure_names_x(self, capsys):
         # the pole at 0.5 is reached through the graded substitution
         # x = u^m; the reported location must be x, not u

@@ -101,6 +101,14 @@ class TestLimitRoute:
         with pytest.raises(EvaluationError, match=r"^f\(1\.0\) is not finite$"):
             p_derivative_limit(KHALIL, "1e308*t*10", 1.0)
 
+    def test_level_where_p_rounds_to_t_is_skipped(self):
+        # p(1, h) - 1 = h*1e-12 is below the noise floor of f = t^2 on the
+        # first levels and rounds to 0 after: no level carries a signal,
+        # where the zero numerators used to give 0.0 with estimate 0.0
+        fam = make_family("custom", F="t + h*1e-12")
+        with pytest.raises(EvaluationError, match="no evaluable levels"):
+            p_derivative_limit(fam, "t^2", 1.0)
+
 
 def _tableau_at_zero(xs, ys):
     # the full Neville tableau, rebuilt from scratch

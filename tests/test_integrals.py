@@ -81,6 +81,33 @@ class TestWeightedIntegral:
         with pytest.raises(NonIntegrableError):
             p_integral(fam, parse("1"), 0.0, 1.0)
 
+    @pytest.mark.parametrize("b", [1e-318, 1e-320, 1e-321, 5e-324])
+    def test_subnormal_interval_is_within_claim_or_refused(self, b):
+        # the endpoint probes b * 10^-j underflow onto 0 and onto b: such a
+        # probe is no sample, and where the window of the endpoint fit does
+        # not fit in [0, b] the integral is refused, never called divergent
+        try:
+            res = p_integral(KHALIL, "1", 0.0, b)
+        except QuadratureError as exc:
+            assert not isinstance(exc, NonIntegrableError)
+            value = None
+        else:
+            value = res.value
+            assert abs(value - 2.0 * math.sqrt(b)) <= res.error_estimate
+        rep = check_l1(KHALIL, 0.0, b)
+        assert not rep.diverged
+        if value is None:
+            assert math.isnan(rep.estimate) and not rep.converged
+        else:
+            assert rep.estimate == value
+
+    def test_probe_rounding_onto_a_regular_end_is_not_a_pole(self):
+        # [1, 1 + 1e-12] is 4,500 ulp wide: every probe rounds onto an end,
+        # where the integrand is finite, so the interval is not graded
+        res = p_integral(KHALIL, "1", 1.0, 1.0 + 1e-12)
+        assert not res.graded
+        assert res.value == pytest.approx(2.0 * (math.sqrt(1.0 + 1e-12) - 1.0), rel=1e-12)
+
 
 class TestFtcForward:
     # derivative of the running integral recovers the integrand
@@ -114,11 +141,17 @@ class TestFtcForward:
         (None, "1e300*exp(3000*(t - 1))", 1.0),  # f is inf past 1.0064: the inner integral fails
     ], ids=["p-raises", "p-leaves-domain", "p-returns-to-t", "integral-fails"])
     def test_levels_without_a_quotient(self, F, f, t):
-        # such levels are skipped (or, where p(t, h) == t, count as 0) and
-        # the ladder goes on with the next h
+        # such levels are skipped and the ladder goes on with the next h
         fam = KHALIL if F is None else make_family("custom", F=F)
         res = ftc_forward(fam, f, 0.0, t, tol=1e-8)
         assert res <= 1e-9 * max(1.0, abs(pcalc.expr.evaluate(parse(f), {"t": t})))
+
+    def test_level_where_p_rounds_to_t_is_skipped(self):
+        # p(1, h) = 1 + h*1e-20 rounds to 1 on every level: no level has a
+        # quotient, where each used to count as 0 and the residual read |f|
+        fam = make_family("custom", F="t + h*1e-20")
+        with pytest.raises(EvaluationError, match="no evaluable levels"):
+            ftc_forward(fam, "1", 0.0, 1.0)
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pcalc.derivatives import as_array_fn
 from pcalc.errors import (
@@ -12,12 +15,13 @@ from pcalc.errors import (
     NonIntegrableError,
     ParameterError,
 )
-from pcalc.families import PFunction, make_family
+from pcalc.families import L1Report, PFunction, make_family
 from pcalc.riccati import (
     _NODES_A,
     _WEIGHTS_K_A,
     RiccatiProblem,
     _build_discretization,
+    _certificate,
     _gk15_tables,
     _horner,
     _stencil_rows,
@@ -61,6 +65,49 @@ class TestCertificate:
         with pytest.raises(InfeasibleCertificateError) as exc:
             solve_riccati(sqrt_decay_problem(T=10.0))
         assert "override" in str(exc.value)
+
+    def test_best_radius_is_sqrt_q_inf(self):
+        # q = 4 pushes the best radius past |u0| = 0.1 to sqrt(4) = 2, where
+        # both terms of the margin are 1/4; l1 = 2 sqrt(0.01) = 0.2
+        cert = contraction_precheck(KHALIL, "4", 0.01, 0.1)
+        assert (cert.b, cert.q_inf) == (2.0, 4.0)
+        assert cert.l1_norm == pytest.approx(0.2, rel=1e-12)
+        assert cert.k == 4.0 * cert.l1_norm
+        assert cert.margin == 0.25 - cert.l1_norm
+        assert cert.feasible
+
+    @given(u0=st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, 1e300, -1e300])),
+           q_inf=st.one_of(st.sampled_from([0.0, math.nan, math.inf]), st.floats(1e-14, 1e8)),
+           l1=st.floats(1e-12, 1e6))
+    @example(u0=0.1, q_inf=4.0, l1=0.2)
+    def test_radius_formula_against_a_radius_search(self, u0, q_inf, l1):
+        # the closed-form radius against the 200-radius search it replaced:
+        # the same certificate wherever the search starts at the maximiser,
+        # elsewhere a margin never smaller, taken at b = sqrt(q_inf)
+        with mock.patch("pcalc.riccati.check_l1",
+                        return_value=L1Report((0.0, 1.0), l1, True, 1, False)):
+            got = dataclasses.astuple(_certificate(
+                KHALIL, lambda ts: np.full(np.shape(ts), q_inf), 1.0, u0, 1e-9))
+        ref = _searched_certificate(u0, q_inf, l1)
+        b0 = max(abs(u0), 1e-6)
+        if not math.isfinite(q_inf) or b0 >= math.sqrt(q_inf):
+            assert repr(got) == repr(ref)  # bit for bit, nan and -0.0 included
+            assert [type(x) for x in got] == [bool, *[float] * 5]
+            return
+        feasible, b, k, l1_norm, q, margin = got
+        assert (b, k, l1_norm, q) == (math.sqrt(q_inf), 2.0 * b * l1, l1, q_inf)
+        assert margin >= ref[5]
+        assert feasible == (margin > 0.0) == (1.0 / (2.0 * b) > l1)
+
+
+def _searched_certificate(u0, q_inf, l1):
+    # the geometric search over 200 radii that the closed form replaced
+    with np.errstate(over="ignore", invalid="ignore"):
+        bs = np.geomspace(max(abs(u0), 1e-6), 10.0 * (abs(u0) + math.sqrt(q_inf + 1.0)), 200)
+        margins = np.minimum(bs / (q_inf + bs * bs), 1.0 / (2.0 * bs)) - l1
+    i = int(np.argmax(margins))
+    b = float(bs[i])
+    return (bool(margins[i] > 0.0), b, 2.0 * b * l1, l1, q_inf, float(margins[i]))
 
 
 class TestSqrtDecay:

@@ -207,6 +207,15 @@ ROWS = [
     ["rolle", *POWER, "--f", "sin(pi*t)", "--a", "1", "--b", "2"],
 ]
 
+# the contraction certificate where the best radius is sqrt(q_inf), a
+# subnormal interval, and ladders whose p(t, h) rounds onto t
+EDGES = [
+    ["riccati", *K, "--q", "4", "--u0", "0.1", "--T", "0.01"],
+    ["integral", *K, "--f", "1", "--a", "0", "--b", "1e-321"],
+    ["deriv", "--family", "custom", "--p", "t + h*1e-12", "--f", "t^2", "--t", "1"],
+    ["ftc", "--family", "custom", "--p", "t + h*1e-20", "--f", "1", "--a", "0", "--b", "1"],
+]
+
 
 def cases():
     for argv in VALID.values():
@@ -219,7 +228,7 @@ def cases():
     for argv in EXTRA + ERRORS:
         yield None, argv
     yield from ENV_CASES
-    for argv in RESOLVED + ROWS:
+    for argv in RESOLVED + ROWS + EDGES:
         yield None, argv
 
 
