@@ -47,15 +47,19 @@ def _weighted_integrand(fam: PFunction,
     return g
 
 
-def p_integral(fam: PFunction, f: Expr | str | Callable[[float], float],
-               a: float, t: float, tol: float = 1e-8) -> QuadratureResult:
-    """Integrate f(x)/ph_zero(x) over [a, t] to absolute tolerance tol."""
+def _require_interval(fam: PFunction, a: float, t: float) -> None:
     if not a <= t:
         raise ParameterError(f"need a <= t, got a={a!r}, t={t!r}")
     if not (fam.domain.contains_closure(a) and fam.domain.contains_closure(t)):
         raise ParameterError(
             f"[{a!r}, {t!r}] not within the closure of the {fam.label} domain {fam.domain}"
         )
+
+
+def p_integral(fam: PFunction, f: Expr | str | Callable[[float], float],
+               a: float, t: float, tol: float = 1e-8) -> QuadratureResult:
+    """Integrate f(x)/ph_zero(x) over [a, t] to absolute tolerance tol."""
+    _require_interval(fam, a, t)
     if a == t:
         return QuadratureResult(0.0, 0.0, 0, False)
     fn, _ = as_scalar_fn(f)
@@ -107,13 +111,16 @@ def ftc_backward(fam: PFunction, F: Expr | str, a: float, b: float,
 
     The derivative of F is taken on the product-formula route and pushed
     back through the weighted quadrature, so both halves of the pairing
-    are exercised rather than cancelled symbolically.
+    are exercised rather than cancelled symbolically.  The quadrature's
+    tolerance is scaled by max(1, |F(a)|, |F(b)|).
     """
     fn, e = as_scalar_fn(F)
     if e is None:
         raise ParameterError("ftc_backward needs F as an expression")
-    res = p_integral(fam, FormulaRoute(fam, e), a, b, tol)
-    return abs(res.value - (fn(b) - fn(a)))
+    _require_interval(fam, a, b)
+    fa, fb = fn(a), fn(b)
+    res = p_integral(fam, FormulaRoute(fam, e), a, b, tol * max(1.0, abs(fa), abs(fb)))
+    return abs(res.value - (fb - fa))
 
 
 def integration_by_parts_check(fam: PFunction, f: Expr | str, g: Expr | str,
@@ -121,14 +128,17 @@ def integration_by_parts_check(fam: PFunction, f: Expr | str, g: Expr | str,
     """Residual of the integral product rule over [a, b].
 
     Compares I(f * Dg) against [f*g] at the endpoints minus I(Df * g),
-    with both derivatives on the product-formula route.
+    with both derivatives on the product-formula route and the
+    quadrature's tolerance scaled by max(1, |f(a)g(a)|, |f(b)g(b)|).
     """
     ffn, fe = as_scalar_fn(f)
     gfn, ge = as_scalar_fn(g)
     if fe is None or ge is None:
         raise ParameterError("integration_by_parts_check needs f and g as expressions")
+    _require_interval(fam, a, b)
+    fga, fgb = ffn(a) * gfn(a), ffn(b) * gfn(b)
+    tol *= max(1.0, abs(fga), abs(fgb))
     df, dg = FormulaRoute(fam, fe), FormulaRoute(fam, ge)
     lhs = p_integral(fam, lambda x: ffn(x) * dg(x), a, b, tol).value
-    boundary = ffn(b) * gfn(b) - ffn(a) * gfn(a)
-    rhs = boundary - p_integral(fam, lambda x: df(x) * gfn(x), a, b, tol).value
+    rhs = (fgb - fga) - p_integral(fam, lambda x: df(x) * gfn(x), a, b, tol).value
     return abs(lhs - rhs)

@@ -82,8 +82,8 @@ class TestConstruction:
             make_family("fractal", 0.5)
 
     def test_range_probe_skips_points_where_p_fails(self):
-        # p(0.1, h) = 0.1 + h*ln(-0.4) raises at the first probe point, so
-        # the range probe checks only t = 1 and t = 10
+        # F = ln(t - 0.5) raises at t = 0.1, and so does p(0.1, h), so the
+        # finiteness check on F looks only at t = 1 and t = 10
         fam = make_family("nderiv", 0.5, F="ln(t - 0.5)")
         with pytest.raises(EvaluationError, match=r"^domain error in ln\("):
             fam.p(0.1, 1e-3)
@@ -169,9 +169,9 @@ MESSAGES = [
     (("custom", None, None, "t + alpha*h"), "custom p references alpha but no alpha was given"),
     (("nderiv", 0.5, None, 5), "nderiv F must be an expression or source text"),
     (("nderiv", 0.5, None, "t + h"), "nderiv F may only reference ['alpha', 't']; found ['h']"),
-    # F overflows to inf, so the probe step is 0 and p(t, 0) = t + 0*inf
+    # F overflows to inf, so no step h != 0 keeps p(t, h) = t + h*F(t) finite
     (("nderiv", 0.5, None, "1e308*10"),
-     "nderiv(alpha=0.5, F=...): p(0.1, 0) = nan leaves the domain (0.0, inf)"),
+     "nderiv(alpha=0.5, F=...): F(0.1) = inf, so p(t, h) leaves the domain (0.0, inf)"),
 ]
 
 
@@ -200,6 +200,14 @@ class TestMessages:
     def test_beta_must_be_finite(self, beta):
         with pytest.raises(ParameterError, match="^beta must be finite$"):
             make_family("gfd", 0.5, beta=beta)
+
+    def test_gfd_coefficient_may_overflow_in_the_quotient(self):
+        # Gamma(1e-300) = 1e300 and Gamma(-81.5) = 6e-122 are finite; their
+        # quotient is not
+        with pytest.raises(ParameterError) as exc:
+            make_family("gfd", 82.5, beta=1e-300)
+        assert str(exc.value) == ("gfd coefficient Gamma(beta)/Gamma(beta - alpha + 1) is "
+                                  "out of float range at beta=1e-300, alpha=82.5")
 
 
 _pow, _exp, _sin, _cos = (_OPS[op].scalar for op in ("^", "exp", "sin", "cos"))
@@ -273,7 +281,7 @@ class TestClosedForms:
         beta = data.draw(st.floats(0.05, 8.0), label="beta") if kind == "gfd" else None
         try:
             fam = make_family(kind, alpha, beta=beta)
-        except ParameterError:  # a gamma pole, or the range probe
+        except ParameterError:  # a gamma pole
             return
         c0 = 1.0 if beta is None else math.gamma(beta) / math.gamma(beta - alpha + 1.0)
         domain, forms = REFERENCE[kind]
@@ -351,6 +359,75 @@ CUSTOM_P = ["t + h*(0-t)*alpha", "t + h*t^(1-alpha)", "t*exp(h*t^(-alpha))",
             "t + sin(h)*cos(t)^(1-alpha)", "t + alpha*h^2 + h*ln(t)", "t + abs(h)",
             "t + h*gamma(t)*alpha"]
 ALPHA_OR_ZERO = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 2.0]), st.floats())
+
+
+# nderiv F trees: overflowing and tiny constants, ln, and poles 1/(t - c)
+# at and off the points the finiteness check looks at
+F_TREES = st.recursive(
+    st.sampled_from(["t", "alpha", "2", "0.5", "1e308", "1e-308", "1/(t - 0.1)", "1/(t - 1)",
+                     "1/(t - 10)", "1/(t - 3)"]),
+    lambda inner: st.one_of(
+        inner.map("ln({})".format),
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map("({0[0]}){0[1]}({0[2]})".format)),
+    max_leaves=6)
+
+
+def _closed_row_alpha(kind):
+    return {"cosine": st.floats(1e-300, 1.0), "power": st.floats(1.0, 1e300, exclude_min=True),
+            "gfd": st.floats(1e-300, 200.0)}.get(kind, st.floats(1e-300, 1e300))
+
+
+class TestRangeGuarantee:
+    """p(t, h) stays in the t-domain for small h: by each closed-form row's
+    alpha test, and for nderiv with F wherever F(0.1), F(1) and F(10) are
+    finite or undefined."""
+
+    @given(F_TREES, st.floats(1e-3, 4.0))
+    @example("1e308*10", 0.5)
+    @example("(1e308*10)-(1e308*10)", 0.5)
+    @example("ln(t - 1)", 0.5)
+    @example("1/(t - 1)", 0.5)
+    def test_nderiv_F_is_refused_exactly_where_not_finite(self, F, alpha):
+        bad = None
+        for t in (0.1, 1.0, 10.0):
+            try:
+                v = evaluate(parse(F), {"t": t, "alpha": alpha})
+            except EvaluationError:
+                continue
+            if not math.isfinite(v):
+                bad = (t, v)
+                break
+        if bad is None:
+            make_family("nderiv", alpha, F=F)
+        else:
+            with pytest.raises(ParameterError) as exc:
+                make_family("nderiv", alpha, F=F)
+            assert str(exc.value) == (f"nderiv(alpha={alpha:g}, F=...): F({bad[0]:g}) = "
+                                      f"{bad[1]!r}, so p(t, h) leaves the domain (0.0, inf)")
+
+    @given(st.data(), st.sampled_from(sorted(REFERENCE)), st.floats(0.0, 1.0))
+    def test_closed_form_rows_keep_p_in_the_domain(self, data, kind, frac):
+        alpha = data.draw(_closed_row_alpha(kind), label="alpha")
+        beta = data.draw(st.floats(-199.7, 170.0), label="beta") if kind == "gfd" else None
+        try:
+            fam = make_family(kind, alpha, beta=beta)
+        except ParameterError:  # a gamma pole or a coefficient out of float range
+            return
+        dom = fam.domain
+        t = data.draw(st.floats(max(dom.lo, -1e300), min(dom.hi, 1e300),
+                                exclude_min=not dom.closed_lo, exclude_max=True), label="t")
+        room = min(t - dom.lo, dom.hi - t)
+        try:
+            speed = abs(fam.ph_zero(t))
+        except EvaluationError:
+            speed = 0.0
+        h = frac * min(1e-3, room / (4.0 * speed) if speed > 0.0 else math.inf)
+        for step in (h, -h):
+            try:
+                pt = fam.p(t, step)
+            except EvaluationError:
+                continue
+            assert dom.contains(pt), (t, step, pt)
 
 
 class TestExpressionForms:
@@ -821,3 +898,14 @@ class TestWeightNorm:
             check_l1(fam, 2.0, 1.0)
         with pytest.raises(DomainError):
             check_l1(fam, -1.0, 1.0)
+
+    def test_out_of_domain_interval_has_the_p_integral_message(self):
+        fam = make_family("cosine", 0.5)
+        message = ("[0.0, 2.0] not within the closure of the cosine(alpha=0.5) domain "
+                   "[0.0, 1.5707963267948966)")
+        with pytest.raises(DomainError) as exc:
+            check_l1(fam, 0.0, 2.0)
+        assert str(exc.value) == message
+        with pytest.raises(ParameterError) as exc:
+            p_integral(fam, "1", 0.0, 2.0)
+        assert str(exc.value) == message

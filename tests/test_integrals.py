@@ -101,6 +101,14 @@ class TestWeightedIntegral:
         else:
             assert rep.estimate == value
 
+    def test_failing_sample_at_the_float_next_to_the_end(self):
+        # ln(t - 5e-324) raises at 5e-324, the float next to 0 that the
+        # endpoint fit samples last, so the pole stays on the endpoint;
+        # int_0^1 ln(t)/sqrt(t) dt = -4
+        res = p_integral(KHALIL, "ln(t - 5e-324)", 0.0, 1.0)
+        assert res.graded
+        assert abs(res.value + 4.0) <= res.error_estimate
+
     def test_probe_rounding_onto_a_regular_end_is_not_a_pole(self):
         # [1, 1 + 1e-12] is 4,500 ulp wide: every probe rounds onto an end,
         # where the integrand is finite, so the interval is not graded
@@ -185,6 +193,15 @@ class TestFtcBackward:
         with pytest.raises(ParameterError):
             ftc_backward(KHALIL, lambda t: t, 0.0, 1.0)
 
+    def test_large_F_is_resolved_relative_to_its_end_values(self):
+        # F(30) = exp(30) ~ 1.1e13: an absolute 1e-8 on the integral is
+        # below its rounding, so the quadrature ran out of panels
+        assert ftc_backward(KHALIL, "exp(t)", 0.0, 30.0) <= 1e-12 * math.exp(30.0)
+
+    def test_interval_outside_the_domain_wins_over_F_failing_there(self):
+        with pytest.raises(ParameterError, match=r"^\[-1\.0, 2\.0\] not within the closure"):
+            ftc_backward(KHALIL, "ln(t)", -1.0, 2.0)
+
 
 class TestIntegrationByParts:
     @pytest.mark.parametrize("fsrc,gsrc", [
@@ -205,6 +222,15 @@ class TestIntegrationByParts:
     def test_callable_rejected(self):
         with pytest.raises(ParameterError):
             integration_by_parts_check(KHALIL, lambda t: t, parse("t"), 0.0, 1.0)
+
+    def test_large_boundary_is_resolved_relative_to_it(self):
+        # f(30)g(30) = 30^16 ~ 4.3e23
+        res = integration_by_parts_check(KHALIL, "t^8", "t^8", 0.5, 30.0)
+        assert res <= 1e-12 * 30.0 ** 16
+
+    def test_interval_outside_the_domain_wins_over_f_failing_there(self):
+        with pytest.raises(ParameterError, match=r"^\[-1\.0, 2\.0\] not within the closure"):
+            integration_by_parts_check(KHALIL, "ln(t)", "t", -1.0, 2.0)
 
 
 class TestWorkBudget:

@@ -193,6 +193,13 @@ class TestForcedCase:
             solve_riccati(prob, override=True)
 
 
+    def test_sweep_cap_ends_the_iteration(self, monkeypatch):
+        monkeypatch.setattr("pcalc.riccati._MAX_SWEEPS", 3)
+        with pytest.raises(DivergenceError, match=r"^no convergence within 3 sweeps; "
+                                                  r"last update \d\.\d+$"):
+            solve_riccati(sqrt_decay_problem(tol=1e-300))
+
+
 class TestResidual:
     def test_converged_solution_has_small_defect(self):
         sol = solve_riccati(sqrt_decay_problem())

@@ -6,13 +6,17 @@ cases cover every subcommand in json, csv and its default format, every
 ``--help`` text (at COLUMNS=80), and the usage and numerical error exits,
 including which error wins when several inputs are bad at once.
 
-    python3 tools/cli_snapshot.py OUT.json
+    python3 tools/cli_snapshot.py OUT.json [--against BASE.json]
 
-Run it on two checkouts and diff the files to show that a change to the
-command line leaves every output as it was.  The outputs carry floats
-computed by numpy, so the file is a diff tool, not a portable test.
+Run it on two checkouts and compare the files to show that a change to
+the command line leaves every output as it was.  With --against, it
+prints the argv and the differing fields of every case whose record is
+not the one BASE.json holds for the same argv and PCALC_TOL, then their
+count, and exits 1 if there are any.  The outputs carry floats computed
+by numpy, so the file is a diff tool, not a portable test.
 """
 
+import argparse
 import io
 import json
 import os
@@ -208,12 +212,20 @@ ROWS = [
 ]
 
 # the contraction certificate where the best radius is sqrt(q_inf), a
-# subnormal interval, and ladders whose p(t, h) rounds onto t
+# subnormal interval, ladders whose p(t, h) rounds onto t, an nderiv F
+# refused for overflowing and one accepted though it fails at t = 0.1,
+# tolerances scaled by large boundary values, and a horizon past the
+# cosine domain
 EDGES = [
     ["riccati", *K, "--q", "4", "--u0", "0.1", "--T", "0.01"],
     ["integral", *K, "--f", "1", "--a", "0", "--b", "1e-321"],
     ["deriv", "--family", "custom", "--p", "t + h*1e-12", "--f", "t^2", "--t", "1"],
     ["ftc", "--family", "custom", "--p", "t + h*1e-20", "--f", "1", "--a", "0", "--b", "1"],
+    ["deriv", *NDERIV, "--F", "1e308*10", "--f", "t", "--t", "1"],
+    ["deriv", *NDERIV, "--F", "ln(t-1)", "--f", "t", "--t", "3"],
+    ["ftc", *K, "--direction", "backward", "--f", "exp(t)", "--a", "0", "--b", "30"],
+    ["ibp", *K, "--f", "t^8", "--g", "t^8", "--a", "0.5", "--b", "30"],
+    ["riccati", "--family", "cosine", "--alpha", "0.5", "--q", "0", "--u0", "0.1", "--T", "2"],
 ]
 
 
@@ -260,9 +272,31 @@ def snapshot() -> list[dict]:
             os.chdir(here)
 
 
+def changed(records: list[dict], base: list[dict]) -> int:
+    """Print each record that differs from base's for the same case; count them."""
+    key = lambda r: json.dumps([r["argv"], r["env"]])
+    old = {key(r): r for r in base}
+    n = 0
+    for r in records:
+        was = old.get(key(r), {})
+        fields = [f for f in sorted(r.keys() | was.keys()) if r.get(f) != was.get(f)]
+        if fields:
+            n += 1
+            print(json.dumps(r["argv"]) + (f" PCALC_TOL={r['env']}" if r["env"] else ""))
+            for f in fields:
+                print(f"  {f}: {was.get(f)!r} -> {r.get(f)!r}")
+    print(f"{n} cases differ")
+    return n
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python3 tools/cli_snapshot.py OUT.json")
+    ap = argparse.ArgumentParser(description="Record pcalc's outputs for a fixed set of argv.")
+    ap.add_argument("out", metavar="OUT.json")
+    ap.add_argument("--against", metavar="BASE.json", help="report the cases that differ")
+    args = ap.parse_args()
     records = snapshot()
-    Path(sys.argv[1]).write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(records)} cases written to {sys.argv[1]}")
+    Path(args.out).write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(records)} cases written to {args.out}")
+    if args.against:
+        base = json.loads(Path(args.against).read_text(encoding="utf-8"))
+        sys.exit(1 if changed(records, base) else 0)
