@@ -4,7 +4,8 @@ Two routes:
 
 - p_derivative_limit extrapolates the difference quotient
   (f(p(t, h)) - f(t)) / h to h -> 0 along a geometric ladder of step
-  sizes, one Neville polynomial extrapolation per side.
+  sizes, one Neville polynomial extrapolation per side.  It is the one
+  limit ladder: integrals.ftc_forward runs it on a running integral.
 - p_derivative_formula evaluates ph_zero(t) * f'(t), valid only where the
   multiplier is nonzero and f is symbolically differentiable: one point
   of FormulaRoute, whose grid call covers an array of points at once.
@@ -130,15 +131,15 @@ def extrapolate_quotient(quotient: Callable[[float], float | None], sign: float,
 
 
 def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float], t: float,
-                       side: str = "both", tol: float = 1e-8, h0: float | None = None,
+                       side: str = "both", tol: float = 1e-8,
                        max_levels: int = 30) -> DerivEstimate:
     """Estimate the deformation derivative of f at t from its definition.
 
     Levels where f(p(t, h)) fails to evaluate are skipped; so are levels
     where p(t, h) rounds to t, or whose numerator is nonzero yet below the
     rounding floor of f(t), since those quotients carry no signal.
-    One-sided requests use only the matching sign of h.  The default h0 is
-    1e-2 max(1, |t|), shrunk where |ph_zero(t)| exceeds 100.
+    One-sided requests use only the matching sign of h.  The ladder starts
+    at h0 = 1e-2 max(1, |t|), shrunk where |ph_zero(t)| exceeds 100.
     """
     if side not in _SIDES:
         raise UsageError(f"side must be one of {_SIDES}, got {side!r}")
@@ -147,17 +148,16 @@ def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float],
     f_t = fn(t)
     if not math.isfinite(f_t):
         raise EvaluationError(f"f({t!r}) is not finite")
-    if h0 is None:
-        h0 = max(1e-2, 1e-2 * abs(t))
-        # the first level moves t by about h0 |ph_zero(t)|; keep that within
-        # 100 h0 = max(1, |t|), or a fast multiplier starts the ladder far
-        # outside the local regime (nderiv near 0: ph_zero ~ 1e6)
-        try:
-            speed = abs(fam.ph_zero(t))
-        except PcalcError:
-            speed = 0.0
-        if speed > 100.0:
-            h0 *= 100.0 / speed
+    h0 = max(1e-2, 1e-2 * abs(t))
+    # the first level moves t by about h0 |ph_zero(t)|; keep that within
+    # 100 h0 = max(1, |t|), or a fast multiplier starts the ladder far
+    # outside the local regime (nderiv near 0: ph_zero ~ 1e6)
+    try:
+        speed = abs(fam.ph_zero(t))
+    except PcalcError:
+        speed = 0.0
+    if speed > 100.0:
+        h0 *= 100.0 / speed
     noise_floor = 1e3 * _EPS * abs(f_t)
 
     def quotient(h: float) -> float | None:

@@ -23,6 +23,7 @@ Two numerical checks live here as well:
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -253,15 +254,17 @@ def make_family(kind: str, alpha: float | None = None, beta: float | None = None
         if beta <= 0.0 and beta == math.floor(beta):
             raise ParameterError(f"gfd needs beta not in {{0, -1, -2, ...}}; got {beta!r}")
         try:
-            c0 = math.gamma(beta) / math.gamma(beta - alpha + 1.0)
+            g = math.gamma(beta), math.gamma(beta - alpha + 1.0)
+            # a subnormal or underflowed gamma leaves too few digits for c0
+            c0 = g[0] / g[1] if min(map(abs, g)) >= sys.float_info.min else math.inf
         except ValueError:
             raise ParameterError(
                 f"gamma pole at beta={beta!r}, alpha={alpha!r}: "
                 "beta - alpha + 1 must avoid {0, -1, -2, ...}"
             ) from None
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             c0 = math.inf
-        if math.isinf(c0):  # the quotient of two finite gammas may overflow too
+        if math.isinf(c0):  # the quotient of two normal gammas may overflow too
             raise ParameterError(
                 f"gfd coefficient Gamma(beta)/Gamma(beta - alpha + 1) is out of "
                 f"float range at beta={beta!r}, alpha={alpha!r}")

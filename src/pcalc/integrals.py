@@ -5,8 +5,9 @@ I(f)(t) = integral of f(x)/ph_zero(x) over [a, t].  Endpoint blowups of
 1/ph_zero (khalil-style at 0) are handled by the graded quadrature layer.
 
 ftc_forward and ftc_backward quantify both directions of the fundamental
-theorem; integration_by_parts_check does the same for the product rule in
-integral form.  All three return plain residual magnitudes.
+theorem, ftc_forward by taking p_derivative_limit of the running integral;
+integration_by_parts_check does the same for the product rule in integral
+form.  All three return plain residual magnitudes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .derivatives import FormulaRoute, as_scalar_fn, extrapolate_quotient
+from .derivatives import FormulaRoute, as_scalar_fn, p_derivative_limit
 from .errors import EvaluationError, NonIntegrableError, ParameterError, QuadratureError
 from .expr import Expr
 from .families import PFunction
@@ -71,10 +72,11 @@ def ftc_forward(fam: PFunction, f: Expr | str | Callable[[float], float],
                 a: float, t: float, tol: float = 1e-8) -> float:
     """|derivative-of-the-integral residual| at an interior point t.
 
-    Builds the difference quotient of I(f) incrementally: each level
-    integrates only [t, p(t, h)], the inner tolerance scaled by |h| and
-    max(1, |f(t)|), so the quotient noise stays near tol/100 of that scale.
-    Extrapolates both sides, then compares against f(t).
+    Differentiates the running integral, I(f)(x) - I(f)(t), with
+    p_derivative_limit and compares the limit against f(t).  Each level
+    integrates only [t, x], x = p(t, h), the inner tolerance scaled by
+    |x - t| / |ph_zero(t)| (about |h|) and max(1, |f(t)|), so the quotient
+    noise stays near tol/100 of that scale; a failed quadrature is NaN.
     """
     if not a < t:
         raise ParameterError(f"need a < t, got a={a!r}, t={t!r}")
@@ -84,25 +86,20 @@ def ftc_forward(fam: PFunction, f: Expr | str | Callable[[float], float],
     if not math.isfinite(f_t):
         raise EvaluationError(f"f({t!r}) is not finite")
     g = _weighted_integrand(fam, fn)
-    h0 = max(1e-2, 1e-2 * abs(t))
+    scale = (tol / 100.0) * max(1.0, abs(f_t))
 
-    def quotient(h: float) -> float | None:
+    def running(x: float) -> float:
+        if x == t:
+            return 0.0
+        fam.require(x)
+        lo, hi = min(x, t), max(x, t)
         try:
-            pt = fam.p(t, h)
-        except EvaluationError:
-            return None
-        if pt == t or not fam.domain.contains(pt):  # t is inside: fam.require(t) passed
-            return None
-        lo, hi = (t, pt) if pt >= t else (pt, t)
-        try:
-            seg, _, _, _ = integrate_graded(g, lo, hi, (tol / 100.0) * max(1.0, abs(f_t)) * abs(h))
+            seg = integrate_graded(g, lo, hi, scale * (hi - lo) / (abs(fam.ph_zero(t)) or 1.0))[0]
         except QuadratureError:
-            return None
-        q = (seg if pt >= t else -seg) / h
-        return q if math.isfinite(q) else None
+            return math.nan
+        return seg if x > t else -seg
 
-    vr, vl = (extrapolate_quotient(quotient, s, h0, tol, 16)[0] for s in (1.0, -1.0))
-    return abs(0.5 * (vr + vl) - f_t)
+    return abs(p_derivative_limit(fam, running, t, tol=tol, max_levels=16).value - f_t)
 
 
 def ftc_backward(fam: PFunction, F: Expr | str, a: float, b: float,

@@ -359,10 +359,8 @@ def integrate_graded(
 ) -> tuple[float, float, int, bool]:
     """Adaptive integral of fn over [a, b] with endpoint grading.
 
-    Returns (value, error_estimate, panels, graded).  a <= b required.
+    Returns (value, error_estimate, panels, graded).  a < b required.
     """
-    if a == b:
-        return 0.0, 0.0, 0, False
     ga = endpoint_exponent(fn, a, b, "left")
     gb = endpoint_exponent(fn, a, b, "right")
     if ga is None and gb is None:

@@ -254,10 +254,10 @@ class MaxPrincipleReport:
 
 
 def max_principle_check(fam: PFunction, f: Expr | str | Callable[[float], float],
-                        a: float, b: float, tol: float = 1e-8,
-                        vanish_tol: float = 1e-4) -> MaxPrincipleReport:
+                        a: float, b: float, tol: float = 1e-8) -> MaxPrincipleReport:
     """Locate the maximum of f on [a, b] by dense sampling plus golden
-    refinement, then measure the deformation derivative there."""
+    refinement, then measure the deformation derivative there; it
+    vanishes when its magnitude is at most 1e-4."""
     _need_interval(a, b)
     fn, e = as_scalar_fn(f)
     cs = np.linspace(a, b, 2048)
@@ -269,7 +269,7 @@ def max_principle_check(fam: PFunction, f: Expr | str | Callable[[float], float]
     est = p_derivative_limit(fam, fn, c, side="both", tol=tol)
     return MaxPrincipleReport(c=c, f_at_c=fn(c), derivative=est,
                               monotonicity=check_monotonicity_conditions(fam, c),
-                              interior=interior, vanishes=abs(est.value) <= vanish_tol)
+                              interior=interior, vanishes=abs(est.value) <= 1e-4)
 
 
 # --- piecewise-linear interpolants -------------------------------------------

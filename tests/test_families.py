@@ -209,6 +209,16 @@ class TestMessages:
         assert str(exc.value) == ("gfd coefficient Gamma(beta)/Gamma(beta - alpha + 1) is "
                                   "out of float range at beta=1e-300, alpha=82.5")
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.3, -178.3),  # Gamma(-178.3) underflows to -0.0: c0 was -0.0, not -0.0312
+        (0.25, -175.6),  # Gamma(-175.6) = 1.3e-319 is subnormal: c0 was 6.5e-6 off
+    ])
+    def test_gfd_coefficient_refused_where_a_gamma_is_not_normal(self, alpha, beta):
+        with pytest.raises(ParameterError) as exc:
+            make_family("gfd", alpha, beta=beta)
+        assert str(exc.value) == ("gfd coefficient Gamma(beta)/Gamma(beta - alpha + 1) is "
+                                  f"out of float range at beta={beta!r}, alpha={alpha!r}")
+
 
 _pow, _exp, _sin, _cos = (_OPS[op].scalar for op in ("^", "exp", "sin", "cos"))
 

@@ -161,6 +161,26 @@ class TestFtcForward:
         with pytest.raises(EvaluationError, match="no evaluable levels"):
             ftc_forward(fam, "1", 0.0, 1.0)
 
+    def test_fast_multiplier_starts_the_ladder_locally(self):
+        # nderiv's ph_zero(0.01) = 5.4e4: a ladder starting at h0 = 1e-2
+        # moved t by about 540 and read 0.0319, where the theorem gives 0
+        fam = make_family("nderiv", 0.5)
+        assert ftc_forward(fam, "1", 0.0, 0.01) < 1e-8
+
+    @pytest.mark.parametrize("f, a, t", [
+        ("sqrt(t-1)", 1.0, 1.0001),  # p(t, -1e-2) < 1: the segment leaves f's domain
+        ("1/sqrt(1-t)", 0.0, 0.995),  # p(t, 1e-2) > 1: the same on the right
+    ], ids=["left-edge", "right-edge"])
+    def test_level_whose_segment_leaves_the_domain_of_f(self, f, a, t):
+        # such a level is skipped, as the derivative route skips a level
+        # where f fails
+        assert ftc_forward(KHALIL, f, a, t) < 1e-8
+
+    def test_vanishing_multiplier_has_no_level(self):
+        # power's ph_zero is 0: 1/ph_zero is not integrable on any segment
+        with pytest.raises(EvaluationError, match="no evaluable levels"):
+            ftc_forward(make_family("power", 2.0), "1", 0.0, 1.0)
+
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ParameterError):
             ftc_forward(KHALIL, parse("t"), 2.0, 2.0)

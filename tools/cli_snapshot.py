@@ -214,8 +214,10 @@ ROWS = [
 # the contraction certificate where the best radius is sqrt(q_inf), a
 # subnormal interval, ladders whose p(t, h) rounds onto t, an nderiv F
 # refused for overflowing and one accepted though it fails at t = 0.1,
-# tolerances scaled by large boundary values, and a horizon past the
-# cosine domain
+# tolerances scaled by large boundary values, a horizon past the
+# cosine domain, running integrals under a fast multiplier, past the
+# edge of f's domain and under a vanishing multiplier, and a gfd
+# coefficient whose gamma underflows
 EDGES = [
     ["riccati", *K, "--q", "4", "--u0", "0.1", "--T", "0.01"],
     ["integral", *K, "--f", "1", "--a", "0", "--b", "1e-321"],
@@ -226,6 +228,10 @@ EDGES = [
     ["ftc", *K, "--direction", "backward", "--f", "exp(t)", "--a", "0", "--b", "30"],
     ["ibp", *K, "--f", "t^8", "--g", "t^8", "--a", "0.5", "--b", "30"],
     ["riccati", "--family", "cosine", "--alpha", "0.5", "--q", "0", "--u0", "0.1", "--T", "2"],
+    ["ftc", "--family", "nderiv", "--alpha", "0.5", "--f", "1", "--a", "0", "--b", "0.01"],
+    ["ftc", *K, "--f", "sqrt(t-1)", "--a", "1", "--b", "1.0001"],
+    ["ftc", *POWER, "--f", "1", "--a", "0", "--b", "1"],
+    ["deriv", "--family", "gfd", "--alpha", "0.3", "--beta", "-178.3", "--f", "t", "--t", "1"],
 ]
 
 
