@@ -21,7 +21,7 @@ Picard sweep is a gather and two small einsums.  Set-up samples ph_zero
 and q through their marked array forms (PFunction.ph_zero_array,
 expr.compile_array); expr.resolve gives the points they mark to the
 scalar forms in index order, so the first failing point raises the
-scalar error, and the positivity check reads the marks lazily.
+scalar error; then _weight, the one check of the multiplier, refuses it.
 """
 
 from __future__ import annotations
@@ -125,14 +125,17 @@ class RiccatiSolution:
 
 
 def _weight(fam: PFunction, m: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """t = y^m and the weight W(y) = (dt/dy) / ph_zero(t); W is 0 where t underflows."""
+    """t = y^m and W(y) = (dt/dy) / ph_zero(t), 0 where t underflows.  After resolve,
+    refuses the first sample with t > 0 where ph_zero or W is not finite, or ph_zero <= 0."""
     t = y ** m
     ph, x = np.full(t.shape, math.inf), t[t > 0.0]
     ph[t > 0.0] = resolve(fam.ph_zero_array(x), x, fam.ph_zero)
     with np.errstate(divide="ignore", over="ignore"):
         w = m * y ** (m - 1.0) / ph
-    if not np.all(np.isfinite(w)):
-        raise NonIntegrableError("weight 1/ph_zero is not finite on (0, T]")
+    bad = (t > 0.0) & ~(np.isfinite(ph) & (ph > 0.0) & np.isfinite(w))
+    if bad.any():
+        tb, pb = float(t[bad][0]), float(ph[bad][0])  # the first, in resolve's order
+        raise ParameterError(f"solver needs ph_zero > 0 on (0, T]; found {pb!r} at t={tb:g}")
     return t, w
 
 
@@ -265,19 +268,18 @@ def _build_discretization(qa, machine: _TauMachine, n: int) -> _Discretization:
     return _Discretization(t_nodes, t_all[1::2], targets[::2], stencil, A, M, qa(t_nodes))
 
 
-def contraction_precheck(fam: PFunction, q, T: float, u0: float,
-                         tol: float = 1e-9) -> ContractionCertificate:
+def contraction_precheck(fam: PFunction, q, T: float, u0: float) -> ContractionCertificate:
     """The self-map-plus-contraction certificate at its exact best radius.
 
     The L1 norm of 1/ph_zero over [0, T] must be finite (its check must
-    converge); q is bounded by dense sampling.  k is the contraction
-    factor at b (see ContractionCertificate), feasible or not.
+    converge at tol 1e-9); q is bounded by dense sampling.  k is the
+    contraction factor at b (see ContractionCertificate), feasible or not.
     """
-    return _certificate(fam, as_array_fn(q), T, u0, tol)
+    return _certificate(fam, as_array_fn(q), T, u0)
 
 
-def _certificate(fam: PFunction, qa, T: float, u0: float, tol: float) -> ContractionCertificate:
-    rep = check_l1(fam, 0.0, T, tol=min(tol, 1e-9))
+def _certificate(fam: PFunction, qa, T: float, u0: float) -> ContractionCertificate:
+    rep = check_l1(fam, 0.0, T, tol=1e-9)
     if rep.diverged or not rep.converged:
         raise NonIntegrableError(f"the L1 check of 1/ph_zero on [0, {T:g}] did not converge; "
                                  "no contraction setup exists")
@@ -297,27 +299,20 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
 
     start chooses the constant initial iterate (defaults to u0); it must
     lie inside the certified ball for the contraction argument to apply.
-    Raises InfeasibleCertificateError when the certificate fails and
-    override is not set, and DivergenceError when updates grow for five
-    consecutive sweeps or the sweep cap is reached.
+    Raises InfeasibleCertificateError when the certificate fails and override
+    is not set, then ParameterError where _weight refuses ph_zero on (0, T],
+    then DivergenceError if updates grow five sweeps in a row or hit the cap.
     """
     fam, T, u0, n, tol = problem.family, problem.T, problem.u0, problem.grid_n, problem.tol
     if start is not None and not math.isfinite(start):
         raise ParameterError("start must be finite")
     qa = as_array_fn(problem.q)
 
-    cert = _certificate(fam, qa, T, u0, 1e-9)
+    cert = _certificate(fam, qa, T, u0)
     if not cert.feasible and not override:
         raise InfeasibleCertificateError(
             f"contraction certificate infeasible (k={cert.k:.6g}, "
             f"margin={cert.margin:.3g}); pass override=True to iterate anyway")
-
-    ts = np.geomspace(T * 1e-6, T, 128)
-    # lazy, so a bad value before a failing point is reported first
-    for t, v in zip(ts.tolist(), fam.ph_zero_array(ts).tolist()):
-        v = v if math.isfinite(v) else fam.ph_zero(t)
-        if not (math.isfinite(v) and v > 0.0):
-            raise ParameterError(f"solver needs ph_zero > 0 on (0, T]; found {v!r} at t={t:g}")
 
     machine = _TauMachine(fam, T)
     if not machine.tau_total / n > 0.0:

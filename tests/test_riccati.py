@@ -2,6 +2,7 @@ import dataclasses
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -87,7 +88,7 @@ class TestCertificate:
         with mock.patch("pcalc.riccati.check_l1",
                         return_value=L1Report((0.0, 1.0), l1, True, 1, False)):
             got = dataclasses.astuple(_certificate(
-                KHALIL, lambda ts: np.full(np.shape(ts), q_inf), 1.0, u0, 1e-9))
+                KHALIL, lambda ts: np.full(np.shape(ts), q_inf), 1.0, u0))
         ref = _searched_certificate(u0, q_inf, l1)
         b0 = max(abs(u0), 1e-6)
         if not math.isfinite(q_inf) or b0 >= math.sqrt(q_inf):
@@ -198,6 +199,23 @@ class TestForcedCase:
         with pytest.raises(DivergenceError, match=r"^no convergence within 3 sweeps; "
                                                   r"last update \d\.\d+$"):
             solve_riccati(sqrt_decay_problem(tol=1e-300))
+
+
+class TestOverflowingMultiplier:
+    @pytest.mark.parametrize("T", [0.3, 1.0])
+    def test_nderiv_decay_matches_closed_form(self, T):
+        # ph_zero = exp(t^-0.5) overflows below t = 2.0e-6, under the
+        # solver's samples; q = 0 gives u = u0 / (1 + u0 tau(t)), with
+        # tau(t) the integral of exp(-s^-0.5) from 0 to t
+        sol = solve_riccati(RiccatiProblem(family=make_family("nderiv", 0.5), q="0",
+                                           u0=0.1, T=T))
+        tau, prev = mpmath.mpf(0), mpmath.mpf(0)
+        worst = 0.0
+        for t, u in zip(sol.grid, sol.u):
+            tau += mpmath.quad(lambda s: mpmath.exp(-1 / mpmath.sqrt(s)), [prev, t])
+            prev = mpmath.mpf(t)
+            worst = max(worst, abs(u - float(0.1 / (1 + 0.1 * tau))))
+        assert worst <= 1e-5  # the ACCEPTANCE 7 cap
 
 
 class TestResidual:
@@ -401,8 +419,8 @@ class TestArrayKernels:
         assert riccati_residual(KHALIL, a, "t*t") == riccati_residual(KHALIL, b, lambda t: t * t)
 
     def test_bad_multiplier_value_before_a_failing_point_is_reported_first(self):
-        # ph_zero = 1/(t - c) is negative from the first sample on and
-        # divides by zero at the 101st: the scalar scan stops at the first
+        # ph_zero = 1/(t - c) is negative below c and divides by zero at c,
+        # which no sample hits; _weight refuses the first negative sample
         T = 0.05
         c = float(np.geomspace(T * 1e-6, T, 128)[100])
         fam = make_family("custom", F=f"t + h/(t - {c!r})")
@@ -456,6 +474,13 @@ class TestValidation:
         power = make_family("power", 2.0)
         with pytest.raises(NonIntegrableError):
             solve_riccati(RiccatiProblem(family=power, q="0", u0=0.5, T=0.1))
+
+    def test_multiplier_negative_below_every_old_probe_is_refused(self):
+        # ph_zero = sqrt(t) sign(t - 1e-9) is negative only on (0, 1e-9)
+        fam = make_family("custom", F="t + h*sqrt(t)*(t - 1e-9)/abs(t - 1e-9)")
+        with pytest.raises(ParameterError, match=r"^solver needs ph_zero > 0 on \(0, T\]; "
+                                                 r"found -\d"):
+            solve_riccati(RiccatiProblem(family=fam, q="0", u0=0.1, T=0.05))
 
     def test_detached_solution_cannot_interpolate(self):
         sol = solve_riccati(sqrt_decay_problem())

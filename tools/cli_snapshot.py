@@ -167,7 +167,7 @@ ENV_CASES = [  # (PCALC_TOL, argv)
 
 # one argv per place where a scalar form resolves the points an array form
 # marks: the first grid point past the cosine domain, a multiplier that
-# fails on part of the grid, the lazy Riccati positivity check, and gamma,
+# fails on part of the grid, the Riccati multiplier check, and gamma,
 # which every array kernel leaves to the scalar closure
 RESOLVED = [
     ["mvt", "--family", "cosine", "--alpha", "0.5", "--f", "t^2", "--a", "1", "--b", "2"],
@@ -216,8 +216,9 @@ ROWS = [
 # refused for overflowing and one accepted though it fails at t = 0.1,
 # tolerances scaled by large boundary values, a horizon past the
 # cosine domain, running integrals under a fast multiplier, past the
-# edge of f's domain and under a vanishing multiplier, and a gfd
-# coefficient whose gamma underflows
+# edge of f's domain and under a vanishing multiplier, a gfd
+# coefficient whose gamma underflows, a Riccati multiplier negative only
+# below 1e-9, and an nderiv solve whose multiplier overflows near 0
 EDGES = [
     ["riccati", *K, "--q", "4", "--u0", "0.1", "--T", "0.01"],
     ["integral", *K, "--f", "1", "--a", "0", "--b", "1e-321"],
@@ -232,6 +233,9 @@ EDGES = [
     ["ftc", *K, "--f", "sqrt(t-1)", "--a", "1", "--b", "1.0001"],
     ["ftc", *POWER, "--f", "1", "--a", "0", "--b", "1"],
     ["deriv", "--family", "gfd", "--alpha", "0.3", "--beta", "-178.3", "--f", "t", "--t", "1"],
+    ["riccati", "--family", "custom", "--p", "t + h*sqrt(t)*(t - 1e-9)/abs(t - 1e-9)",
+     "--q", "0", "--u0", "0.1", "--T", "0.05"],
+    ["riccati", *NDERIV, "--q", "0", "--u0", "0.1", "--T", "1"],
 ]
 
 
