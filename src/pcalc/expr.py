@@ -56,6 +56,21 @@ __all__ = [
 ]
 
 
+class _Node:
+    """Var, Neg, BinOp and Call hash their fields once, when built: a child
+    gives its cached hash, a Num its sign-aware key.  String hashes are
+    salted per process, so pickling rebuilds a node, never keeping a hash."""
+
+    def __post_init__(self) -> None:
+        self.__dict__["_hash"] = hash(tuple(self.__dict__.values()))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined, no-any-return]
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+
 @dataclass(frozen=True)
 class Num:
     value: float
@@ -69,34 +84,40 @@ class Num:
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Expr"
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
+    __hash__ = _Node.__hash__
 
     def __post_init__(self) -> None:
         if self.op not in _OPS or self.op in FUNCTIONS:
             raise UsageError(f"unknown operator {self.op!r}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     arg: "Expr"
+    __hash__ = _Node.__hash__
 
     def __post_init__(self) -> None:
         if self.func not in FUNCTIONS:
             raise UsageError(f"unknown function {self.func!r}")
+        super().__post_init__()
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
@@ -104,6 +125,7 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 EXPR_TYPES = (Num, Var, Neg, BinOp, Call)
 Env = Mapping[str, float]
 MAX_DEPTH = 100
+_MEMO_CHARS = 4096  # parse memoizes no longer source, so none is kept alive
 _signed = lambda v: (v, math.copysign(1.0, v))  # Num's key: 0.0 and -0.0 differ
 
 DEFAULT_VARIABLES = frozenset({"t", "x", "h", "alpha", "beta"})
@@ -244,8 +266,13 @@ def parse(source: str, params: tuple[str, ...] = ()) -> Expr:
 
     `params` declares extra variable names allowed beyond the default set.
     """
-    allowed = DEFAULT_VARIABLES | frozenset(params)
-    return _Parser(source, allowed).parse()
+    memo = _parse_memo if len(source) <= _MEMO_CHARS else _parse_memo.__wrapped__
+    return memo(source, tuple(params))
+
+
+@functools.lru_cache(maxsize=512)
+def _parse_memo(source: str, params: tuple[str, ...]) -> Expr:
+    return _Parser(source, DEFAULT_VARIABLES | frozenset(params)).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +589,7 @@ def differentiate(e: Expr, var: str = "t") -> Expr:
     return _differentiate(e, var, False)
 
 
+@functools.lru_cache(maxsize=512)
 def _differentiate(e: Expr, var: str, kinks: bool) -> Expr:
     # kinks=True differentiates abs(u) as (u/abs(u)) * u': the classical
     # derivative off the kink, 0/0 (an evaluation error) where u = 0

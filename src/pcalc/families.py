@@ -40,7 +40,7 @@ from .errors import (
 )
 from .expr import (BinOp, Expr, Num, Var, compile_array, compile_expr, differentiate,
                    parse, substitute, variables)
-from .quadrature import integrate_graded
+from .quadrature import error_target, integrate_graded
 
 __all__ = [
     "Interval", "PFunction", "make_family", "FAMILY_KINDS",
@@ -454,10 +454,10 @@ class L1Report:
 def check_l1(fam: PFunction, a: float, b: float, tol: float = 1e-8) -> L1Report:
     """Integrate 1/|ph_zero| over [a, b] with integrate_graded.
 
-    converged means the error estimate is within tol.  A vanishing or
-    failing multiplier, or an endpoint exponent of 0.98 or more (the
-    resolution limit of the endpoint grading), reports divergence instead
-    of raising; any other quadrature failure reports no convergence.
+    converged means the error estimate is within error_target(tol, value).
+    A vanishing or failing multiplier, or an endpoint exponent of 0.98 or
+    more (the endpoint grading's resolution limit), reports divergence
+    instead of raising; any other quadrature failure reports no convergence.
     """
     if not a < b:
         raise ParameterError(f"need a < b, got [{a!r}, {b!r}]")
@@ -472,4 +472,4 @@ def check_l1(fam: PFunction, a: float, b: float, tol: float = 1e-8) -> L1Report:
         return L1Report((a, b), math.inf, False, 0, True)
     except QuadratureError:
         return L1Report((a, b), math.nan, False, 0, False)
-    return L1Report((a, b), value, err <= tol, panels, False)
+    return L1Report((a, b), value, err <= error_target(tol, value), panels, False)

@@ -59,7 +59,7 @@ def _require_interval(fam: PFunction, a: float, t: float) -> None:
 
 def p_integral(fam: PFunction, f: Expr | str | Callable[[float], float],
                a: float, t: float, tol: float = 1e-8) -> QuadratureResult:
-    """Integrate f(x)/ph_zero(x) over [a, t] to absolute tolerance tol."""
+    """Integrate f(x)/ph_zero(x) over [a, t] to error_target(tol, value)."""
     _require_interval(fam, a, t)
     if a == t:
         return QuadratureResult(0.0, 0.0, 0, False)

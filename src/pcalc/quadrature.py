@@ -19,7 +19,7 @@ from collections.abc import Callable
 from .errors import EvaluationError, NonIntegrableError, QuadratureError
 
 __all__ = [
-    "gk15", "integrate_adaptive", "integrate_graded", "endpoint_exponent",
+    "gk15", "integrate_adaptive", "integrate_graded", "endpoint_exponent", "error_target",
 ]
 
 # 15-point Kronrod / 7-point Gauss abscissae and weights (positive half).
@@ -80,6 +80,12 @@ def gk15(fn: Callable[[float], float], a: float, b: float,
     return res_k, abs(res_k - res_g)
 
 
+def error_target(tol: float, value: float) -> float:
+    """The error worth refining to: tol, or the value's own rounding
+    (16 eps |value|) when that is larger."""
+    return max(tol, 16.0 * math.ulp(1.0) * abs(value))
+
+
 def integrate_adaptive(
     fn: Callable[[float], float],
     a: float,
@@ -90,10 +96,10 @@ def integrate_adaptive(
 ) -> tuple[float, float, int]:
     """Globally adaptive bisection; requires a <= b.
 
-    Returns (value, error_estimate, panels).  Raises QuadratureError when
-    the tolerance cannot be met within max_panels, NonIntegrableError when
-    the integrand is non-finite.  to_x maps the integration variable to
-    the caller's coordinate for the locations errors report.
+    Returns (value, error_estimate, panels), refined to error_target(tol,
+    value).  Raises QuadratureError when that takes over max_panels,
+    NonIntegrableError when the integrand is non-finite.  to_x maps the
+    integration variable to the caller's coordinate for error locations.
     """
     if a == b:
         return 0.0, 0.0, 0
@@ -104,7 +110,7 @@ def integrate_adaptive(
     total_err = err
     panels = 1
     min_width = abs(b - a) * 1e-14
-    while total_err > tol and heap:
+    while total_err > error_target(tol, total) and heap:
         neg_err, lo, hi, v = heapq.heappop(heap)
         if hi - lo <= min_width:
             # cannot refine further: either roundoff-limited or an

@@ -1,13 +1,20 @@
+import copy
 import math
+import os
+import pickle
 import re
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pcalc
 from pcalc.derivatives import p_derivative_formula
 from pcalc.errors import DifferentiationError, EvaluationError, ParseError, UsageError
 from pcalc.expr import (
@@ -15,18 +22,21 @@ from pcalc.expr import (
     DEFAULT_VARIABLES,
     FUNCTIONS,
     MAX_DEPTH,
+    _MEMO_CHARS,
     BinOp,
     Call,
     Neg,
     Num,
     Var,
     _add,
-    _generate,
     _differentiate,
     _div,
     _fmt_num,
+    _generate,
     _mul,
     _neg,
+    _parse_memo,
+    _Parser,
     _pow,
     _sub,
     compile_array,
@@ -850,6 +860,129 @@ class TestDifferentiateOracle:
             _tree_outcome(lambda: _ref_differentiate(e, var, False))
         assert _tree_outcome(lambda: _differentiate(e, var, True)) == \
             _tree_outcome(lambda: _ref_differentiate(e, var, True))
+
+
+def _rebuilt(e):
+    """An equal tree of new nodes, built bottom-up through the constructors."""
+    if isinstance(e, Num):
+        return Num(e.value)
+    if isinstance(e, Var):
+        return Var(e.name)
+    if isinstance(e, Neg):
+        return Neg(_rebuilt(e.arg))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _rebuilt(e.left), _rebuilt(e.right))
+    return Call(e.func, _rebuilt(e.arg))
+
+
+def _flip_zeros(e):
+    """e with the sign of every zero constant flipped."""
+    if isinstance(e, Num):
+        return Num(-e.value) if e.value == 0.0 else e
+    if isinstance(e, Var):
+        return e
+    if isinstance(e, Neg):
+        return Neg(_flip_zeros(e.arg))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _flip_zeros(e.left), _flip_zeros(e.right))
+    return Call(e.func, _flip_zeros(e.arg))
+
+
+class TestMemos:
+    """parse and _differentiate are memoized; a hit must be what a fresh
+    call gives, and a node's cached hash that of an equal fresh tree."""
+
+    @given(_SOURCES, st.sampled_from([(), ("y",)]))
+    @example("0*t", ())
+    @example("t*-0", ())
+    def test_parse_is_a_fresh_parse(self, src, params):
+        fresh = _tree_outcome(lambda: _Parser(src, DEFAULT_VARIABLES | frozenset(params)).parse())
+        for _ in range(2):  # a miss, then a hit or the same error again
+            got = _tree_outcome(lambda: parse(src, params))
+            assert got == fresh
+            if got[0] == "tree":
+                assert to_source(got[1]) == to_source(fresh[1])
+                assert hash(got[1]) == hash(fresh[1]) == hash(_rebuilt(got[1]))
+
+    @given(_trees(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5]).map(Num),
+        st.sampled_from(["t", "h", "pi"]).map(Var))),
+        st.sampled_from(["t", "h"]), st.booleans())
+    @example(BinOp("^", Num(0.0), Var("t")), "t", False)
+    @example(parse("gamma(t)*abs(t)"), "t", True)
+    def test_differentiate_is_a_fresh_derivation(self, e, var, kinks):
+        fresh = _tree_outcome(lambda: _differentiate.__wrapped__(e, var, kinks))
+        for tree in (e, e, _rebuilt(e)):  # a miss, then hits on the same and an equal tree
+            assert _tree_outcome(lambda: _differentiate(tree, var, kinks)) == fresh
+        assert hash(e) == hash(_rebuilt(e))
+        if fresh[0] == "tree":
+            assert hash(fresh[1]) == hash(_rebuilt(fresh[1]))
+        # the same tree but for the sign of its zeros is another key
+        flipped = _flip_zeros(e)
+        assert _tree_outcome(lambda: _differentiate(flipped, var, kinks)) == \
+            _tree_outcome(lambda: _differentiate.__wrapped__(flipped, var, kinks))
+
+    def test_signed_zeros_are_separate_keys(self):
+        trees = [BinOp("^", Num(z), Var("t")) for z in (0.0, -0.0)]
+        assert trees[0] != trees[1] and hash(trees[0]) != hash(trees[1])
+        derivs = [differentiate(e) for e in trees]
+        assert [repr(d) for d in derivs] == \
+            [repr(_differentiate.__wrapped__(e, "t", False)) for e in trees]
+        assert repr(derivs[0]) != repr(derivs[1])
+        assert [repr(parse(s)) for s in ("0^t", "-0^t")] == \
+            ["BinOp(op='^', left=Num(value=0.0), right=Var(name='t'))",
+             "BinOp(op='^', left=Neg(arg=Num(value=0.0)), right=Var(name='t'))"]
+
+    @pytest.mark.parametrize("memo,run", [
+        (_parse_memo, lambda: parse("sin(t")),
+        (_parse_memo, lambda: parse("t + \u00e9")),
+        (_differentiate, lambda: differentiate(parse("gamma(t)"))),
+        (_differentiate, lambda: _differentiate(parse("abs(t)^gamma(t)"), "t", True)),
+    ], ids=["parse-open", "parse-char", "diff-gamma", "diff-kinks"])
+    def test_failures_are_not_cached(self, memo, run):
+        run_once = _tree_outcome(run)
+        before = memo.cache_info()
+        assert run_once[0] in (ParseError, DifferentiationError)
+        assert [_tree_outcome(run) for _ in range(2)] == [run_once, run_once]
+        after = memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+    def test_memos_are_bounded(self):
+        assert _parse_memo.cache_info().maxsize == 512
+        assert _differentiate.cache_info().maxsize == 512
+        for i in range(600):
+            differentiate(parse(f"t*{i}"))
+        assert _parse_memo.cache_info().currsize == 512
+        assert _differentiate.cache_info().currsize == 512
+
+    def test_a_long_source_is_not_kept(self):
+        for size, kept in ((_MEMO_CHARS, 1), (_MEMO_CHARS + 1, 0), (512 * 1024, 0)):
+            src = "1." + "0" * (size - 2)
+            refs, before = sys.getrefcount(src), _parse_memo.cache_info()
+            assert parse(src) == Num(1.0)
+            after = _parse_memo.cache_info()
+            assert (after.misses, sys.getrefcount(src)) == (before.misses + kept, refs + kept)
+
+    def test_pickle_and_copy_rebuild_the_hash(self):
+        e = parse("sin(t)*exp(-(t^2))+t^3/(1+t^2)")
+        assert b"_hash" not in pickle.dumps(e)
+        for other in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), copy.copy(e)):
+            assert other == e
+            assert hash(other) == hash(_rebuilt(e)) == hash(e)
+
+    def test_a_tree_pickled_in_another_process_hashes_here(self):
+        # string hashes are salted per process: the writer's hash of the
+        # tree is not this process's, and the loaded tree takes this one's
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = ("import pickle, sys; from pcalc.expr import parse; e = parse('sin(t)*h');"
+                "print(hash(e)); print(pickle.dumps(e).hex())")
+        src_dir = str(Path(pcalc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src_dir, "PYTHONHASHSEED": seed}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        loaded, e = pickle.loads(bytes.fromhex(out[1])), parse("sin(t)*h")
+        assert int(out[0]) != hash(e)
+        assert loaded == e and hash(loaded) == hash(e)
 
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4

@@ -45,6 +45,7 @@ from pcalc.families import (
     make_family,
 )
 from pcalc.integrals import p_integral
+from pcalc.quadrature import error_target
 
 
 def all_builtin_families():
@@ -887,6 +888,16 @@ class TestWeightNorm:
             assert rep.levels == res.subdivisions
             assert rep.converged == (res.error_estimate <= tol)
             assert not rep.diverged
+
+    def test_large_norm_stops_at_its_own_rounding(self):
+        # 1/ph_zero = 1e10 t^(-1/2): the norm 2 sqrt(0.05) 1e10 is about
+        # 4.5e9, whose rounding (1.6e-5) is far above tol; refining to tol
+        # took 1,028 panels
+        exact = 2.0 * math.sqrt(0.05) * 1e10
+        rep = check_l1(make_family("custom", F="t + h*sqrt(t)*1e-10"), 0.0, 0.05, tol=1e-9)
+        assert rep.converged and not rep.diverged
+        assert rep.levels <= 4
+        assert abs(rep.estimate - exact) <= error_target(1e-9, exact)
 
     def test_quadrature_failure_is_no_verdict(self):
         # the multiplier 2 + sin(1/t) oscillates without end at 0, so the

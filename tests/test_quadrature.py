@@ -14,6 +14,7 @@ from pcalc.quadrature import (
     _graded_side,
     _line_fit,
     endpoint_exponent,
+    error_target,
     gk15,
     integrate_adaptive,
     integrate_graded,
@@ -118,6 +119,23 @@ class TestAdaptive:
     def test_zero_width(self):
         val, err, panels = integrate_adaptive(math.sin, 1.0, 1.0, 1e-10)
         assert val == 0.0
+
+    def test_refinement_stops_at_the_values_own_rounding(self):
+        # one panel resolves 1e10 cos(x) to its last bits; its estimate sits
+        # near the value's ulp, far above tol, so splitting further only
+        # churns rounding (46 panels to claim an error below one ulp)
+        val, err, panels = integrate_adaptive(lambda x: 1e10 * math.cos(x), 0.0, 1.0, 1e-12)
+        assert panels == 1
+        assert err <= error_target(1e-12, val)
+        assert abs(val - 1e10 * math.sin(1.0)) <= err
+
+    @pytest.mark.parametrize("tol,value,target", [
+        (1e-8, 1.0, 1e-8),
+        (1e-9, -1e10, 16.0 * 2.0 ** -52 * 1e10),
+        (0.0, 0.0, 0.0),
+    ])
+    def test_error_target(self, tol, value, target):
+        assert error_target(tol, value) == target
 
     def test_budget_exhaustion_raises(self):
         f = lambda x: x ** -0.5  # endpoint singularity defeats plain bisection
