@@ -309,8 +309,8 @@ class _Command(NamedTuple):
     handler: Callable
     families: int            # 0, 1, or 2 (compare's second set has suffix 2)
     format: str              # default output format
-    echo: tuple[str, ...]    # arguments echoed under "inputs", after the families
     args: tuple              # (flag, add_argument keywords), in --help order
+    quiet: tuple[str, ...] = ()  # arguments not echoed under "inputs"
 
 
 _FN = {"required": True}
@@ -321,76 +321,71 @@ _INTERVAL = (("--f", _FN), ("--a", _NUM), ("--b", _NUM))
 _COMMANDS = {
     "deriv": _Command(
         "derivative of f at a point, limit and formula routes", _deriv, 1, "json",
-        ("f", "t"),
         (("--f", {**_FN, "help": "expression in t, or corpus:NAME"}),
-         ("--t", _NUM), _SIDE)),
+         ("--t", _NUM), _SIDE), ("side",)),
     "integral": _Command(
-        "weighted integral of f over [a, b]", _integral, 1, "json",
-        ("f", "a", "b"), _INTERVAL),
+        "weighted integral of f over [a, b]", _integral, 1, "json", _INTERVAL),
     "ftc": _Command(
         "fundamental-theorem residual in either direction", _ftc, 1, "json",
-        ("direction", "f", "a", "b"),
         (("--direction", {"choices": ("forward", "backward"), "default": "forward"}),
          ("--f", {**_FN, "help": "integrand (forward) or antiderivative (backward)"}),
          ("--a", _NUM),
          ("--b", {**_NUM, "help": "evaluation point (forward) or upper endpoint (backward)"}))),
     "ibp": _Command(
-        "integration-by-parts residual", _ibp, 1, "json", ("f", "g", "a", "b"),
+        "integration-by-parts residual", _ibp, 1, "json",
         (("--f", _FN), ("--g", _FN), ("--a", _NUM), ("--b", _NUM))),
     "mvt": _Command(
         "mean-value point (two-function form with --g)", _mvt, 1, "json",
-        ("f", "g", "a", "b"), (("--f", _FN), ("--g", {}), ("--a", _NUM), ("--b", _NUM))),
+        (("--f", _FN), ("--g", {}), ("--a", _NUM), ("--b", _NUM))),
     "rolle": _Command(
-        "interior derivative zero under equal endpoint values", _rolle, 1, "json",
-        ("f", "a", "b"), _INTERVAL),
+        "interior derivative zero under equal endpoint values", _rolle, 1, "json", _INTERVAL),
     "maxprinciple": _Command(
-        "derivative at a located interior maximum", _maxprinciple, 1, "json",
-        ("f", "a", "b"), _INTERVAL),
+        "derivative at a located interior maximum", _maxprinciple, 1, "json", _INTERVAL),
     "hypothesis": _Command(
-        "solvability of p(t, h) = t +- eps near h = 0", _hypothesis, 1, "json", ("t",),
+        "solvability of p(t, h) = t +- eps near h = 0", _hypothesis, 1, "json",
         (("--t", _NUM),
-         ("--epsilons", {"help": "comma-separated decreasing offsets (default 1e-2..1e-8)"}))),
+         ("--epsilons", {"help": "comma-separated decreasing offsets (default 1e-2..1e-8)"})),
+        ("epsilons",)),
     "riccati": _Command(
         "certified Picard solve of D u = q - u^2", _riccati, 1, "csv",
-        ("q", "u0", "T", "n"),
         (("--q", _FN), ("--u0", _NUM), ("--T", _NUM),
          ("--n", {"type": int, "default": 64, "help": "grid intervals (>= 16)"}),
          ("--override", {"action": "store_true",
                          "help": "iterate even when the certificate is infeasible"}),
-         ("--start", {"type": float, "help": "constant starting iterate (default u0)"}))),
+         ("--start", {"type": float, "help": "constant starting iterate (default u0)"})),
+        ("override", "start")),
     "weierstrass": _Command(
         "divergence ladder of the lacunary cosine series", _weierstrass, 0, "csv",
-        ("a", "b", "alpha", "x", "m"),
         (("--a", {"type": int, "required": True}), ("--b", _NUM), ("--alpha", _NUM),
          ("--x", {**_FN, "help": "exact rational, e.g. 1/3 or 0.25"}),
          ("--m", {"type": int, "default": 6, "help": "ladder depth"}))),
     "polygon": _Command(
         "derivative scan of a piecewise-linear function", _polygon, 1, "csv",
-        ("vertices", "grid", "side"),
         (("--vertices", {"required": True, "metavar": "FILE",
                          "help": "CSV file of x,y vertices"}),
          ("--grid", {"help": "comma-separated scan points (default: vertex x's)"}),
          _SIDE)),
     "compare": _Command(
         "limit-route derivatives under two families", _compare, 2, "json",
-        ("f", "t"), (("--f", _FN), ("--t", _NUM))),
+        (("--f", _FN), ("--t", _NUM))),
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None) -> _Parser:
+    """The pcalc parser, with arguments on the subparser of `command` only."""
     top = _Parser(prog="pcalc", allow_abbrev=False,
                   description="calculus along deformation families p(t, h)")
-    common = _Parser(add_help=False, allow_abbrev=False)
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (default json; csv for plot commands)")
-    common.add_argument("--output", default=None, metavar="PATH",
-                        help="write output to a file instead of stdout")
-    common.add_argument("--tol", type=float, default=None,
-                        help="working tolerance in [1e-12, 1e-2] (env PCALC_TOL, default 1e-8)")
-
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, cmd in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], allow_abbrev=False, help=cmd.help)
+        p = sub.add_parser(name, allow_abbrev=False, help=cmd.help)
+        if name != command:
+            continue
+        p.add_argument("--format", choices=("json", "csv"), default=None,
+                       help="output format (default json; csv for plot commands)")
+        p.add_argument("--output", default=None, metavar="PATH",
+                       help="write output to a file instead of stdout")
+        p.add_argument("--tol", type=float, default=None,
+                       help="working tolerance in [1e-12, 1e-2] (env PCALC_TOL, default 1e-8)")
         for suffix in _SUFFIXES[:cmd.families]:
             _add_family_args(p, suffix)
         for flag, kw in cmd.args:
@@ -400,8 +395,11 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     fmt = "json"
+    argv = sys.argv[1:] if argv is None else argv
+    # no top-level option takes a value: the command is the first non-option
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         cmd = _COMMANDS[args.command]
         fmt = args.format or cmd.format
         tol = _resolve_tol(args)
@@ -410,7 +408,8 @@ def main(argv: list[str] | None = None) -> int:
         result, kw = cmd.handler(args, tol, *fams)
         labels = ("family",) if cmd.families == 1 else ("family_1", "family_2")
         inputs = {k: _family_label(args, s) for k, s in zip(labels, suffixes)}
-        inputs.update((name, getattr(args, name)) for name in cmd.echo)
+        inputs.update((flag[2:], getattr(args, flag[2:])) for flag, _ in cmd.args
+                      if flag[2:] not in cmd.quiet)
         inputs.update(kw.pop("inputs", {}))
         kw.setdefault("diagnostics", {"tol": tol})
         return _emit(args.output, fmt, args.command, inputs, result, **kw)

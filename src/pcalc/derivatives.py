@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DifferentiationError, EvaluationError, PcalcError, UsageError
-from .expr import (EXPR_TYPES, Expr, _differentiate, compile_array, compile_expr,
+from .expr import (EXPR_TYPES, Expr, _differentiate, _memo, compile_array, compile_expr,
                    differentiate, parse, resolve)
 from .families import PFunction
 
@@ -139,7 +139,9 @@ def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float],
     where p(t, h) rounds to t, or whose numerator is nonzero yet below the
     rounding floor of f(t), since those quotients carry no signal.
     One-sided requests use only the matching sign of h.  The ladder starts
-    at h0 = 1e-2 max(1, |t|), shrunk where |ph_zero(t)| exceeds 100.
+    at h0 = 1e-2 max(1, |t|), halved while p(t, +-h0) moves t by more than
+    a quarter of max(1, |t|) and of the distance to each domain edge t is
+    not on (by 0 where p raises), so that its first level stays local.
     """
     if side not in _SIDES:
         raise UsageError(f"side must be one of {_SIDES}, got {side!r}")
@@ -148,17 +150,13 @@ def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float],
     f_t = fn(t)
     if not math.isfinite(f_t):
         raise EvaluationError(f"f({t!r}) is not finite")
-    h0 = max(1e-2, 1e-2 * abs(t))
-    # the first level moves t by about h0 |ph_zero(t)|; keep that within
-    # 100 h0 = max(1, |t|), or a fast multiplier starts the ladder far
-    # outside the local regime (nderiv near 0: ph_zero ~ 1e6)
-    try:
-        speed = abs(fam.ph_zero(t))
-    except PcalcError:
-        speed = 0.0
-    if speed > 100.0:
-        h0 *= 100.0 / speed
     noise_floor = 1e3 * _EPS * abs(f_t)
+
+    def moved(h: float) -> float:  # |p(t, h) - t|, 0 where p raises
+        try:
+            return abs(fam.p(t, h) - t)
+        except EvaluationError:
+            return 0.0
 
     def quotient(h: float) -> float | None:
         try:
@@ -174,6 +172,10 @@ def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float],
         q = num / h
         return q if math.isfinite(q) else None
 
+    h0, dom = max(1e-2, 1e-2 * abs(t)), fam.domain
+    reach = 0.25 * min(max(1.0, abs(t)), t - dom.lo or math.inf, dom.hi - t or math.inf)
+    while h0 > 1e-300 and (moved(h0) > reach or moved(-h0) > reach):
+        h0 *= 0.5
     if side == "right" or side == "left":
         sign = 1.0 if side == "right" else -1.0
         val, err, conv, hs, qs = extrapolate_quotient(quotient, sign, h0, tol, max_levels)
@@ -219,7 +221,7 @@ class FormulaRoute:
                     raise UsageError(
                         "formula route needs an expression for f, or an explicit fprime"
                     )
-                fprime = _differentiate(e, "t", True) if kinks else differentiate(e, "t")
+                fprime = _memo(_differentiate, e)(e, "t", True) if kinks else differentiate(e)
             self._fprime = parse(fprime) if isinstance(fprime, str) else fprime
         return self._fprime
 

@@ -59,7 +59,9 @@ __all__ = [
 class _Node:
     """Var, Neg, BinOp and Call hash their fields once, when built: a child
     gives its cached hash, a Num its sign-aware key.  String hashes are
-    salted per process, so pickling rebuilds a node, never keeping a hash."""
+    salted per process, so pickling rebuilds a node, never keeping a hash.
+    Beside it each node keeps _size, the node count of its tree (a child
+    that is no node, which no walker accepts, counts 1)."""
 
     def __post_init__(self) -> None:
         self.__dict__["_hash"] = hash(tuple(self.__dict__.values()))
@@ -74,6 +76,7 @@ class _Node:
 @dataclass(frozen=True)
 class Num:
     value: float
+    _size = 1  # a class attribute, not a field: every leaf counts 1
 
     # the sign of zero is part of the value: t*-0.0 is not t*0.0
     def __eq__(self, other: object) -> bool:
@@ -87,12 +90,17 @@ class Num:
 class Var(_Node):
     name: str
     __hash__ = _Node.__hash__
+    _size = 1
 
 
 @dataclass(frozen=True)
 class Neg(_Node):
     arg: "Expr"
     __hash__ = _Node.__hash__
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.__dict__["_size"] = 1 + getattr(self.arg, "_size", 1)
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,8 @@ class BinOp(_Node):
         if self.op not in _OPS or self.op in FUNCTIONS:
             raise UsageError(f"unknown operator {self.op!r}")
         super().__post_init__()
+        left, right = getattr(self.left, "_size", 1), getattr(self.right, "_size", 1)
+        self.__dict__["_size"] = 1 + left + right
 
 
 @dataclass(frozen=True)
@@ -118,6 +128,7 @@ class Call(_Node):
         if self.func not in FUNCTIONS:
             raise UsageError(f"unknown function {self.func!r}")
         super().__post_init__()
+        self.__dict__["_size"] = 1 + getattr(self.arg, "_size", 1)
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
@@ -126,6 +137,7 @@ EXPR_TYPES = (Num, Var, Neg, BinOp, Call)
 Env = Mapping[str, float]
 MAX_DEPTH = 100
 _MEMO_CHARS = 4096  # parse memoizes no longer source, so none is kept alive
+_MEMO_NODES = 512  # nor do _differentiate and _generate any larger tree
 _signed = lambda v: (v, math.copysign(1.0, v))  # Num's key: 0.0 and -0.0 differ
 
 DEFAULT_VARIABLES = frozenset({"t", "x", "h", "alpha", "beta"})
@@ -358,7 +370,7 @@ def compile_expr(e: Expr, names: tuple[str, ...] = ("t",)) -> Callable[..., floa
     as evaluate(e, dict(zip(names, values))), and raises the same
     EvaluationError at the same point of the evaluation order.
     """
-    return _generate(e, tuple(names), False)
+    return _memo(_generate, e)(e, tuple(names), False)
 
 
 def compile_array(e: Expr) -> Callable[[Any], np.ndarray]:
@@ -371,7 +383,7 @@ def compile_array(e: Expr) -> Callable[[Any], np.ndarray]:
     sqrt are bit-identical; ^, exp, ln and the trig functions may differ
     from math's in the last ulp.  Substitute a Num for any other variable.
     """
-    return _generate(e, ("t",), True)
+    return _memo(_generate, e)(e, ("t",), True)
 
 
 def resolve(values: np.ndarray, t: Any, scalar: Callable[[float], float]) -> np.ndarray:
@@ -586,7 +598,12 @@ def differentiate(e: Expr, var: str = "t") -> Expr:
     DifferentiationError so callers can fall back to the limit path.
     Subtrees independent of `var` differentiate to 0 regardless of shape.
     """
-    return _differentiate(e, var, False)
+    return _memo(_differentiate, e)(e, var, False)
+
+
+def _memo(fn: Callable[..., Any], e: Expr) -> Callable[..., Any]:
+    """fn, an lru_cache, or for a tree over _MEMO_NODES nodes the function it wraps."""
+    return fn if getattr(e, "_size", 0) <= _MEMO_NODES else fn.__wrapped__
 
 
 @functools.lru_cache(maxsize=512)

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .expr import (BinOp, Expr, Num, Var, compile_array, compile_expr, differentiate,
                    parse, substitute, variables)
-from .quadrature import error_target, integrate_graded
 
 __all__ = [
     "Interval", "PFunction", "make_family", "FAMILY_KINDS",
@@ -464,6 +463,7 @@ def check_l1(fam: PFunction, a: float, b: float, tol: float = 1e-8) -> L1Report:
     if not (fam.domain.contains_closure(a) and fam.domain.contains_closure(b)):
         raise DomainError(
             f"[{a!r}, {b!r}] not within the closure of the {fam.label} domain {fam.domain}")
+    from .quadrature import error_target, integrate_graded  # pcalc deriv never loads it
 
     try:
         value, err, panels, _ = integrate_graded(

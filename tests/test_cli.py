@@ -541,6 +541,28 @@ class TestSurface:
         assert lines[1 if command == "riccati" else 0] == header
 
 
+class TestCommandLookup:
+    # arguments go onto the subparser of the first token that is not an
+    # option; the top-level parser has no option that takes a value, so a
+    # token before the command is the command argparse reads, and refuses
+
+    def test_short_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, ["-h"]) == (0, HELP["--help"], "")
+
+    @pytest.mark.parametrize("head", [["--"], ["--tol", "1e-6"], ["-5"]])
+    def test_a_token_before_the_command(self, capsys, head):
+        code, out, err = run(capsys, [*head, "deriv", *KHALIL, "--f", "t^2", "--t", "4"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: argument command: invalid choice: '{head[-1]}' "
+                              "(choose from 'deriv', 'integral', ")
+
+    def test_an_option_before_the_command(self, capsys):
+        argv = ["--format", "deriv", "deriv", *KHALIL, "--f", "t", "--t", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", "error: unrecognized arguments: --format deriv\n")
+
+
 # --- fuzzing ---------------------------------------------------------------
 
 # Each flag draws from a fixed pool: mostly legal values, one time in eight a

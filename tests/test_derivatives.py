@@ -110,6 +110,32 @@ class TestLimitRoute:
             p_derivative_limit(fam, "t^2", 1.0)
 
 
+class TestLadderStart:
+    # h0 is halved until p(t, +-h0) stays within a quarter of min(max(1, |t|),
+    # the distance to the domain edge); near 0 that edge is t itself
+
+    def test_katugampola_near_zero_claims_only_what_holds(self):
+        # the first level h0 = 1e-2 mapped t to 6.6e19, and the ladder read
+        # 1.3429e-08 with converged=True, 48% off the formula's 2.5759e-08
+        fam, t = make_family("katugampola", 0.95), 0.00011621677007402848
+        est = p_derivative_limit(fam, "t^3", t)
+        assert est.converged
+        assert abs(est.value - p_derivative_formula(fam, "t^3", t)) <= est.error_estimate
+
+    @pytest.mark.parametrize("kind, alpha", [
+        ("khalil", 0.3), ("khalil", 0.9), ("katugampola", 0.5), ("katugampola", 0.95),
+        ("nderiv", 0.3), ("nderiv", 0.5)])  # nderiv 0.9's p overflows at t = 1e-4
+    @pytest.mark.parametrize("t", [1e-4, 1e-2])
+    def test_first_level_stays_within_reach(self, kind, alpha, t):
+        fam = make_family(kind, alpha)
+        for side in ("right", "left"):
+            est = p_derivative_limit(fam, "t", t, side=side)
+            h = est.h_sequence[0]
+            assert abs(fam.p(t, h) - t) <= 0.25 * t
+            if kind == "khalil" and abs(h) < 1e-2:  # halved, and p is linear in h
+                assert abs(fam.p(t, 2.0 * h) - t) > 0.25 * t  # but no further than needed
+
+
 def _tableau_at_zero(xs, ys):
     # the full Neville tableau, rebuilt from scratch
     p = list(ys)

@@ -98,4 +98,4 @@ def test_deriv_loads_only_what_it_uses():
     loaded = set(_fresh(code).split())
     assert "pcalc.derivatives" in loaded
     assert not {"pcalc.integrals", "pcalc.riccati", "pcalc.theorems", "pcalc.weierstrass",
-                "pcalc.corpus"} & loaded
+                "pcalc.corpus", "pcalc.quadrature"} & loaded

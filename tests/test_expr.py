@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import os
 import pickle
@@ -7,6 +8,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from pcalc.expr import (
     FUNCTIONS,
     MAX_DEPTH,
     _MEMO_CHARS,
+    _MEMO_NODES,
     BinOp,
     Call,
     Neg,
@@ -963,6 +966,33 @@ class TestMemos:
             after = _parse_memo.cache_info()
             assert (after.misses, sys.getrefcount(src)) == (before.misses + kept, refs + kept)
 
+    def test_a_large_tree_is_not_kept(self):
+        # a tree of at most _MEMO_NODES nodes is a memo key; a larger one
+        # goes to the function the memo wraps
+        for tree, kept in ((Neg(_sum_of_t(_MEMO_NODES // 2)), 1),
+                           (_sum_of_t(_MEMO_NODES // 2 + 1), 0)):
+            assert tree._size == _node_count(tree) == _MEMO_NODES + 1 - kept
+            for memo, run in ((_differentiate, differentiate), (_generate, compile_expr),
+                              (_generate, compile_array)):
+                before = memo.cache_info().misses
+                run(tree)
+                assert memo.cache_info().misses == before + kept
+
+    def test_a_large_derivative_is_not_held(self):
+        # 40 parenthesized sums of 40 t*t terms: 6,479 characters, above the
+        # parse cap, and 6,399 nodes.  Its derivative held 1,860 KiB.
+        src = "+".join(["(" + "+".join(["t*t"] * 40) + ")"] * 40)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert differentiate(parse(src))._size == 6399
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
+
     def test_pickle_and_copy_rebuild_the_hash(self):
         e = parse("sin(t)*exp(-(t^2))+t^3/(1+t^2)")
         assert b"_hash" not in pickle.dumps(e)
@@ -983,6 +1013,20 @@ class TestMemos:
         loaded, e = pickle.loads(bytes.fromhex(out[1])), parse("sin(t)*h")
         assert int(out[0]) != hash(e)
         assert loaded == e and hash(loaded) == hash(e)
+
+
+def _sum_of_t(n):
+    """A balanced sum of n leaves t: 2n - 1 nodes, of depth log2(n)."""
+    nodes = [Var("t")] * n
+    while len(nodes) > 1:
+        pairs = [BinOp("+", a, b) for a, b in zip(nodes[::2], nodes[1::2])]
+        nodes = pairs + nodes[2 * len(pairs):]
+    return nodes[0]
+
+
+def _node_count(e):
+    return 1 + sum(_node_count(getattr(e, name)) for name in ("arg", "left", "right")
+                   if hasattr(e, name))
 
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4

@@ -167,6 +167,17 @@ class TestFtcForward:
         fam = make_family("nderiv", 0.5)
         assert ftc_forward(fam, "1", 0.0, 0.01) < 1e-8
 
+    @pytest.mark.parametrize("kind, alpha, f, a, t", [
+        ("nderiv", 0.845, "1", 0.0, 0.000532935529048646),  # read 6.16e235
+        ("katugampola", 0.95, "t^3", 1e-6, 1.1621677007402848e-4),  # read 6.5e43
+        ("nderiv", 0.5, "sin(t)", 0.0, 1e-3),  # read 2.6e-5
+    ], ids=["nderiv-0.845", "katugampola-0.95", "nderiv-0.5-sin"])
+    def test_ladder_starts_within_reach_near_the_left_end(self, kind, alpha, f, a, t):
+        # the first level used to leave the local regime by far: h0 was
+        # capped by |ph_zero(t)|, not by how far p(t, h0) moves t
+        res = ftc_forward(make_family(kind, alpha), f, a, t)
+        assert res <= 1e-6 * max(1.0, abs(pcalc.expr.evaluate(parse(f), {"t": t})))
+
     @pytest.mark.parametrize("f, a, t", [
         ("sqrt(t-1)", 1.0, 1.0001),  # p(t, -1e-2) < 1: the segment leaves f's domain
         ("1/sqrt(1-t)", 0.0, 0.995),  # p(t, 1e-2) > 1: the same on the right

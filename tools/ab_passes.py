@@ -6,7 +6,8 @@ Each DIR is a pcalc checkout; its ``src/pcalc`` is imported under its own
 name space.  One tree is imported in full (every submodule, and every
 export bound in the package, since ``pcalc.__getattr__`` imports through
 ``sys.modules``), then its ``sys.modules`` entries are moved aside before
-the other is imported.  The ``calculus``, ``scan`` and ``riccati``
+the other is imported, and put back whenever that tree runs, so that an
+import inside a function finds its own tree.  The ``calculus``, ``scan`` and ``riccati``
 workloads of the change's ``perfbench/`` are built against each tree with
 the same seed.  Whole passes then alternate, the parent first on even
 pairs, and the script prints per workload the median pass time of each
@@ -34,8 +35,9 @@ from pathlib import Path
 WORKLOADS = ("calculus", "scan", "riccati")
 
 
-def load_pcalc(root: Path):
-    """Import pcalc from root/src in full and take it out of sys.modules."""
+def load_pcalc(root: Path) -> dict:
+    """Import pcalc from root/src in full and take its modules out of
+    sys.modules; put them back (sys.modules.update) while it runs."""
     src = str(root.resolve() / "src")
     sys.path.insert(0, src)
     importlib.invalidate_caches()
@@ -50,9 +52,8 @@ def load_pcalc(root: Path):
     where = Path(pcalc.__file__).resolve()
     if Path(src) not in where.parents:
         raise SystemExit(f"pcalc imported from {where}, not from {src}")
-    for name in [n for n in sys.modules if n == "pcalc" or n.startswith("pcalc.")]:
-        del sys.modules[name]
-    return pcalc
+    return {name: sys.modules.pop(name) for name in list(sys.modules)
+            if name == "pcalc" or name.startswith("pcalc.")}
 
 
 def one_pass(wl) -> tuple[dict[str, float], int]:
@@ -70,13 +71,15 @@ def one_pass(wl) -> tuple[dict[str, float], int]:
     return busy, raised
 
 
-def compare(builds: dict, passes: int) -> dict:
+def compare(builds: dict, trees: dict, passes: int) -> dict:
     times: dict[str, list[dict[str, float]]] = {side: [] for side in builds}
     raised = dict.fromkeys(builds, 0)
-    for wl in builds.values():
+    for side, wl in builds.items():
+        sys.modules.update(trees[side])
         wl.warm_up()
     for k in range(passes):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            sys.modules.update(trees[side])
             dt, bad = one_pass(builds[side])
             times[side].append(dt)
             raised[side] += bad
@@ -105,8 +108,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.passes} alternating passes per side, seed {args.seed}")
     print(f"{'workload':10} {'parent ms':>10} {'change ms':>10} {'ratio':>7} {'won':>7}  raised")
     for name in WORKLOADS:
-        builds = {side: BUILDERS[name](P, args.seed) for side, P in trees.items()}
-        r = compare(builds, args.passes)
+        builds = {}
+        for side, modules in trees.items():
+            sys.modules.update(modules)
+            builds[side] = BUILDERS[name](modules["pcalc"], args.seed)
+        r = compare(builds, trees, args.passes)
         print(f"{name:10} {r['parent_ms']:10.2f} {r['change_ms']:10.2f} {r['ratio']:7.3f} "
               f"{r['won']:>3}/{args.passes:<3}  parent {r['raised']['parent']}, "
               f"change {r['raised']['change']}")

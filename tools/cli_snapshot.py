@@ -238,6 +238,26 @@ EDGES = [
     ["riccati", *NDERIV, "--q", "0", "--u0", "0.1", "--T", "1"],
 ]
 
+# ladders that start near the left end of the domain, where h0 = 1e-2 maps
+# t far outside the local regime unless it is halved first
+LADDER = [
+    ["deriv", "--family", "katugampola", "--alpha", "0.95", "--f", "t^3",
+     "--t", "0.00011621677007402848"],
+    ["ftc", "--family", "nderiv", "--alpha", "0.845", "--f", "1", "--a", "0",
+     "--b", "0.000532935529048646"],
+    ["ftc", "--family", "katugampola", "--alpha", "0.95", "--f", "t^3", "--a", "1e-6",
+     "--b", "1.1621677007402848e-4"],
+    ["ftc", *NDERIV, "--f", "sin(t)", "--a", "0", "--b", "1e-3"],
+]
+
+# the command lookup: the first token that is not an option names the
+# subparser that gets arguments
+LOOKUP = [
+    ["-h"],
+    ["--", "deriv", *K, "--f", "t^2", "--t", "4"],
+    ["--tol", "1e-6", "deriv", *K, "--f", "t^2", "--t", "4"],
+]
+
 
 def cases():
     for argv in VALID.values():
@@ -250,7 +270,7 @@ def cases():
     for argv in EXTRA + ERRORS:
         yield None, argv
     yield from ENV_CASES
-    for argv in RESOLVED + ROWS + EDGES:
+    for argv in RESOLVED + ROWS + EDGES + LADDER + LOOKUP:
         yield None, argv
 
 
