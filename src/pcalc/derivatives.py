@@ -21,12 +21,12 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DifferentiationError, EvaluationError, PcalcError, UsageError
 from .expr import (EXPR_TYPES, Expr, _differentiate, _memo, compile_array, compile_expr,
                    differentiate, parse, resolve)
 from .families import PFunction
+
+# np in annotations is numpy, which only the functions that use arrays import
 
 __all__ = ["DerivEstimate", "ComparisonReport",
            "p_derivative_limit", "p_derivative_formula", "compare_definitions"]
@@ -81,6 +81,7 @@ def as_array_fn(f: Expr | str | Callable[[float], float]) -> Callable[[np.ndarra
 
 def array_fn(fn: Callable[[float], float], e: Expr | None) -> Callable[[np.ndarray], np.ndarray]:
     """as_array_fn of what as_scalar_fn returned, without compiling e again."""
+    import numpy as np
     marked = compile_array(e) if e is not None else lambda t: np.full(len(t), math.nan)
     return lambda t: resolve(marked(t), t, fn)
 
@@ -141,7 +142,8 @@ def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float],
     One-sided requests use only the matching sign of h.  The ladder starts
     at h0 = 1e-2 max(1, |t|), halved while p(t, +-h0) moves t by more than
     a quarter of max(1, |t|) and of the distance to each domain edge t is
-    not on (by 0 where p raises), so that its first level stays local.
+    not on (by 0 where p raises), so that its first level stays local;
+    that level reuses the check's p(t, +-h0).
     """
     if side not in _SIDES:
         raise UsageError(f"side must be one of {_SIDES}, got {side!r}")
@@ -151,16 +153,19 @@ def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float],
     if not math.isfinite(f_t):
         raise EvaluationError(f"f({t!r}) is not finite")
     noise_floor = 1e3 * _EPS * abs(f_t)
+    pending: list[float | None] = []  # the h0 check's p(t, h) for level 0, None where p raised
 
-    def moved(h: float) -> float:  # |p(t, h) - t|, 0 where p raises
+    def p_at(h: float) -> float | None:  # p(t, h), None where p raises
         try:
-            return abs(fam.p(t, h) - t)
+            return fam.p(t, h)
         except EvaluationError:
-            return 0.0
+            return None
 
     def quotient(h: float) -> float | None:
         try:
-            x = fam.p(t, h)
+            x = pending.pop() if pending else fam.p(t, h)
+            if x is None:
+                return None
             fp = fn(x)
         except EvaluationError:
             return None
@@ -174,14 +179,24 @@ def p_derivative_limit(fam: PFunction, f: Expr | str | Callable[[float], float],
 
     h0, dom = max(1e-2, 1e-2 * abs(t)), fam.domain
     reach = 0.25 * min(max(1.0, abs(t)), t - dom.lo or math.inf, dom.hi - t or math.inf)
-    while h0 > 1e-300 and (moved(h0) > reach or moved(-h0) > reach):
+    while h0 > 1e-300:  # a side where p raises, or gives NaN, does not move t
+        xr = p_at(h0)
+        if xr is None or not abs(xr - t) > reach:
+            xl = p_at(-h0)
+            if xl is None or not abs(xl - t) > reach:
+                break
         h0 *= 0.5
+    else:  # h0 ran out: the check's last values are those of 2*h0
+        xr, xl = p_at(h0), p_at(-h0)
     if side == "right" or side == "left":
         sign = 1.0 if side == "right" else -1.0
+        pending.append(xr if side == "right" else xl)
         val, err, conv, hs, qs = extrapolate_quotient(quotient, sign, h0, tol, max_levels)
         return DerivEstimate(val, err, side, tuple(hs), tuple(qs), conv)
 
+    pending.append(xr)  # every ladder's first level is level 0
     vr, er, cr, hr, qr = extrapolate_quotient(quotient, 1.0, h0, tol, max_levels)
+    pending.append(xl)
     vl, el, cl, hl, ql = extrapolate_quotient(quotient, -1.0, h0, tol, max_levels)
     value = 0.5 * (vr + vl)
     gap = abs(vr - vl)
@@ -241,6 +256,7 @@ class FormulaRoute:
         return mult * d
 
     def grid(self, ts: np.ndarray, mult: np.ndarray | None = None) -> np.ndarray:
+        import numpy as np
         try:
             fp = self._derivative()
         except PcalcError:

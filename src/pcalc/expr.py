@@ -44,9 +44,9 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Any, NamedTuple, NoReturn, Union
 
-import numpy as np
-
 from .errors import DifferentiationError, EvaluationError, ParseError, UsageError
+
+# np in annotations is numpy, which only the functions that use arrays import
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call", "Env",
@@ -323,17 +323,17 @@ def _checked(func: str) -> Callable[[float], float]:
 
 class _Rule(NamedTuple):
     scalar: Callable[..., float]  # checked: raises EvaluationError on a domain violation
-    ufunc: Any  # the numpy counterpart, or None (gamma)
+    ufunc: str | None  # its numpy ufunc by name, for arrays only, or None (gamma)
 
 
 # the one operator table: each domain rule is written here and nowhere else
 _OPS: dict[str, _Rule] = {
-    "+": _Rule(operator.add, np.add), "-": _Rule(operator.sub, np.subtract),
-    "*": _Rule(operator.mul, np.multiply), "/": _Rule(_divide, np.divide),
-    "^": _Rule(_power, np.power),
+    "+": _Rule(operator.add, "add"), "-": _Rule(operator.sub, "subtract"),
+    "*": _Rule(operator.mul, "multiply"), "/": _Rule(_divide, "divide"),
+    "^": _Rule(_power, "power"),
     **{func: _Rule(_checked(func), ufunc) for func, ufunc in (
-        ("sin", np.sin), ("cos", np.cos), ("tan", np.tan), ("exp", np.exp),
-        ("ln", np.log), ("sqrt", np.sqrt), ("abs", np.abs), ("gamma", None))},
+        ("sin", "sin"), ("cos", "cos"), ("tan", "tan"), ("exp", "exp"),
+        ("ln", "log"), ("sqrt", "sqrt"), ("abs", "abs"), ("gamma", None))},
 }
 
 
@@ -394,6 +394,7 @@ def resolve(values: np.ndarray, t: Any, scalar: Callable[[float], float]) -> np.
     so the first failing point raises exactly what a loop of scalar over
     the points raises.
     """
+    import numpy as np
     t = np.asarray(t, dtype=float)
     for i in np.flatnonzero(~np.isfinite(values)):
         values.flat[i] = scalar(float(t.flat[i]))
@@ -415,16 +416,20 @@ _INLINE = {"+": "+", "-": "-", "*": "*"}  # the operators written into the sourc
 def _generate(e: Expr, names: tuple[str, ...], array: bool) -> Callable[..., Any]:
     """Write e as straight-line Python, one statement per operation in
     evaluate's order: + - * and negation inline, the _OPS rule (scalar,
-    or ufunc for the array target) for the rest.  Constants, rules and
-    the unbound-variable raiser are bound by value in the namespace, so
-    nan, inf and -0.0 stay exact and no text of the tree reaches the
-    source.  The array target folds any subtree free of t (same ufuncs),
-    the scalar one only + - * and negation, which never raise."""
+    or the ufunc it names for the array target, which alone imports numpy)
+    for the rest.  Constants, rules and the unbound-variable raiser are
+    bound by value in the namespace, so nan, inf and -0.0 stay exact and
+    no text of the tree reaches the source.  The array target folds any
+    subtree free of t (same ufuncs), the scalar one only + - * and
+    negation, which never raise."""
     slots = {name: i for i, name in enumerate(names)}
-    ns: dict[str, Any] = {"np": np, "nan": math.nan, "float": float}
+    ns: dict[str, Any] = {"nan": math.nan, "float": float}
     lines: list[str] = []
     flags: list[str] = []  # the array target's operations, whose non-finite points it marks
     converted: dict[int, str] = {}  # slot -> the local holding float(argument)
+    if array:
+        import numpy as np
+        ns["np"] = np
 
     def bind(value: Any) -> str:
         ns[f"k{len(ns)}"] = value
@@ -456,26 +461,28 @@ def _generate(e: Expr, names: tuple[str, ...], array: bool) -> Callable[..., Any
         args, rule = [node(kid) for kid in kids], _OPS[op]
         if array and rule.ufunc is None:  # gamma: numpy has none
             raise _Unvouched
+        fn = getattr(np, rule.ufunc) if array else rule.scalar
         if (array or op in _INLINE) and all(arg in ns for arg in args):
-            value = (rule.ufunc if array else rule.scalar)(*(ns[arg] for arg in args))
+            value = fn(*(ns[arg] for arg in args))
             if array and not np.isfinite(value):
                 raise _Unvouched
             return bind(value)
         local = emit(f"{args[0]} {_INLINE[op]} {args[1]}" if op in _INLINE else
-                     f"{bind(rule.ufunc if array else rule.scalar)}({', '.join(args)})")
+                     f"{bind(fn)}({', '.join(args)})")
         if array:
             flags.append(local)
         return local
 
-    with np.errstate(all="ignore"):
-        try:
-            result = node(e)
-        except _Unvouched:  # every point is the scalar path's
-            lines, flags, result = [], [], "nan"
     if not array:
         head = f"def f({', '.join(f'a{i}' for i in range(len(names)))}):"
+        result = node(e)
         body = [*lines, f"return {result}"]
     else:  # a flagged result is the kernel's own array; t and constants are copied
+        with np.errstate(all="ignore"):
+            try:
+                result = node(e)
+            except _Unvouched:  # every point is the scalar path's
+                lines, flags, result = [], [], "nan"
         head = "def f(t):"
         body = ["t = np.asarray(t, dtype=float)", "x = t.ravel()",
                 *(["with np.errstate(all='ignore'):"] if lines else []),

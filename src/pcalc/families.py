@@ -8,7 +8,7 @@ keeps p(t, h) in its domain for small h.  "custom" takes a full p(t, h)
 expression, whose range is not checked, and differentiates it symbolically
 in h; nderiv with an expression F is t + h*F on that path, refused where F
 is not finite at t = 0.1, 1 or 10.  Every kind compiles its trees with
-expr.compile_expr and expr.compile_array.
+expr.compile_expr, and compile_array compiles the multiplier on first use.
 
 Two numerical checks live here as well:
 
@@ -28,8 +28,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     DifferentiationError,
     DomainError,
@@ -38,8 +36,10 @@ from .errors import (
     ParameterError,
     QuadratureError,
 )
-from .expr import (BinOp, Expr, Num, Var, compile_array, compile_expr, differentiate,
-                   parse, substitute, variables)
+from .expr import (EXPR_TYPES, BinOp, Expr, Num, Var, compile_array, compile_expr,
+                   differentiate, parse, substitute, variables)
+
+# np in annotations is numpy, which only the functions that use arrays import
 
 __all__ = [
     "Interval", "PFunction", "make_family", "FAMILY_KINDS",
@@ -87,11 +87,12 @@ class PFunction:
 
     p and ph_zero are methods over the callables given at construction;
     ph_zero checks the domain first.  ph0a is the multiplier's numpy form
-    over a whole array, its compile_array kernel.  It must not raise: a
-    non-finite value marks a point that ph_zero decides.  It is missing
+    over a whole array: a kernel, or the expression that the first
+    ph_zero_array call compiles with compile_array and keeps, as the memo
+    does not for a tree over _MEMO_NODES.  A kernel must not raise: a
+    non-finite value marks a point that ph_zero decides.  ph0a is None
     only for an unavailable custom multiplier, whose every point is then
-    marked.  Instances are immutable by convention; construct them with
-    make_family.
+    marked.  Instances are immutable by convention; use make_family.
     """
 
     __slots__ = ("kind", "alpha", "beta", "F", "domain", "label", "_p", "_ph0", "_ph0a")
@@ -100,7 +101,7 @@ class PFunction:
                  F: Expr | None, domain: Interval, label: str,
                  p: Callable[[float, float], float],
                  ph0: Callable[[float], float],
-                 ph0a: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
+                 ph0a: Expr | Callable[[np.ndarray], np.ndarray] | None = None) -> None:
         self.kind = kind
         self.alpha = alpha
         self.beta = beta
@@ -109,7 +110,7 @@ class PFunction:
         self.label = label
         self._p = p
         self._ph0 = ph0
-        self._ph0a = ph0a or (lambda t: np.full(t.shape, math.nan))
+        self._ph0a = ph0a
 
     def p(self, t: float, h: float) -> float:
         return self._p(t, h)
@@ -123,7 +124,12 @@ class PFunction:
         outside the domain and wherever the kernel cannot vouch for the
         scalar value.  Never raises; resolve(m, t, self.ph_zero) gives
         [ph_zero(x) for x in t], the first failing point raising."""
+        import numpy as np
         t = np.asarray(t, dtype=float)
+        if isinstance(self._ph0a, EXPR_TYPES):
+            self._ph0a = compile_array(self._ph0a)
+        if self._ph0a is None:
+            return np.full(t.shape, math.nan)
         with np.errstate(all="ignore"):
             out = self._ph0a(t)
         out[~self.domain.contains_array(t)] = math.nan
@@ -191,11 +197,12 @@ FAMILY_KINDS = (*_KINDS, "custom")
 
 def _expression_forms(pe: Expr, alpha: float | None, m: Expr | None = None) -> tuple:
     """The forms of a p(t, h) expression at a fixed alpha: p compiled in
-    (t, h), the multiplier m compiled in t alone, scalar and array.  m is
-    by default the symbolic h-derivative of p at h = 0.  alpha and h = 0
-    are folded in as constants after differentiating, never before: the
-    derivative's short cuts drop a product with a numeric 0, so folding
-    first would turn the -0.0 of (0-t)*alpha at alpha = 0 into 0.0."""
+    (t, h), the multiplier m compiled in t alone, and m itself, which
+    ph_zero_array compiles for arrays.  m is by default the symbolic
+    h-derivative of p at h = 0.  alpha and h = 0 are folded in as
+    constants after differentiating, never before: the derivative's short
+    cuts drop a product with a numeric 0, so folding first would turn the
+    -0.0 of (0-t)*alpha at alpha = 0 into 0.0."""
     a = Var("alpha") if alpha is None else Num(float(alpha))  # None: pe has no alpha
     p = compile_expr(substitute(pe, "alpha", a), ("t", "h"))
     if m is None:
@@ -209,7 +216,7 @@ def _expression_forms(pe: Expr, alpha: float | None, m: Expr | None = None) -> t
 
             return p, unavailable, None
     m = substitute(m, "alpha", a)
-    return p, compile_expr(m), compile_array(m)
+    return p, compile_expr(m), m
 
 
 def make_family(kind: str, alpha: float | None = None, beta: float | None = None,

@@ -19,13 +19,13 @@ from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .derivatives import DerivEstimate, FormulaRoute, array_fn, as_scalar_fn, p_derivative_limit
 from .errors import (DifferentiationError, EvaluationError, ParameterError, RootSearchError,
                      UsageError)
 from .expr import Expr, resolve
 from .families import PFunction, _bisect
+
+# np in annotations is numpy, which only the functions that use arrays import
 
 __all__ = ["MvtResult", "MonotonicityReport", "MaxPrincipleReport",
            "find_mvt_point", "find_cauchy_mvt_point", "find_rolle_point",
@@ -86,6 +86,7 @@ def _golden_min(phi: Callable[[float], float], lo: float, hi: float,
 def _scan_for_root(residual: Callable[[float], float], a: float, b: float, tol: float,
                    grid: Callable[[np.ndarray], np.ndarray]) -> tuple[float, tuple[float, float]]:
     """Locate c in (a, b) with residual(c) ~ 0; see module docstring."""
+    import numpy as np
     cs = a + (b - a) * np.arange(1, _GRID_N + 1) / (_GRID_N + 1)
     rs = resolve(grid(cs), cs, residual)
 
@@ -121,6 +122,7 @@ def find_mvt_point(fam: PFunction, f: Expr | str | Callable[[float], float],
                    a: float, b: float, tol: float = 1e-8) -> MvtResult:
     """Find c in (a, b) where the deformation derivative matches the
     multiplier-weighted secant slope of f."""
+    import numpy as np
     _need_interval(a, b)
     fn, e = as_scalar_fn(f)
     slope = (fn(b) - fn(a)) / (b - a)
@@ -146,6 +148,7 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
     sampling: the deformation derivative of g keeps away from zero on
     (a, b), and g separates the endpoints.
     """
+    import numpy as np
     _need_interval(a, b)
     ffn, fe = as_scalar_fn(f)
     gfn, ge = as_scalar_fn(g)
@@ -258,6 +261,7 @@ def max_principle_check(fam: PFunction, f: Expr | str | Callable[[float], float]
     """Locate the maximum of f on [a, b] by dense sampling plus golden
     refinement, then measure the deformation derivative there; it
     vanishes when its magnitude is at most 1e-4."""
+    import numpy as np
     _need_interval(a, b)
     fn, e = as_scalar_fn(f)
     cs = np.linspace(a, b, 2048)

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -15,7 +16,7 @@ from pcalc.derivatives import (
 )
 from pcalc.errors import DifferentiationError, EvaluationError, UsageError
 from pcalc.expr import parse
-from pcalc.families import make_family
+from pcalc.families import PFunction, make_family
 
 KHALIL = make_family("khalil", 0.5)
 CLASSIC = make_family("custom", F="t + h")
@@ -134,6 +135,30 @@ class TestLadderStart:
             assert abs(fam.p(t, h) - t) <= 0.25 * t
             if kind == "khalil" and abs(h) < 1e-2:  # halved, and p is linear in h
                 assert abs(fam.p(t, 2.0 * h) - t) > 0.25 * t  # but no further than needed
+
+    @pytest.mark.parametrize("kind, alpha, F, t", [
+        ("khalil", 0.5, None, 1.3),  # h0 = 1e-2 at once
+        ("katugampola", 0.95, None, 0.00011621677007402848),  # h0 halved
+        ("nderiv", 0.9, None, 1e-4),  # p raises at every h != 0: the check's failures are kept too
+        ("custom", None, "t + 1 + h", 1.0)])  # p(t, 0) != t: h0 is halved below 1e-300
+    @pytest.mark.parametrize("side", ["both", "right", "left"])
+    def test_level_zero_reuses_the_check(self, kind, alpha, F, t, side):
+        fam, calls = make_family(kind, alpha, F=F), []
+
+        def p(t, h):
+            calls.append(h)
+            return fam.p(t, h)
+
+        counted = PFunction(fam.kind, fam.alpha, fam.beta, fam.F, fam.domain, fam.label,
+                            p, fam._ph0)
+        try:
+            want = p_derivative_limit(fam, "t^3", t, side=side)
+        except EvaluationError as exc:
+            with pytest.raises(EvaluationError, match=re.escape(str(exc))):
+                p_derivative_limit(counted, "t^3", t, side=side)
+        else:
+            assert repr(p_derivative_limit(counted, "t^3", t, side=side)) == repr(want)  # NaN
+        assert len(calls) == len(set(calls))  # no p(t, h) is computed twice
 
 
 def _tableau_at_zero(xs, ys):

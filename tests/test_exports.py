@@ -99,3 +99,52 @@ def test_deriv_loads_only_what_it_uses():
     assert "pcalc.derivatives" in loaded
     assert not {"pcalc.integrals", "pcalc.riccati", "pcalc.theorems", "pcalc.weierstrass",
                 "pcalc.corpus", "pcalc.quadrature"} & loaded
+
+
+# the paper's scalar results, each through its plain-float path; none of
+# them builds an array, so none may import numpy
+SCALAR_PASS = """
+import contextlib, io, sys
+from fractions import Fraction
+import pcalc
+import pcalc.cli
+
+fams = [pcalc.make_family(kind, alpha, beta=1.5 if kind == "gfd" else None)
+        for kind, alpha in (("khalil", 0.5), ("katugampola", 0.5), ("gfd", 0.5),
+                            ("nderiv", 0.5), ("cosine", 0.5), ("power", 2.0))]
+# the custom multiplier sqrt(t)/(1 + t) uses only operations whose ufuncs
+# match the scalar ones bit for bit
+custom = pcalc.make_family("custom", F="t + h*sqrt(t)/(1 + t)")
+khalil = fams[0]
+fams.append(custom)
+for fam in fams:
+    t = 1.0 if fam.kind != "cosine" else 0.7
+    pcalc.p_derivative_limit(fam, "sin(t)*t", t)
+    if fam.kind != "power":
+        pcalc.p_derivative_formula(fam, "sin(t)*t", t)
+pcalc.p_integral(khalil, "sin(t)", 0.0, 2.0)
+pcalc.ftc_forward(khalil, "cos(t)", 0.0, 1.0)
+pcalc.ftc_backward(khalil, "t^2", 0.0, 2.0)
+pcalc.integration_by_parts_check(khalil, "t^2", "sin(t)", 0.5, 2.0)
+pcalc.check_l1(khalil, 0.0, 1.0)
+pcalc.compare_definitions(khalil, fams[2], "exp(t)", 1.2)
+pcalc.polygonal_derivative_scan([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], fams[5], [0.5, 1.0])
+pcalc.divergence_report(pcalc.WeierstrassParams(41, 0.9, 2.0), Fraction(1, 3), m_max=3)
+K = ["--family", "khalil", "--alpha", "0.5"]
+for argv in (["deriv", *K, "--f", "t^2", "--t", "4"],
+             ["integral", *K, "--f", "sin(t)", "--a", "0", "--b", "4"],
+             ["ftc", *K, "--f", "corpus:sin", "--a", "0", "--b", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert pcalc.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy loaded by a scalar path"
+
+ts = [0.25, 1.0, 2.5, 7.0]
+got = custom.ph_zero_array(ts)
+assert "numpy" in sys.modules
+assert got.tolist() == [custom.ph_zero(x) for x in ts]
+print("ok")
+"""
+
+
+def test_scalar_calculus_never_imports_numpy():
+    assert _fresh(SCALAR_PASS) == "ok\n"

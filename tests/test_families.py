@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import pcalc.expr
 from pcalc.errors import (
     DifferentiationError,
     DomainError,
@@ -18,6 +19,7 @@ from pcalc.errors import (
     UsageError,
 )
 from pcalc.expr import (
+    _MEMO_NODES,
     _OPS,
     FUNCTIONS,
     BinOp,
@@ -674,6 +676,39 @@ class TestMultiplierArray:
         for x, v in zip(t.ravel().tolist(), got.ravel().tolist()):
             if math.isfinite(v):  # a finite entry never hides a scalar error
                 assert math.isfinite(fam.ph_zero(x))
+
+    def test_kernel_is_compiled_once_per_family(self, monkeypatch):
+        # make_family compiles no array kernel; the first ph_zero_array does,
+        # and keeps it, also for a tree the _generate memo does not hold
+        group = "(" + " + ".join(["t*t"] * 40) + ")"  # the parser nests a chain
+        big = make_family("custom", F=f"t + h*({' + '.join([group] * 5)})")
+        assert big._ph0a._size > _MEMO_NODES
+        fams = [make_family("khalil", 0.5), make_family("nderiv", 0.5, F="ln(t) + alpha"), big]
+        compiled = []
+
+        def counting(generate):
+            def spy(e, names, array):
+                if array:
+                    compiled.append(e)
+                return generate(e, names, array)
+            return spy
+
+        spy = counting(pcalc.expr._generate)
+        spy.__wrapped__ = counting(pcalc.expr._generate.__wrapped__)
+        monkeypatch.setattr(pcalc.expr, "_generate", spy)
+        t = np.linspace(0.5, 2.0, 7)
+        for fam in fams:
+            first = fam.ph_zero_array(t)
+            for _ in range(3):
+                assert np.array_equal(fam.ph_zero_array(t), first)
+            assert first.tolist() == pytest.approx([fam.ph_zero(x) for x in t], rel=1e-15)
+        assert len(compiled) == len(fams)
+
+    def test_unavailable_multiplier_marks_every_point(self):
+        fam = make_family("custom", F="t + abs(h)*t")
+        t = np.array([[0.5, -1.0, 0.0], [2.0, math.inf, math.nan]])
+        got = fam.ph_zero_array(t)
+        assert got.shape == t.shape and np.isnan(got).all()
 
     def test_domain_marks_are_contains(self):
         ends = [-math.inf, -1.0, -0.0, 0.0, math.pi / 2, math.inf]
