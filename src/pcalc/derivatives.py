@@ -93,7 +93,8 @@ def extrapolate_quotient(quotient: Callable[[float], float | None], sign: float,
 
     quotient returns None to skip a level.  Convergence: two successive
     extrapolants (with at least three support points) agree within
-    tol * max(1, |value|).  Returns (value, error, converged, hs, qs).
+    tol * max(1, |value|), and the value is finite (inf <= tol * inf would
+    hold).  Returns (value, error, converged, hs, qs).
 
     The extrapolant is the Neville tableau at h=0.  Each accepted level
     adds one diagonal, diag[j] being the value of the polynomial through
@@ -119,7 +120,7 @@ def extrapolate_quotient(quotient: Callable[[float], float | None], sign: float,
         val = diag[-1]
         if prev is not None:
             last_delta = abs(val - prev)
-            if len(hs) >= 3 and last_delta <= tol * max(1.0, abs(val)):
+            if len(hs) >= 3 and last_delta <= tol * max(1.0, abs(val)) and math.isfinite(val):
                 return val, last_delta, True, hs, qs
         prev = val
     if prev is None:

@@ -6,22 +6,20 @@ certificate (ball radius b, contraction factor k = 2 b |1/ph_zero|_L1)
 gates the iteration; an infeasible certificate raises unless the caller
 overrides, and the override is recorded in the solution.
 
-Discretization: nodes are placed uniformly in the transformed time
-tau(t) = integral of 1/ph_zero (_TauMachine), where the problem is an
-ordinary du/dtau = q - u^2.  The running integral is summed per grid
-panel at the 15 Kronrod nodes, whose weights fold in 1/ph_zero; past the
-first interval each node reads tau from its own panel's weight samples
-(the spectral integration matrix; Greengard 1991).  That matrix and the
-tau table's coefficient map are fixed; each process solves them once, on
-first use (_gk15_tables), so a solve's set-up only samples and
-multiplies what depends on the problem.  All nodes of a panel read the
-iterate through one cubic stencil in tau, so the panel's sum of q - u^2
-is a quadratic form A_p - U_p' M_p U_p in four stencil values, and a
-Picard sweep is a gather and two small einsums.  Set-up samples ph_zero
-and q through their marked array forms (PFunction.ph_zero_array,
-expr.compile_array); expr.resolve gives the points they mark to the
-scalar forms in index order, so the first failing point raises the
-scalar error; then _weight, the one check of the multiplier, refuses it.
+Discretization: nodes are uniform in the transformed time tau(t) =
+integral of 1/ph_zero (_TauMachine), where the problem is an ordinary
+du/dtau = q - u^2.  The running integral is summed per grid panel at the
+15 Kronrod nodes, whose weights fold in 1/ph_zero; past the first
+interval each node reads tau from its own panel's samples (the spectral
+integration matrix, Greengard 1991; _gk15_tables solves it once).  A
+panel reads the iterate through one cubic stencil in tau, so its sum of
+q - u^2 is a quadratic form A_p - U_p' M_p U_p in four stencil values;
+a Picard sweep is a gather, two small einsums and a running sum into the
+spare of two buffers.  On arrays this small numpy's Python-level wrappers
+(np.clip, np.select, np.max) cost more than the arithmetic, so each step
+calls a ufunc or its reduce directly.  Set-up samples ph_zero and q
+through their marked array forms; expr.resolve gives the marked points
+to the scalar forms in index order, and _weight checks ph_zero.
 """
 
 from __future__ import annotations
@@ -124,90 +122,97 @@ class RiccatiSolution:
         return float(np.asarray(self.u)[i0[0]:i0[0] + 4] @ w[0])
 
 
+def _clamp(x, lo, hi) -> np.ndarray:
+    return np.minimum(np.maximum(x, lo), hi)  # np.clip's values without its Python wrapper
+
+
 def _weight(fam: PFunction, m: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """t = y^m and W(y) = (dt/dy) / ph_zero(t), 0 where t underflows.  After resolve,
     refuses the first sample with t > 0 where ph_zero or W is not finite, or ph_zero <= 0."""
     t = y ** m
-    ph, x = np.full(t.shape, math.inf), t[t > 0.0]
-    ph[t > 0.0] = resolve(fam.ph_zero_array(x), x, fam.ph_zero)
+    live = t > 0.0
+    ph, x = np.full(t.shape, math.inf), t[live]
+    ph[live] = resolve(fam.ph_zero_array(x), x, fam.ph_zero)
     with np.errstate(divide="ignore", over="ignore"):
         w = m * y ** (m - 1.0) / ph
-    bad = (t > 0.0) & ~(np.isfinite(ph) & (ph > 0.0) & np.isfinite(w))
+    bad = live & ~(np.isfinite(ph) & (ph > 0.0) & np.isfinite(w))
     if bad.any():
         tb, pb = float(t[bad][0]), float(ph[bad][0])  # the first, in resolve's order
         raise ParameterError(f"solver needs ph_zero > 0 on (0, T]; found {pb!r} at t={tb:g}")
     return t, w
 
 
-def _horner(C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # tau - taus[j] at reference coordinate r, C = _coef[:, j], and its r-derivative
-    p, dp = C[15], np.zeros_like(r)
+def _horner_value(C: np.ndarray, r: np.ndarray) -> np.ndarray:
+    p = C[15].copy()  # tau - taus[j] at cell coordinate r, C = _coef[:, j]; in place on a copy
     for k in range(14, -1, -1):
-        dp = dp * r + p
-        p = p * r + C[k]
+        p *= r
+        p += C[k]
+    return p
+
+
+def _horner(C: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p, dp = C[15].copy(), np.zeros(r.shape)  # the value and its r-derivative
+    for k in range(14, -1, -1):
+        dp *= r
+        dp += p
+        p *= r
+        p += C[k]
     return p, dp
 
 
 class _TauMachine:
     """Transformed time tau(t) = integral_0^t 1/ph_zero and its inverse.
 
-    Works in y = t^(1/m), m chosen from the left-endpoint exponent of
-    1/ph_zero, so that every reference cell sees a nearly linear weight
-    W(y).  Each cell samples W at the 15 Kronrod nodes: taus accumulates
-    the GK15 cell sums, and _coef holds, one row per power of the cell's
-    coordinate r in [-1, 1], the integral from r = -1 of the polynomial
-    through those samples: one product with the cached map G (GK15
-    integrates that polynomial exactly, so the table is continuous).
-    tau_of and t_of_tau gather a point's coefficients once; t_of_tau
-    inverts by Newton steps on the W interpolant, started from the cell's
-    linear guess, in a shrinking bracket, bisecting when a step leaves it
-    (3-4 passes over the solver's targets).  The solver inverts its grid
-    and tau-midpoints in one call; its panels read tau from their own
-    samples, so tau_of serves only the first interval and interpolate.
+    Works in y = t^(1/m), m fitted to the left-endpoint exponent of 1/ph_zero,
+    so each reference cell sees a nearly linear weight W(y), sampled at its
+    15 Kronrod nodes: taus accumulates the GK15 cell sums, and _coef (a row
+    per power of the cell coordinate r) the integral from r = -1 of the
+    samples' polynomial.  tau_of reads it by a value-only Horner loop;
+    t_of_tau inverts the solver's grid and tau-midpoints in one call by
+    Newton steps (_horner: value and slope) from each cell's linear guess,
+    bisecting when a step leaves a shrinking bracket (3-4 passes).
     """
 
-    __slots__ = ("fam", "T", "m", "ys", "taus", "tau_total", "_coef")
+    __slots__ = ("fam", "T", "m", "ys", "taus", "tau_total", "_coef", "_mid", "_half")
 
     def __init__(self, fam: PFunction, T: float) -> None:
         self.fam, self.T = fam, T
         gamma = endpoint_exponent(lambda x: 1.0 / fam.ph_zero(x), 0.0, T, "left")
         self.m = 1.0 if gamma is None else min(2.0 / (1.0 - gamma), 64.0)
         ys = self.ys = T ** (1.0 / self.m) * np.arange(_REF_CELLS + 1) / _REF_CELLS
-        mid, half = 0.5 * (ys[:-1] + ys[1:]), 0.5 * (ys[1:] - ys[:-1])
+        mid, half = self._mid, self._half = 0.5 * (ys[:-1] + ys[1:]), 0.5 * (ys[1:] - ys[:-1])
         _, vals = _weight(fam, self.m, mid[:, None] + half[:, None] * _NODES_A)
         self.taus = np.concatenate([[0.0], np.cumsum(half * (vals @ _WEIGHTS_K_A))])
         self.tau_total = float(self.taus[-1])
         self._coef = (half[:, None] * (vals @ _gk15_tables()[0])).T  # one row per power
 
     def tau_of(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        t = np.array(t, dtype=float, copy=None, ndmin=1)
         y = np.minimum(np.maximum(t, 0.0) ** (1.0 / self.m), self.ys[-1])
-        j = np.clip(np.searchsorted(self.ys, y) - 1, 0, len(self.ys) - 2)
-        a, b = self.ys[j], self.ys[j + 1]
-        r = (y - 0.5 * (a + b)) / (0.5 * (b - a))
-        tau = self.taus[j] + _horner(self._coef[:, j], r)[0]
-        return np.select([t <= 0.0, t >= self.T], [0.0, self.tau_total], tau)
+        j = _clamp(self.ys.searchsorted(y) - 1, 0, len(self.ys) - 2)
+        r = (y - self._mid[j]) / self._half[j]
+        tau = self.taus[j] + _horner_value(self._coef[:, j], r)
+        return np.where(t <= 0.0, 0.0, np.where(t >= self.T, self.tau_total, tau))
 
     def t_of_tau(self, s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        j = np.clip(np.searchsorted(self.taus, s) - 1, 0, len(self.taus) - 2)
+        s = np.array(s, dtype=float, copy=None, ndmin=1)
+        j = _clamp(self.taus.searchsorted(s) - 1, 0, len(self.taus) - 2)
         goal = s - self.taus[j]
         inside = (s > 0.0) & (s < self.tau_total)  # the others are set below
         width = self.taus[j + 1] - self.taus[j]  # Newton starts from the cell's linear guess
-        r = np.divide(2.0 * goal, width, out=np.ones_like(s), where=width > 0.0) - 1.0
-        lo, hi, r = -np.ones_like(s), np.ones_like(s), np.clip(r, -1.0, 1.0)
-        C = self._coef[:, j]
+        lo, hi, C = np.full(s.shape, -1.0), np.ones(s.shape), self._coef[:, j]
+        r = _clamp(np.divide(2.0 * goal, width, out=hi.copy(), where=width > 0.0) - 1.0, lo, hi)
         for _ in range(_NEWTON_STEPS):
             f, d = _horner(C, r)
-            f = f - goal
-            lo, hi = np.where(f < 0.0, r, lo), np.where(f < 0.0, hi, r)
-            step = np.divide(f, d, out=np.zeros_like(f), where=d > 0.0)
-            prev, r = r, np.clip(r - step, -1.0, 1.0)  # a root on a cell edge
-            r = np.where((d > 0.0) & (lo <= r) & (r <= hi), r, 0.5 * (lo + hi))
-            if np.all((np.abs(r - prev) <= 1e-15) | ~inside):
+            f -= goal
+            below, rising = f < 0.0, d > 0.0
+            lo, hi = np.where(below, r, lo), np.where(below, hi, r)
+            step = np.divide(f, d, out=np.zeros(f.shape), where=rising)
+            prev, r = r, _clamp(r - step, -1.0, 1.0)  # a root on a cell edge
+            r = np.where(rising & (lo <= r) & (r <= hi), r, 0.5 * (lo + hi))
+            if np.logical_and.reduce((np.abs(r - prev) <= 1e-15) | ~inside):
                 break
-        a, b = self.ys[j], self.ys[j + 1]
-        t = (0.5 * (a + b) + 0.5 * (b - a) * r) ** self.m
+        t = (self._mid[j] + self._half[j] * r) ** self.m
         return np.where(inside, t, np.where(s <= 0.0, 0.0, self.T))
 
 
@@ -216,19 +221,24 @@ def _value_weights(s: np.ndarray, dtau: float, n: int) -> tuple[np.ndarray, tupl
     each one's first grid index, distances to its four nodes in units of
     dtau, and value weights (basis j: other nodes a, b, c, prod(j - k))."""
     pos = s / dtau
-    i0 = np.clip(np.floor(pos).astype(int) - 1, 0, n - 3)
+    i0 = _clamp(np.floor(pos).astype(int) - 1, 0, n - 3)
     xi = pos - i0
     d = (xi, xi - 1.0, xi - 2.0, xi - 3.0)
-    return i0, d, np.column_stack([d[a] * d[b] * d[c] / den for a, b, c, den in _LAGRANGE])
+    return i0, d, _columns(d, lambda a, b, c: a * b * c)
 
 
-def _stencil_rows(s: np.ndarray, dtau: float,
-                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _columns(d: tuple, term) -> np.ndarray:
+    out = np.empty((len(d[0]), 4))  # a row of four weights per point, filled a column at a time
+    for j, (a, b, c, den) in enumerate(_LAGRANGE):
+        np.divide(term(d[a], d[b], d[c]), den, out=out[:, j])
+    return out
+
+
+def _stencil_rows(s: np.ndarray, dtau: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid indices, value weights and derivative weights (per unit of
     s / dtau) of the stencils _value_weights places at s."""
     i0, d, w = _value_weights(s, dtau, n)
-    dw = np.column_stack([(d[b] * d[c] + d[a] * d[c] + d[a] * d[b]) / den
-                          for a, b, c, den in _LAGRANGE])
+    dw = _columns(d, lambda a, b, c: b * c + a * c + a * b)
     return i0[:, None] + np.arange(4), w, dw
 
 
@@ -262,9 +272,9 @@ def _build_discretization(qa, machine: _TauMachine, n: int) -> _Discretization:
     Lw = _value_weights(tau_at, float(targets[2]), n)[2].reshape(*W.shape, 4)
     # every node of grid panel p reads U through the stencil starting at clip(p - 1, 0, n - 3)
     panels = np.concatenate([[0], nsub0 + np.arange(n - 1)])
-    A = np.add.reduceat(np.sum(WT * qa(X.ravel()).reshape(W.shape), axis=1), panels)
-    M = np.add.reduceat(np.swapaxes(WT[..., None] * Lw, 1, 2) @ Lw, panels)
-    stencil = np.clip(np.arange(n) - 1, 0, n - 3)[:, None] + np.arange(4)
+    A = np.add.reduceat(np.add.reduce(WT * qa(X.ravel()).reshape(W.shape), axis=1), panels)
+    M = np.add.reduceat((WT[..., None] * Lw).swapaxes(1, 2) @ Lw, panels)
+    stencil = _clamp(np.arange(n) - 1, 0, n - 3)[:, None] + np.arange(4)
     return _Discretization(t_nodes, t_all[1::2], targets[::2], stencil, A, M, qa(t_nodes))
 
 
@@ -285,7 +295,7 @@ def _certificate(fam: PFunction, qa, T: float, u0: float) -> ContractionCertific
                                  "no contraction setup exists")
     l1 = rep.estimate
     qs = np.abs(qa(np.linspace(0.0, T, 2049)))
-    q_inf = float(qs[0] if math.isnan(qs[0]) else np.nanmax(qs))  # as max() over the points
+    q_inf = float(qs[0] if math.isnan(qs[0]) else np.fmax.reduce(qs))  # as max() over the points
     # sqrt last: a NaN q_inf leaves b alone; b / (...) first: NaN margin if q_inf is not finite
     b = max(abs(u0), 1e-6, math.sqrt(q_inf))
     margin = min(b / (q_inf + b * b), 1.0 / (2.0 * b)) - l1
@@ -319,22 +329,22 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
         raise ParameterError(f"transformed horizon tau(T) = {machine.tau_total!r} underflows")
     disc = _build_discretization(qa, machine, n)
 
-    U = np.full(n + 1, float(u0) if start is None else float(start))
+    U, new = np.full(n + 1, float(u0) if start is None else float(start)), np.empty(n + 1)
     updates: list[float] = []
-    max_norm = float(np.max(np.abs(U)))
-    growth = 0
+    max_norm, growth = float(np.maximum.reduce(np.abs(U))), 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in the finiteness check
         for _ in range(_MAX_SWEEPS):
             Up = U[disc.stencil]
             panel = disc.A - np.einsum("pi,pi->p", Up, np.einsum("pij,pj->pi", disc.M, Up))
-            new = np.concatenate([[u0], u0 + np.cumsum(panel)])
-            delta = float(np.max(np.abs(new - U)))
+            new[0] = u0
+            np.add(np.add.accumulate(panel, out=new[1:]), u0, out=new[1:])
+            delta = float(np.maximum.reduce(np.abs(new - U)))
             if not math.isfinite(delta):
                 raise DivergenceError("iterate became non-finite")
             growth = growth + 1 if updates and delta > updates[-1] else 0
             updates.append(delta)
-            U = new
-            max_norm = max(max_norm, float(np.max(np.abs(U))))
+            U, new = new, U  # the old iterate's buffer takes the next sweep
+            max_norm = max(max_norm, float(np.maximum.reduce(np.abs(U))))
             if delta <= tol:
                 break
             if growth >= 5:
@@ -346,22 +356,13 @@ def solve_riccati(problem: RiccatiProblem, *, override: bool = False,
     # interior residual of the converged grid function, 4th-order in tau
     i = np.arange(2, n - 1)
     du = (U[i - 2] - 8.0 * U[i - 1] + 8.0 * U[i + 1] - U[i + 2]) / (12.0 * disc.tau_nodes[1])
-    residual = float(np.max(np.abs(du + U[i] ** 2 - disc.q_grid[i])))
+    residual = float(np.maximum.reduce(np.abs(du + U[i] ** 2 - disc.q_grid[i])))
 
     return RiccatiSolution(
-        grid=tuple(disc.t_nodes.tolist()),
-        u=tuple(U.tolist()),
-        tau=tuple(disc.tau_nodes.tolist()),
-        iterations=len(updates),
-        final_delta=updates[-1],
-        residual=residual,
-        certificate=cert,
-        updates=tuple(updates),
-        max_iterate_norm=max_norm,
-        override=override,
-        _machine=machine,
-        _t_mid=disc.t_mid,
-    )
+        grid=tuple(disc.t_nodes.tolist()), u=tuple(U.tolist()),
+        tau=tuple(disc.tau_nodes.tolist()), iterations=len(updates), final_delta=updates[-1],
+        residual=residual, certificate=cert, updates=tuple(updates), max_iterate_norm=max_norm,
+        override=override, _machine=machine, _t_mid=disc.t_mid)
 
 
 def riccati_residual(fam: PFunction, sol: RiccatiSolution, q) -> float:
@@ -370,8 +371,7 @@ def riccati_residual(fam: PFunction, sol: RiccatiSolution, q) -> float:
     Reads the solution through its cubic tau-interpolant, so a perturbed
     grid value shows up as a large defect.
     """
-    qa = as_array_fn(q)
-    u = np.asarray(sol.u)
+    qa, u = as_array_fn(q), np.asarray(sol.u)
     n, dtau = len(u) - 1, sol.tau[1] - sol.tau[0]
     s = (np.arange(n) + 0.5) * dtau
     idx, w, dw = _stencil_rows(s, dtau, n)
@@ -379,4 +379,4 @@ def riccati_residual(fam: PFunction, sol: RiccatiSolution, q) -> float:
     der = np.einsum("ij,ij->i", dw, u[idx]) / dtau
     t_mid = sol._t_mid if sol._t_mid is not None else (  # a detached solution inverts again
         sol._machine or _TauMachine(fam, sol.grid[-1])).t_of_tau(s)
-    return float(np.max(np.abs(der + val * val - qa(t_mid))))
+    return float(np.maximum.reduce(np.abs(der + val * val - qa(t_mid))))

@@ -190,6 +190,18 @@ class TestExtrapolation:
                           if q is not None][:len(hs)]
             assert struct.pack("<d", val) == struct.pack("<d", _tableau_at_zero(hs, qs))
 
+    def test_infinite_extrapolant_is_not_converged(self):
+        # the third level's extrapolant is inf, and inf <= tol * max(1, inf) held
+        levels = iter([1.0, 1.0, math.inf, math.inf, math.inf])
+        _, _, converged, hs, _ = extrapolate_quotient(lambda h: next(levels), 1.0, 1.0, 1e-8, 5)
+        assert not converged and len(hs) == 5
+
+    def test_overflowing_ladder_reports_no_convergence(self):
+        # p(t, 0) = t + 1: the h0 check halves h0 to 9.6e-301, the quotients run
+        # up to 1.05e308 and the extrapolant overflows; it was reported converged
+        est = p_derivative_limit(make_family("custom", F="t + 1 + h"), "t^2", 1.0, side="right")
+        assert est.value == math.inf and not est.converged
+
 
 class TestFormulaRoute:
     def test_frozen_point(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from pcalc.derivatives import as_array_fn
 from pcalc.errors import (
@@ -18,6 +19,7 @@ from pcalc.errors import (
 )
 from pcalc.families import L1Report, PFunction, make_family
 from pcalc.riccati import (
+    _LAGRANGE,
     _NODES_A,
     _WEIGHTS_K_A,
     RiccatiProblem,
@@ -25,6 +27,7 @@ from pcalc.riccati import (
     _certificate,
     _gk15_tables,
     _horner,
+    _horner_value,
     _stencil_rows,
     _TauMachine,
     _value_weights,
@@ -302,6 +305,74 @@ class TestTauTable:
         sol = solve_riccati(sqrt_decay_problem(grid_n=512))
         riccati_residual(KHALIL, sol, "0")
         assert calls[0] < 50_000
+
+    @pytest.mark.parametrize("fam,T", PANEL_CASES, ids=PANEL_IDS)
+    def test_tau_of_pins_the_ends(self, fam, T):
+        machine = _TauMachine(fam, T)
+        got = machine.tau_of([-1.0, 0.0, T, 2.0 * T, math.inf, math.nan])
+        total = machine.tau_total
+        assert got[:5].tolist() == [0.0, 0.0, total, total, total]
+        assert math.isnan(got[5])
+
+    @pytest.mark.parametrize("fam,T", PANEL_CASES, ids=PANEL_IDS)
+    def test_t_of_tau_pins_the_ends(self, fam, T):
+        # a NaN target is not inside (0, tau_total) and not <= 0, so it maps to T
+        machine = _TauMachine(fam, T)
+        total = machine.tau_total
+        got = machine.t_of_tau([-1.0, 0.0, total, 2.0 * total, math.nan])
+        assert got.tolist() == [0.0, 0.0, T, T, T]
+
+
+def _plain_horner(C, r):
+    # the reference loop: a new array per step
+    p, dp = C[15], np.zeros_like(r)
+    for k in range(14, -1, -1):
+        dp = dp * r + p
+        p = p * r + C[k]
+    return p, dp
+
+
+def _plain_stencils(s, dtau, n):
+    # the reference stencils, built with np.clip and np.column_stack
+    pos = s / dtau
+    i0 = np.clip(np.floor(pos).astype(int) - 1, 0, n - 3)
+    xi = pos - i0
+    d = (xi, xi - 1.0, xi - 2.0, xi - 3.0)
+    w = np.column_stack([d[a] * d[b] * d[c] / den for a, b, c, den in _LAGRANGE])
+    dw = np.column_stack([(d[b] * d[c] + d[a] * d[c] + d[a] * d[b]) / den
+                          for a, b, c, den in _LAGRANGE])
+    return i0, w, dw
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelsMatchPlainForms:
+    @given(npst.arrays(np.float64, st.tuples(st.just(16), st.integers(1, 12)),
+                       elements=st.floats(-1.0, 1.0)),
+           st.data())
+    def test_horner_loops_are_bit_identical(self, C, data):
+        r = data.draw(npst.arrays(np.float64, C.shape[1], elements=st.floats(-1.0, 1.0)))
+        kept = C.copy()
+        p, dp = _plain_horner(C, r)
+        got_p, got_dp = _horner(C, r)
+        assert _same_bits(got_p, p) and _same_bits(got_dp, dp)
+        assert _same_bits(_horner_value(C, r), p)
+        assert _same_bits(C, kept)  # the loops work on a copy of C[15]
+
+    @given(npst.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1.0, 1.0)),
+           st.sampled_from([1.0, 0.37, 1e-3]))
+    def test_stencil_columns_are_bit_identical(self, r, dtau):
+        n = 16
+        s = (r + 1.0) * (0.5 * n * dtau)  # spans the whole grid, both ends included
+        i0, w, dw = _plain_stencils(s, dtau, n)
+        got_i0, _, got_w = _value_weights(s, dtau, n)
+        idx, got_w2, got_dw = _stencil_rows(s, dtau, n)
+        assert _same_bits(got_i0, i0) and _same_bits(idx, i0[:, None] + np.arange(4))
+        for got in (got_w, got_w2):
+            assert _same_bits(got, w) and got.flags.c_contiguous
+        assert _same_bits(got_dw, dw) and got_dw.flags.c_contiguous
 
 
 def _grid_panels(machine, n):

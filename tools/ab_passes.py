@@ -1,19 +1,21 @@
 """Time perfbench passes of two pcalc trees, alternating, in one process.
 
-    python3 tools/ab_passes.py --parent DIR --change DIR [--passes N] [--seed S]
+    python3 tools/ab_passes.py --parent DIR --change DIR [--passes N] [--seed S] \
+        [--workload NAME ...]
 
 Each DIR is a pcalc checkout; its ``src/pcalc`` is imported under its own
 name space.  One tree is imported in full (every submodule, and every
 export bound in the package, since ``pcalc.__getattr__`` imports through
 ``sys.modules``), then its ``sys.modules`` entries are moved aside before
 the other is imported, and put back whenever that tree runs, so that an
-import inside a function finds its own tree.  The ``calculus``, ``scan`` and ``riccati``
-workloads of the change's ``perfbench/`` are built against each tree with
-the same seed.  Whole passes then alternate, the parent first on even
-pairs, and the script prints per workload the median pass time of each
-side, the median of the per-pair change/parent ratios and the pairs the
-change won; under it, the median per-pair ratio of each slot kind of the
-workload (``riccati_n64`` ... ``riccati_n512``, say), which tells fixed
+import inside a function finds its own tree.  The ``calculus``, ``scan``
+and ``riccati`` workloads of the change's ``perfbench/``, or those named
+with ``--workload``, are built against each tree with the same seed.
+Whole passes then alternate, the parent first on even pairs, and the
+script prints per workload the median pass time of each side, the median
+of the per-pair change/parent ratios and the pairs the change won; under
+it, the median per-pair ratio of each slot kind of the workload
+(``riccati_n64`` ... ``riccati_n512``, say), which tells fixed
 per-operation cost from cost that grows with the input.  Operations that
 raise are counted, not judged.
 
@@ -100,6 +102,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--passes", type=int, default=20)
     ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--workload", action="append", choices=WORKLOADS,
+                    help="a workload to time (repeatable; default: all three)")
     args = ap.parse_args(argv)
     trees = {"parent": load_pcalc(args.parent), "change": load_pcalc(args.change)}
     sys.path.insert(0, str(args.change.resolve() / "perfbench"))
@@ -107,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{args.passes} alternating passes per side, seed {args.seed}")
     print(f"{'workload':10} {'parent ms':>10} {'change ms':>10} {'ratio':>7} {'won':>7}  raised")
-    for name in WORKLOADS:
+    for name in args.workload or WORKLOADS:
         builds = {}
         for side, modules in trees.items():
             sys.modules.update(modules)

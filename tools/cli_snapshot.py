@@ -248,6 +248,9 @@ LADDER = [
     ["ftc", "--family", "katugampola", "--alpha", "0.95", "--f", "t^3", "--a", "1e-6",
      "--b", "1.1621677007402848e-4"],
     ["ftc", *NDERIV, "--f", "sin(t)", "--a", "0", "--b", "1e-3"],
+    # p(t, 0) != t: h0 halves to 1e-300 and the extrapolant overflows, which is no convergence
+    ["deriv", "--family", "custom", "--p", "t + 1 + h", "--f", "t^2", "--t", "1",
+     "--side", "right"],
 ]
 
 # the command lookup: the first token that is not an option names the
