@@ -130,7 +130,9 @@ def _family_from(args, suffix: str = "") -> PFunction:
     if kind == "custom":
         if p_expr is None:
             raise UsageError("custom family needs --p EXPR (the full p(t, h))")
-        return make_family("custom", alpha, F=p_expr)
+        if f_expr is not None:
+            raise UsageError(f"--F{suffix} does not apply to the custom family; use --p{suffix}")
+        return make_family("custom", alpha, beta=beta, F=p_expr)
     if p_expr is not None:
         raise UsageError("--p only applies to the custom family")
     return make_family(kind, alpha, beta=beta, F=f_expr)

@@ -30,8 +30,9 @@ identifiers pi and e are predefined constants.  Any other identifier must
 be one of the allowed variable names {t, x, h, alpha, beta} or a caller
 declared parameter; unknown names are rejected at parse time.
 
-The domain rules live in one operator table (_OPS), which evaluate and
-the generated code both call; a BinOp or Call not in it is a UsageError.
+Each operation is one row of the operator table _OPS: its domain rule,
+ufunc and derivative rule, which four walkers read (evaluate, both
+compile targets and differentiate).  Any other BinOp or Call is a UsageError.
 """
 
 from __future__ import annotations
@@ -142,17 +143,6 @@ _signed = lambda v: (v, math.copysign(1.0, v))  # Num's key: 0.0 and -0.0 differ
 
 DEFAULT_VARIABLES = frozenset({"t", "x", "h", "alpha", "beta"})
 CONSTANTS: dict[str, float] = {"pi": math.pi, "e": math.e}
-
-FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "gamma": math.gamma,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +278,7 @@ def _parse_memo(source: str, params: tuple[str, ...]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# The operator table
 # ---------------------------------------------------------------------------
 
 def _domain_error(exc: ArithmeticError | ValueError, what: str) -> EvaluationError:
@@ -309,9 +299,8 @@ def _power(a: float, b: float) -> float:
         raise _domain_error(exc, f"{a!r}^{b!r}") from exc
 
 
-def _checked(func: str) -> Callable[[float], float]:
-    fn = FUNCTIONS[func]
-
+def _checked(func: str, fn: Callable[[float], float]) -> Callable[[float], float]:
+    @functools.wraps(fn)  # FUNCTIONS reads fn back as __wrapped__
     def call(x: float) -> float:
         try:
             return fn(x)
@@ -321,21 +310,127 @@ def _checked(func: str) -> Callable[[float], float]:
     return call
 
 
+# the derivative rules' tree builders: light constant folding, no simplifier
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+_Deriv = Union[Expr, None]  # a derivative, or None for a subtree free of the variable
+
+
+def _is_num(e: Expr, v: float) -> bool:
+    return isinstance(e, Num) and e.value == v
+
+
+def _fold(op: str, a: Expr, b: Expr) -> Expr:
+    # BinOp(op, a, b), or its value when both are numbers and it is finite;
+    # only + - * meet two numbers (every divisor depends on the variable)
+    if isinstance(a, Num) and isinstance(b, Num):
+        value = _OPS[op].scalar(a.value, b.value)
+        if math.isfinite(value):
+            return Num(value)
+    return BinOp(op, a, b)
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    if _is_num(a, 0.0):
+        return b
+    if _is_num(b, 0.0):
+        return a
+    return _fold("+", a, b)
+
+
+def _sub(a: Expr, b: Expr) -> Expr:
+    if _is_num(b, 0.0):
+        return a
+    if _is_num(a, 0.0):
+        return _neg(b)
+    return _fold("-", a, b)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if _is_num(a, 0.0) or _is_num(b, 0.0):
+        return _ZERO
+    if _is_num(a, 1.0):
+        return b
+    if _is_num(b, 1.0):
+        return a
+    return _fold("*", a, b)
+
+
+def _div(a: Expr, b: Expr) -> Expr:
+    if _is_num(a, 0.0):
+        return _ZERO
+    return _fold("/", a, b)
+
+
+def _pow(a: Expr, b: Expr) -> Expr:
+    if _is_num(b, 1.0):
+        return a
+    if _is_num(b, 0.0):
+        return _ONE
+    return BinOp("^", a, b)
+
+
+def _neg(a: Expr) -> Expr:
+    if isinstance(a, Num):
+        return Num(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+def _quotient_rule(e: Expr, u: Expr, v: Expr, du: _Deriv, dv: _Deriv, kinks: bool) -> Expr:
+    return _div(_sub(_mul(du or _ZERO, v), _mul(u, dv or _ZERO)), _pow(v, Num(2.0)))
+
+
+def _power_rule(e: Expr, u: Expr, v: Expr, du: _Deriv, dv: _Deriv, kinks: bool) -> Expr:
+    if du is None:  # c^v -> c^v * ln(c) * v'
+        return _mul(_mul(e, Call("ln", u)), dv)
+    if dv is None:  # u^c -> c * u^(c-1) * u'
+        expm1 = _sub(v, _ONE) if not isinstance(v, Num) else Num(v.value - 1.0)
+        return _mul(_mul(v, _pow(u, expm1)), du)
+    # general u^v -> u^v * (v' ln u + v u'/u)
+    return _mul(e, _add(_mul(dv, Call("ln", u)), _mul(v, _div(du, u))))
+
+
+def _chain(outer: Callable[[Expr, Expr], Expr]) -> Callable[..., Expr]:
+    """The rule f(u)' = outer(f(u), u) * u'."""
+    return lambda e, u, du, kinks: _mul(outer(e, u), du)
+
+
 class _Rule(NamedTuple):
     scalar: Callable[..., float]  # checked: raises EvaluationError on a domain violation
     ufunc: str | None  # its numpy ufunc by name, for arrays only, or None (gamma)
+    derivative: Callable[..., _Deriv]  # of (node, *operands, *their _Derivs, kinks); None refuses
 
 
-# the one operator table: each domain rule is written here and nowhere else
+# the one operator table: each operation's rules are written here and nowhere else
 _OPS: dict[str, _Rule] = {
-    "+": _Rule(operator.add, "add"), "-": _Rule(operator.sub, "subtract"),
-    "*": _Rule(operator.mul, "multiply"), "/": _Rule(_divide, "divide"),
-    "^": _Rule(_power, "power"),
-    **{func: _Rule(_checked(func), ufunc) for func, ufunc in (
-        ("sin", "sin"), ("cos", "cos"), ("tan", "tan"), ("exp", "exp"),
-        ("ln", "log"), ("sqrt", "sqrt"), ("abs", "abs"), ("gamma", None))},
+    "+": _Rule(operator.add, "add",
+               lambda e, u, v, du, dv, kinks: _add(du or _ZERO, dv or _ZERO)),
+    "-": _Rule(operator.sub, "subtract",
+               lambda e, u, v, du, dv, kinks: _sub(du or _ZERO, dv or _ZERO)),
+    "*": _Rule(operator.mul, "multiply",
+               lambda e, u, v, du, dv, kinks: _add(_mul(du or _ZERO, v), _mul(u, dv or _ZERO))),
+    "/": _Rule(_divide, "divide", _quotient_rule),
+    "^": _Rule(_power, "power", _power_rule),
+    **{func: _Rule(_checked(func, fn), ufunc, derivative) for func, fn, ufunc, derivative in (
+        ("sin", math.sin, "sin", _chain(lambda e, u: Call("cos", u))),
+        ("cos", math.cos, "cos", _chain(lambda e, u: _neg(Call("sin", u)))),
+        ("tan", math.tan, "tan", _chain(lambda e, u: _div(_ONE, _pow(Call("cos", u), Num(2.0))))),
+        ("exp", math.exp, "exp", _chain(lambda e, u: e)),
+        ("ln", math.log, "log", lambda e, u, du, kinks: _div(du, u)),
+        ("sqrt", math.sqrt, "sqrt", lambda e, u, du, kinks: _div(du, _mul(Num(2.0), e))),
+        ("abs", abs, "abs", lambda e, u, du, kinks: _mul(_div(u, e), du) if kinks else None),
+        ("gamma", math.gamma, None, lambda e, u, du, kinks: None))},  # gamma' needs digamma
 }
 
+FUNCTIONS: dict[str, Callable[[float], float]] = {
+    func: rule.scalar.__wrapped__ for func, rule in _OPS.items() if func not in _BINARY}
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
 
 def evaluate(e: Expr, env: Env) -> float:
     """Evaluate an expression to a float by walking the tree.
@@ -532,72 +627,6 @@ def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
 # Differentiation (with light constant folding; no simplification engine)
 # ---------------------------------------------------------------------------
 
-_ZERO = Num(0.0)
-_ONE = Num(1.0)
-
-
-def _is_num(e: Expr, v: float | None = None) -> bool:
-    return isinstance(e, Num) and (v is None or e.value == v)
-
-
-def _fold(op: str, a: Expr, b: Expr) -> Expr:
-    # BinOp(op, a, b), or its value when both are numbers and it is finite;
-    # only + - * meet two numbers (every divisor depends on the variable)
-    if isinstance(a, Num) and isinstance(b, Num):
-        value = _OPS[op].scalar(a.value, b.value)
-        if math.isfinite(value):
-            return Num(value)
-    return BinOp(op, a, b)
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0):
-        return b
-    if _is_num(b, 0.0):
-        return a
-    return _fold("+", a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a, 0.0):
-        return _neg(b)
-    return _fold("-", a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return _ZERO
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    return _fold("*", a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0):
-        return _ZERO
-    return _fold("/", a, b)
-
-
-def _pow(a: Expr, b: Expr) -> Expr:
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(b, 0.0):
-        return _ONE
-    return BinOp("^", a, b)
-
-
-def _neg(a: Expr) -> Expr:
-    if isinstance(a, Num):
-        return Num(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
-
-
 def differentiate(e: Expr, var: str = "t") -> Expr:
     """Symbolic derivative of e with respect to `var`.
 
@@ -617,73 +646,28 @@ def _memo(fn: Callable[..., Any], e: Expr) -> Callable[..., Any]:
 def _differentiate(e: Expr, var: str, kinks: bool) -> Expr:
     # kinks=True differentiates abs(u) as (u/abs(u)) * u': the classical
     # derivative off the kink, 0/0 (an evaluation error) where u = 0
-    if var in CONSTANTS:  # pi and e are never the variable
-        return _ZERO
-    d = _derivative(e, var, kinks)
+    d = None if var in CONSTANTS else _derivative(e, var, kinks)  # pi and e are never var
     return _ZERO if d is None else d
 
 
-def _derivative(e: Expr, var: str, kinks: bool) -> Expr | None:
+def _derivative(e: Expr, var: str, kinks: bool) -> _Deriv:
     # None for a subtree free of var, so no node is walked twice
     if isinstance(e, Var):
         return _ONE if e.name == var else None
     if isinstance(e, Neg):
         d = _derivative(e.arg, var, kinks)
         return None if d is None else _neg(d)
-    if isinstance(e, BinOp):
-        op, u, v = e.op, e.left, e.right
-        if op == "^":  # the exponent first: a refusal names the node it always has
-            dv, du = _derivative(v, var, kinks), _derivative(u, var, kinks)
-        else:
-            du, dv = _derivative(u, var, kinks), _derivative(v, var, kinks)
-        if du is None and dv is None:
-            return None
-        if op == "^":
-            if du is None:
-                # c^v -> c^v * ln(c) * v'
-                return _mul(_mul(e, Call("ln", u)), dv)
-            if dv is None:
-                # u^c -> c * u^(c-1) * u'
-                expm1 = _sub(v, _ONE) if not isinstance(v, Num) else Num(v.value - 1.0)
-                return _mul(_mul(v, _pow(u, expm1)), du)
-            # general u^v -> u^v * (v' ln u + v u'/u)
-            return _mul(e, _add(_mul(dv, Call("ln", u)), _mul(v, _div(du, u))))
-        du, dv = du or _ZERO, dv or _ZERO
-        if op == "+":
-            return _add(du, dv)
-        if op == "-":
-            return _sub(du, dv)
-        if op == "*":
-            return _add(_mul(du, v), _mul(u, dv))
-        return _div(_sub(_mul(du, v), _mul(u, dv)), _pow(v, Num(2.0)))
-    if isinstance(e, Call):
-        u = e.arg
-        du = _derivative(u, var, kinks)
-        if du is None:
-            return None
-        name = e.func
-        if name == "sin":
-            outer = Call("cos", u)
-        elif name == "cos":
-            outer = _neg(Call("sin", u))
-        elif name == "tan":
-            outer = _div(_ONE, _pow(Call("cos", u), Num(2.0)))
-        elif name == "exp":
-            outer = e
-        elif name == "ln":
-            return _div(du, u)
-        elif name == "sqrt":
-            return _div(du, _mul(Num(2.0), e))
-        elif name == "abs" and kinks:
-            outer = _div(u, e)
-        else:
-            # abs has no classical derivative at kinks; gamma would need
-            # digamma.  Refuse so callers use the limit path instead.
-            raise DifferentiationError(
-                f"cannot differentiate through {name!r}; use the limit path"
-            )
-        return _mul(outer, du)
-    return None  # a Num
+    if not isinstance(e, (BinOp, Call)):
+        return None  # a Num
+    op, args = (e.op, (e.left, e.right)) if isinstance(e, BinOp) else (e.func, (e.arg,))
+    step = -1 if op == "^" else 1  # the exponent first: a refusal names the node it always has
+    ds = [_derivative(arg, var, kinks) for arg in args[::step]][::step]
+    if all(d is None for d in ds):
+        return None
+    d = _OPS[op].derivative(e, *args, *ds, kinks)
+    if d is None:
+        raise DifferentiationError(f"cannot differentiate through {op!r}; use the limit path")
+    return d
 
 
 # ---------------------------------------------------------------------------

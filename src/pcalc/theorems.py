@@ -42,18 +42,16 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class MvtResult:
     """A mean-value point c with its multiplier and achieved residual.
 
-    bracket is the enclosing interval the search ended with; the
-    degenerate everything-works case is signalled by bracket == (a, b).
+    bracket is the enclosing interval the search ended with.  degenerate
+    says every point works (the residual is below tol on the whole grid,
+    or f and g are the same); c is then the midpoint and bracket (a, b).
     """
 
     c: float
     k: float
     residual: float
     bracket: tuple[float, float]
-
-    @property
-    def degenerate(self) -> bool:
-        return self.bracket[1] - self.bracket[0] > _KINK_WIDTH * 10.0
+    degenerate: bool = False
 
 
 def _scan_derivative(fam: PFunction, fn: Callable[[float], float], e: Expr | None,
@@ -84,31 +82,33 @@ def _golden_min(phi: Callable[[float], float], lo: float, hi: float,
 
 
 def _scan_for_root(residual: Callable[[float], float], a: float, b: float, tol: float,
-                   grid: Callable[[np.ndarray], np.ndarray]) -> tuple[float, tuple[float, float]]:
-    """Locate c in (a, b) with residual(c) ~ 0; see module docstring."""
+                   grid: Callable[[np.ndarray], np.ndarray],
+                   ) -> tuple[float, tuple[float, float], str]:
+    """Locate c in (a, b) with residual(c) ~ 0; return c, its bracket and the
+    outcome of the module docstring it took: "degenerate", "crossing" or "minimum"."""
     import numpy as np
     cs = a + (b - a) * np.arange(1, _GRID_N + 1) / (_GRID_N + 1)
     rs = resolve(grid(cs), cs, residual)
 
     if float(np.max(np.abs(rs))) < tol:
-        return 0.5 * (a + b), (a, b)
+        return 0.5 * (a + b), (a, b), "degenerate"
 
     with np.errstate(all="ignore"):
         hits = np.flatnonzero((rs[:-1] == 0.0) | (rs[:-1] * rs[1:] < 0.0))
     if hits.size:  # the leftmost zero or sign change
         i = int(hits[0])
         if rs[i] == 0.0:
-            return float(cs[i]), (float(cs[i]), float(cs[i]))
+            return float(cs[i]), (float(cs[i]), float(cs[i])), "crossing"
         c, lo, hi = _bisect(residual, float(cs[i]), float(cs[i + 1]), float(rs[i]),
                             200, _SIGN_WIDTH)
-        return c, (lo, hi)
+        return c, (lo, hi), "crossing"
 
     # no crossing: squeeze |residual| around the grid minimum
     i0 = int(np.argmin(np.abs(rs)))
     lo, hi = float(cs[max(i0 - 1, 0)]), float(cs[min(i0 + 1, len(cs) - 1)])
     c, lo, hi = _golden_min(lambda x: abs(residual(x)), lo, hi, _KINK_WIDTH)
     if abs(residual(c)) < tol:
-        return c, (lo, hi)
+        return c, (lo, hi), "minimum"
     raise RootSearchError(f"no sign change and no residual below {tol:g} in ({a!r}, {b!r})",
                           grid=tuple(cs.tolist()), residuals=tuple(rs.tolist()))
 
@@ -136,8 +136,8 @@ def find_mvt_point(fam: PFunction, f: Expr | str | Callable[[float], float],
         with np.errstate(all="ignore"):
             return route.grid(cs, mult) - slope * mult
 
-    c, bracket = _scan_for_root(residual, a, b, tol, grid)
-    return MvtResult(c, fam.ph_zero(c), abs(residual(c)), bracket)
+    c, bracket, outcome = _scan_for_root(residual, a, b, tol, grid)
+    return MvtResult(c, fam.ph_zero(c), abs(residual(c)), bracket, outcome == "degenerate")
 
 
 def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
@@ -155,7 +155,7 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
     if fe is not None and ge is not None and fe == ge:
         # identical numerator and denominator: every interior point works
         c = 0.5 * (a + b)
-        return MvtResult(c, _scan_derivative(fam, gfn, ge, tol / 10.0)[0](c), 0.0, (a, b))
+        return MvtResult(c, _scan_derivative(fam, gfn, ge, tol / 10.0)[0](c), 0.0, (a, b), True)
 
     df, dg = ffn(b) - ffn(a), gfn(b) - gfn(a)
     if abs(dg) <= 1e-14 * max(1.0, abs(gfn(a)), abs(gfn(b))):
@@ -176,8 +176,8 @@ def find_cauchy_mvt_point(fam: PFunction, f: Expr | str, g: Expr | str,
         with np.errstate(all="ignore"):
             return df * route_g.grid(cs, mult) - dg * route_f.grid(cs, mult)
 
-    c, bracket = _scan_for_root(residual, a, b, tol, grid)
-    return MvtResult(c, dp_g(c), abs(residual(c)), bracket)
+    c, bracket, outcome = _scan_for_root(residual, a, b, tol, grid)
+    return MvtResult(c, dp_g(c), abs(residual(c)), bracket, outcome == "degenerate")
 
 
 def find_rolle_point(fam: PFunction, f: Expr | str | Callable[[float], float],
@@ -195,8 +195,8 @@ def find_rolle_point(fam: PFunction, f: Expr | str | Callable[[float], float],
             f"endpoint values f(a)={fa!r}, f(b)={fb!r} are not both below {tol:g}"
         )
     dp, route = _scan_derivative(fam, fn, e, tol / 10.0)
-    c, bracket = _scan_for_root(dp, a, b, tol, route.grid)
-    return MvtResult(c, fam.ph_zero(c), abs(dp(c)), bracket)
+    c, bracket, outcome = _scan_for_root(dp, a, b, tol, route.grid)
+    return MvtResult(c, fam.ph_zero(c), abs(dp(c)), bracket, outcome == "degenerate")
 
 
 # --- monotone deformation and interior extrema -------------------------------

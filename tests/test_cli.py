@@ -385,6 +385,22 @@ class TestUsageFailures:
             assert err.startswith("error:"), argv
             assert out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (["deriv", "--family", "custom", "--p", "t+h", "--beta", "2", "--f", "t", "--t", "1"],
+         "error: beta only applies to the gfd family, not 'custom'\n"),
+        (["deriv", "--family", "custom", "--p", "t+h", "--F", "t", "--f", "t", "--t", "1"],
+         "error: --F does not apply to the custom family; use --p\n"),
+        (["deriv", "--family", "custom", "--p", "t+h", "--beta", "2", "--F", "t", "--f", "t",
+          "--t", "1"], "error: --F does not apply to the custom family; use --p\n"),
+        (["compare", *KHALIL, "--family2", "custom", "--p2", "t+h", "--beta2", "2", "--f", "t",
+          "--t", "1"], "error: beta only applies to the gfd family, not 'custom'\n"),
+        (["compare", *KHALIL, "--family2", "custom", "--p2", "t+h", "--F2", "t", "--f", "t",
+          "--t", "1"], "error: --F2 does not apply to the custom family; use --p2\n"),
+    ])
+    def test_custom_family_refuses_beta_and_F(self, capsys, argv, message):
+        # the custom family takes its whole p from --p; these flags were dropped silently
+        assert run(capsys, argv) == (1, "", message)
+
     def test_endpoint_outside_domain_is_usage(self, capsys):
         code, _, err = run(capsys, ["integral", *KHALIL, "--f", "t",
                                     "--a", "-1", "--b", "1"])

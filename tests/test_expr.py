@@ -26,6 +26,8 @@ from pcalc.expr import (
     MAX_DEPTH,
     _MEMO_CHARS,
     _MEMO_NODES,
+    _BINARY,
+    _OPS,
     BinOp,
     Call,
     Neg,
@@ -863,6 +865,68 @@ class TestDifferentiateOracle:
             _tree_outcome(lambda: _ref_differentiate(e, var, False))
         assert _tree_outcome(lambda: _differentiate(e, var, True)) == \
             _tree_outcome(lambda: _ref_differentiate(e, var, True))
+
+
+_REFUSED = "cannot differentiate through {!r}; use the limit path"
+
+# d/dt of every operation, with t^3 as the operand that depends on t and x
+# or 2 as the one free of it: (source, kinks off, kinks on), where a
+# refusal reads as its message
+_GOLDEN_DERIVATIVES = [
+    ("(t^3)+(x)", "3*t^2", "3*t^2"),
+    ("(x)+(t^3)", "3*t^2", "3*t^2"),
+    ("(t^3)+(t^3)", "3*t^2 + 3*t^2", "3*t^2 + 3*t^2"),
+    ("(t^3)-(x)", "3*t^2", "3*t^2"),
+    ("(x)-(t^3)", "-(3*t^2)", "-(3*t^2)"),
+    ("(t^3)-(t^3)", "3*t^2 - 3*t^2", "3*t^2 - 3*t^2"),
+    ("(t^3)*(x)", "3*t^2*x", "3*t^2*x"),
+    ("(x)*(t^3)", "x*(3*t^2)", "x*(3*t^2)"),
+    ("(t^3)*(t^3)", "3*t^2*t^3 + t^3*(3*t^2)", "3*t^2*t^3 + t^3*(3*t^2)"),
+    ("(t^3)/(x)", "3*t^2*x/x^2", "3*t^2*x/x^2"),
+    ("(x)/(t^3)", "-(x*(3*t^2))/(t^3)^2", "-(x*(3*t^2))/(t^3)^2"),
+    ("(t^3)/(t^3)", "(3*t^2*t^3 - t^3*(3*t^2))/(t^3)^2",
+     "(3*t^2*t^3 - t^3*(3*t^2))/(t^3)^2"),
+    ("(t^3)^(x)", "x*(t^3)^(x - 1)*(3*t^2)", "x*(t^3)^(x - 1)*(3*t^2)"),
+    ("(t^3)^(2)", "2*t^3*(3*t^2)", "2*t^3*(3*t^2)"),
+    ("(x)^(t^3)", "x^t^3*ln(x)*(3*t^2)", "x^t^3*ln(x)*(3*t^2)"),
+    ("(t^3)^(t^3)", "(t^3)^t^3*(3*t^2*ln(t^3) + t^3*(3*t^2/t^3))",
+     "(t^3)^t^3*(3*t^2*ln(t^3) + t^3*(3*t^2/t^3))"),
+    ("sin(t^3)", "cos(t^3)*(3*t^2)", "cos(t^3)*(3*t^2)"),
+    ("cos(t^3)", "-sin(t^3)*(3*t^2)", "-sin(t^3)*(3*t^2)"),
+    ("tan(t^3)", "1/cos(t^3)^2*(3*t^2)", "1/cos(t^3)^2*(3*t^2)"),
+    ("exp(t^3)", "exp(t^3)*(3*t^2)", "exp(t^3)*(3*t^2)"),
+    ("ln(t^3)", "3*t^2/t^3", "3*t^2/t^3"),
+    ("sqrt(t^3)", "3*t^2/(2*sqrt(t^3))", "3*t^2/(2*sqrt(t^3))"),
+    ("abs(t^3)", _REFUSED.format("abs"), "t^3/abs(t^3)*(3*t^2)"),
+    ("gamma(t^3)", _REFUSED.format("gamma"), _REFUSED.format("gamma")),
+    *((f"{func}(x)", "0", "0") for func in sorted(FUNCTIONS)),
+]
+
+
+class TestDerivativeRules:
+    @pytest.mark.parametrize("src,off,on", _GOLDEN_DERIVATIVES)
+    def test_golden_derivatives(self, src, off, on):
+        for kinks, want in ((False, off), (True, on)):
+            try:
+                got = to_source(_differentiate(parse(src), "t", kinks))
+            except DifferentiationError as exc:
+                got = str(exc)
+            assert got == want
+
+    def test_golden_table_covers_every_operation(self):
+        written = " ".join(src for src, _, _ in _GOLDEN_DERIVATIVES)
+        for op in _OPS:
+            assert (f"){op}(" if op in _BINARY else f" {op}(") in written, op
+
+    def test_every_row_has_all_three_rules(self):
+        for op, rule in _OPS.items():
+            assert callable(rule.scalar) and callable(rule.derivative), op
+            assert rule.ufunc is None or hasattr(np, rule.ufunc), op
+        assert [op for op, rule in _OPS.items() if rule.ufunc is None] == ["gamma"]
+        unary = {op: rule for op, rule in _OPS.items() if op not in _BINARY}
+        assert set(_OPS) == set(_BINARY) | set(unary)
+        assert FUNCTIONS == {op: rule.scalar.__wrapped__ for op, rule in unary.items()}
+        assert FUNCTIONS["ln"] is math.log and FUNCTIONS["abs"] is abs
 
 
 def _rebuilt(e):

@@ -203,6 +203,16 @@ class TestGraded:
         with pytest.raises(NonIntegrableError):
             integrate_graded(lambda x: x ** -1.2, 0.0, 1.0, 1e-8)
 
+    def test_local_exponent_refusal(self):
+        # 1/(x (-ln x)^1.5) is integrable at 0, but its exponent creeps up to
+        # 1 there: the probes read 0.853, which grades the end, and the local
+        # fit in the blind zone reads 0.998, which is past what grading resolves
+        f = lambda x: 1.0 / (x * (-math.log(x)) ** 1.5)
+        assert endpoint_exponent(f, 0.0, 0.5, "left") == pytest.approx(0.853, abs=5e-4)
+        with pytest.raises(NonIntegrableError, match=r"^local endpoint exponent 0\.998 near 0\.0: "
+                                                     r"integral diverges or is too singular"):
+            integrate_graded(f, 0.0, 0.5, 1e-8)
+
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_nonfinite_panel_is_reported_in_x(self, side):
         # graded at the singular end, infinite on (1, 3): the panel named

@@ -17,6 +17,7 @@ from pcalc.errors import (DifferentiationError, DomainError, EvaluationError, Pa
 from pcalc.expr import BinOp, Call, Neg, _differentiate, differentiate, evaluate, parse, resolve
 from pcalc.families import PFunction, make_family
 from pcalc.theorems import (
+    MvtResult,
     _scan_derivative,
     check_monotonicity_conditions,
     find_cauchy_mvt_point,
@@ -340,25 +341,50 @@ class TestScan:
         assert "(1.0, 1.0000000001)" in str(exc.value)
 
     def test_sign_change_bisects(self):
-        c, (lo, hi) = _scan_for_root(lambda c: c - 0.637, 0.0, 1.0, 1e-12, _masked)
+        c, (lo, hi), outcome = _scan_for_root(lambda c: c - 0.637, 0.0, 1.0, 1e-12, _masked)
         assert c == pytest.approx(0.637, abs=1e-9)
         assert hi - lo <= 1e-11
         assert (lo, hi) != (0.0, 1.0)  # not the degenerate bracket
+        assert outcome == "crossing"
 
     def test_touching_zero_from_above(self):
-        c, (lo, hi) = _scan_for_root(lambda c: (c - 0.25) ** 2, 0.0, 1.0, 1e-8, _masked)
+        c, (lo, hi), outcome = _scan_for_root(lambda c: (c - 0.25) ** 2, 0.0, 1.0, 1e-8,
+                                              _masked)
         assert c == pytest.approx(0.25, abs=1e-4)
         assert hi - lo <= 1e-10
         assert (lo, hi) != (0.0, 1.0)
+        assert outcome == "minimum"
 
     def test_exact_zero_on_the_grid(self):
         # the grid over [0, 1025] is the integers 1..1024, and 512 is the root
         assert _scan_for_root(lambda c: c - 512.0, 0.0, 1025.0, 1e-8, _masked) == \
-            (512.0, (512.0, 512.0))
+            (512.0, (512.0, 512.0), "crossing")
 
     def test_degenerate_case_brackets_the_whole_interval(self):
         # a residual below tol everywhere: the midpoint, with (a, b) as bracket
-        assert _scan_for_root(lambda c: 0.0, 0.0, 1.0, 1e-8, _masked) == (0.5, (0.0, 1.0))
+        assert _scan_for_root(lambda c: 0.0, 0.0, 1.0, 1e-8, _masked) == \
+            (0.5, (0.0, 1.0), "degenerate")
+
+
+class TestDegenerate:
+    """degenerate reports the scan's outcome, not a guess from the bracket's width."""
+
+    def test_a_narrow_interval_where_every_point_works(self):
+        # the residual is 0 on the whole grid of [1, 1 + 1e-10], whose width is 1e-10
+        r = find_mvt_point(KHALIL, "t", 1.0, 1.0000000001)
+        assert r.degenerate
+        assert r.bracket == (1.0, 1.0000000001)
+        assert r.c == 1.00000000005
+
+    def test_a_root_bisected_to_one_ulp_is_not_degenerate(self):
+        # at 1.5e8 one ulp is 3e-8, which is wider than the old 1e-9 threshold
+        r = find_rolle_point(KHALIL, "sin(pi*t/1e8)", 1e8, 2e8)
+        assert not r.degenerate
+        assert r.bracket == (1.5e8, math.nextafter(1.5e8, math.inf))
+
+    def test_field_defaults_to_false(self):
+        assert MvtResult(1.0, 2.0, 0.0, (0.5, 1.5)).degenerate is False
+        assert MvtResult(1.0, 2.0, 0.0, (0.0, 2.0), True).degenerate is True
 
 
 class TestMaxPrinciple:

@@ -4,29 +4,44 @@
 
 Both trees are loaded with ``ab_passes.load_pcalc``, and the calculus,
 scan and riccati workloads of the change's ``perfbench/workloads.py`` are
-built against each tree for every seed.  Every slot runs once per tree; the two outcomes are the ``repr``
-of the answer, or the type name and message of the error it raised.  The
-script prints, per workload, the number of slots whose outcomes differ
-and the first few of them, and exits 1 if any differ.  A change meant to
-leave every answer as it was should report 0 everywhere.
+built against each tree for every seed.  Every slot runs once per tree;
+the two outcomes are the ``repr`` of the answer, or the type name and
+message of the error it raised.  The script prints, per workload, the
+number of slots whose outcomes differ and the first few of them.
+
+It then compares the expression engine on random trees.  For every seed
+it draws TREES trees over t, x, pi, 0 and -0 with every operation of the
+parent's table and unary minus, at most MAX_DEPTH nodes deep, builds each
+in both trees, and compares the ``repr`` of ``_differentiate`` in t with
+kinks off and on and the value of ``compile_expr`` over (t, x) at POINTS,
+each or the error it raised.  It prints ``expr N of M trees differ``.
+The script exits 1 if any slot or tree differs.  A change meant to leave
+every answer as it was should report 0 everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from pathlib import Path
 
 from ab_passes import WORKLOADS, load_pcalc
 from bench_pairs import _seeds
 
+BINARY = ("+", "-", "*", "/", "^")
+
 SHOWN = 3  # differing slots printed per workload and seed
 CONTEXT = 60  # characters of each outcome printed around the first difference
+TREES = 2000  # random expression trees per seed
+MAX_DEPTH = 5
+LEAVES = (("Var", "t"), ("Var", "x"), ("Var", "pi"), ("Num", 0.0), ("Num", -0.0))
+POINTS = ((0.5, 2.0), (-1.5, 0.25), (3.0, -0.75))  # (t, x) where compile_expr runs
 
 
-def outcome(slot) -> str:
+def outcome(call) -> str:
     try:
-        return repr(slot.call())
+        return repr(call())
     except Exception as exc:  # a documented error is an answer like any other
         return f"{type(exc).__name__}: {exc}"
 
@@ -41,7 +56,50 @@ def gap(a: str, b: str) -> tuple[str, str]:
 def outcomes(trees: dict, side: str, make, seed: int) -> list[tuple[str, str]]:
     sys.modules.update(trees[side])
     wl = make(trees[side]["pcalc"], seed)
-    return [(slot.kind, outcome(slot)) for slot in wl.slots]
+    return [(slot.kind, outcome(slot.call)) for slot in wl.slots]
+
+
+def random_tree(rng: random.Random, ops: list[str], depth: int = MAX_DEPTH) -> tuple:
+    """A tree as nested (class name, fields...) tuples, at most depth nodes deep."""
+    if depth == 1 or rng.random() < 0.1:
+        return rng.choice(LEAVES)
+    op = rng.choice(ops)
+    if op == "neg":
+        return ("Neg", random_tree(rng, ops, depth - 1))
+    if op in BINARY:
+        return ("BinOp", op, random_tree(rng, ops, depth - 1), random_tree(rng, ops, depth - 1))
+    return ("Call", op, random_tree(rng, ops, depth - 1))
+
+
+def build(expr, tree: tuple):
+    """The tree made of one pcalc tree's node classes."""
+    name, *fields = tree
+    return getattr(expr, name)(*(build(expr, f) if isinstance(f, tuple) else f for f in fields))
+
+
+def tree_outcome(expr, tree: tuple) -> str:
+    e = build(expr, tree)
+    fn = expr.compile_expr(e, ("t", "x"))
+    parts = [outcome(lambda: expr._differentiate(e, "t", kinks)) for kinks in (False, True)]
+    return " | ".join(parts + [outcome(lambda: fn(*point)) for point in POINTS])
+
+
+def expr_diff(trees: dict, seeds: list[int], label: str) -> int:
+    """Print the differing trees of every seed and their count; return it."""
+    ops = [*BINARY, *sorted(trees["parent"]["pcalc.expr"].FUNCTIONS), "neg"]
+    total = differ = 0
+    for seed in seeds:
+        rng, shown = random.Random(seed), 0
+        for _ in range(TREES):
+            tree = random_tree(rng, ops)
+            old, new = (tree_outcome(trees[side]["pcalc.expr"], tree) for side in trees)
+            total, differ = total + 1, differ + (old != new)
+            if old != new and shown < SHOWN:
+                shown += 1
+                was, now = gap(old, new)
+                print(f"  expr seed {seed} {tree!r}: ...{was!r}... -> ...{now!r}...")
+    print(f"{'expr':10} {differ} of {total} trees differ (seeds {label})")
+    return differ
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
             slots, differ = slots + len(old), differ + len(bad)
         print(f"{name:10} {differ} of {slots} slots differ (seeds {args.seeds})")
         total += differ
+    total += expr_diff(trees, seeds, args.seeds)
     return 1 if total else 0
 
 

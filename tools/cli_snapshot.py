@@ -253,6 +253,24 @@ LADDER = [
      "--side", "right"],
 ]
 
+# degenerate is the scan's outcome: every point of a narrow interval works,
+# and a root bisected to one ulp at 1.5e8 is not degenerate
+DEGENERATE = [
+    ["mvt", *K, "--f", "t", "--a", "1", "--b", "1.0000000001"],
+    ["rolle", *K, "--f", "sin(pi*t/1e8)", "--a", "1e8", "--b", "2e8"],
+]
+
+# the custom family refuses --beta and --F, which it used to drop, and so
+# does the second family of compare
+CUSTOM_FLAGS = [
+    ["deriv", "--family", "custom", "--p", "t+h", "--beta", "2", "--F", "t", "--f", "t",
+     "--t", "1"],
+    ["deriv", "--family", "custom", "--p", "t+h", "--beta", "2", "--f", "t", "--t", "1"],
+    ["compare", *K, "--family2", "custom", "--p2", "t+h", "--beta2", "2", "--f", "t",
+     "--t", "1"],
+    ["compare", *K, "--family2", "custom", "--p2", "t+h", "--F2", "t", "--f", "t", "--t", "1"],
+]
+
 # the command lookup: the first token that is not an option names the
 # subparser that gets arguments
 LOOKUP = [
@@ -273,7 +291,7 @@ def cases():
     for argv in EXTRA + ERRORS:
         yield None, argv
     yield from ENV_CASES
-    for argv in RESOLVED + ROWS + EDGES + LADDER + LOOKUP:
+    for argv in RESOLVED + ROWS + EDGES + LADDER + LOOKUP + DEGENERATE + CUSTOM_FLAGS:
         yield None, argv
 
 
